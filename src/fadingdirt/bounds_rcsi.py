@@ -16,7 +16,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
 
 from .bounds_norcsi import ChannelParams, RateBound
 from .errors import (
@@ -107,12 +106,18 @@ def mass_half_params(dist: FadingDistribution) -> MassHalfParams:
     # ties broken toward smaller |a|, then smaller a (deterministic)
     cand = [i for i in range(len(vals)) if probs[i] >= pmax - 1e-12]
     i_star = min(cand, key=lambda i: (abs(vals[i]), vals[i]))
-    a_p = float(vals[i_star])
-    P_p = float(probs[i_star])
-    rest = [(v, p) for j, (v, p) in enumerate(zip(vals, probs)) if j != i_star]
-    for v, _ in rest:
-        if abs(v) < 1e-12:
+    for j, v in enumerate(vals):
+        if j != i_star and abs(v) < 1e-12:
             raise ZeroAtomCollision("atom at a = 0 makes the G' term diverge")
+    return gap_params_at(dist, i_star)
+
+
+def gap_params_at(dist: Discrete, i: int) -> MassHalfParams:
+    """The mass-half constants with atom i as a', whatever its mass."""
+    vals, probs = dist.values, dist.probs
+    a_p = float(vals[i])
+    P_p = float(probs[i])
+    rest = [(v, p) for j, (v, p) in enumerate(zip(vals, probs)) if j != i]
     G = float(sum(p * math.log2((v - a_p) ** 2) for v, p in rest))
     G_prime = float(sum(p * math.log2((v - a_p) ** 2 / (v * v) + 1.0) for v, p in rest))
     return MassHalfParams(a_prime=a_p, P_prime=P_p, P_bar=1.0 - P_p, G=G, G_prime=G_prime)
@@ -294,6 +299,8 @@ def inner_strong(params: ChannelParams, support: Discrete) -> RateBound:
 def continuous_interval_params(dist: FadingDistribution, interval) -> ContinuousOuterParams:
     """Mean-value point a' with pdf(a')(b-a) = P(I), and the log-distance
     integral over the complement of I."""
+    from scipy import integrate
+
     if dist.is_discrete:
         raise NotUniform("continuous outer bound needs a density")
     a, b = float(interval[0]), float(interval[1])
@@ -344,10 +351,9 @@ def continuous_interval_params(dist: FadingDistribution, interval) -> Continuous
     return ContinuousOuterParams(interval=(a, b), prob_I=prob_i, a_prime=a_prime, G_tilde_cont=g)
 
 
-def outer_continuous(params: ChannelParams, dist: FadingDistribution, interval) -> RateBound:
+def outer_continuous(params: ChannelParams, cp: ContinuousOuterParams) -> RateBound:
     if abs(params.c) < _C_MIN:
         raise ZeroGain("continuous outer bound needs c != 0")
-    cp = continuous_interval_params(dist, interval)
     P, c2 = params.P, params.c ** 2
     Pi, Pb, G = cp.prob_I, 1.0 - cp.prob_I, cp.G_tilde_cont
     branches = [
@@ -361,6 +367,8 @@ def outer_continuous(params: ChannelParams, dist: FadingDistribution, interval) 
 
 def inner_continuous(params: ChannelParams, dist: FadingDistribution, a_prime: float) -> RateBound:
     """Costa precoding against c*a'*S under continuous fading, by quadrature."""
+    from scipy import integrate
+
     P, c2 = params.P, params.c ** 2
     lo, hi = dist.support()
 

@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 
 from . import bounds_norcsi as bn
@@ -38,8 +37,9 @@ def _build_parser():
                         help="output serialization")
         sp.add_argument("--out", default=None, metavar="PATH",
                         help="write output to PATH instead of stdout")
-        sp.add_argument("--threads", type=int, default=os.cpu_count() or 1,
-                        help="worker cap for grid evaluation")
+        sp.add_argument("--threads", type=int, default=1,
+                        help="accepted for compatibility and ignored; grids run "
+                             "in one thread")
 
     b = sub.add_parser("bounds", help="evaluate one (P, c) point")
     b.add_argument("--theorem", required=True,
@@ -159,7 +159,7 @@ def _cmd_bounds(args):
         interval = tuple(args.interval) if args.interval else dist.support()
         cp = br.continuous_interval_params(dist, interval)
         inner = br.inner_continuous(params, dist, cp.a_prime)
-        outer = br.outer_continuous(params, dist, interval)
+        outer = br.outer_continuous(params, cp)
     _print_json({"inner": inner.to_json(), "outer": outer.to_json()})
     return 0
 
@@ -181,13 +181,13 @@ def _cmd_sweep(args):
         )]
     rows = []
     for spec in specs:
-        rows.extend(run_sweep(spec, threads=args.threads))
+        rows.extend(run_sweep(spec))
     _write(emit(rows, args.format), args.out)
     return 0
 
 
 def _cmd_verify(args):
-    summary, rows = verify_claims(args.preset, args.grid, threads=args.threads)
+    summary, rows = verify_claims(args.preset, args.grid)
     _write(emit(rows, args.format), args.out)
     sys.stderr.write(
         "verify %s/%s: %d points, %d checked, %d satisfied, %d violated, "

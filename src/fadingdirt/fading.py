@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
 
 from .errors import (
     DiscreteUnsupported,
@@ -33,6 +32,13 @@ EULER_GAMMA = float(np.euler_gamma)
 
 _ATOM_PROB_TOL = 1e-12
 _DENSITY_NORM_TOL = 1e-9
+
+
+def _frozen_array(seq):
+    """Read-only float array, so a law's cached arrays can be shared."""
+    arr = np.array(seq, dtype=float)
+    arr.flags.writeable = False
+    return arr
 
 
 def _xlog2x(p):
@@ -69,6 +75,10 @@ class FadingDistribution:
         """(lo, hi) interval carrying essentially all probability mass."""
         raise NotImplementedError
 
+    def kinks(self):
+        """Interior points where the pdf is not smooth."""
+        return ()
+
     def _affine(self, scale: float, shift: float) -> "FadingDistribution":
         raise NotImplementedError
 
@@ -87,8 +97,8 @@ class Discrete(FadingDistribution):
     atoms: tuple  # ((value, prob), ...) with strictly increasing values
 
     def __post_init__(self):
-        vals = np.array([a for a, _ in self.atoms], dtype=float)
-        probs = np.array([p for _, p in self.atoms], dtype=float)
+        vals = _frozen_array([a for a, _ in self.atoms])
+        probs = _frozen_array([p for _, p in self.atoms])
         if len(vals) == 0:
             raise ZeroVariance("empty atom list")
         if np.any(probs < 0):
@@ -99,14 +109,16 @@ class Discrete(FadingDistribution):
             raise NonFinite("atom values must be strictly increasing")
         if not np.all(np.isfinite(vals)):
             raise NonFinite("non-finite atom value")
+        object.__setattr__(self, "_values", vals)
+        object.__setattr__(self, "_probs", probs)
 
     @property
     def values(self):
-        return np.array([a for a, _ in self.atoms], dtype=float)
+        return self._values
 
     @property
     def probs(self):
-        return np.array([p for _, p in self.atoms], dtype=float)
+        return self._probs
 
     @property
     def mean(self):
@@ -319,8 +331,10 @@ class TabulatedDensity(FadingDistribution):
     grid: tuple  # ((value, density), ...) with increasing values
 
     def __post_init__(self):
-        xs = self._xs
-        ds = self._ds
+        xs = _frozen_array([x for x, _ in self.grid])
+        ds = _frozen_array([d for _, d in self.grid])
+        object.__setattr__(self, "_xs", xs)
+        object.__setattr__(self, "_ds", ds)
         if len(xs) < 3:
             raise ZeroVariance("tabulated density needs at least 3 grid points")
         if np.any(np.diff(xs) <= 0):
@@ -330,14 +344,6 @@ class TabulatedDensity(FadingDistribution):
         z = np.trapezoid(ds, xs)
         if abs(z - 1.0) > _DENSITY_NORM_TOL:
             raise InvalidP(f"tabulated density integrates to {z!r}, not 1")
-
-    @property
-    def _xs(self):
-        return np.array([x for x, _ in self.grid], dtype=float)
-
-    @property
-    def _ds(self):
-        return np.array([d for _, d in self.grid], dtype=float)
 
     @property
     def mean(self):
@@ -365,7 +371,12 @@ class TabulatedDensity(FadingDistribution):
         pairs.sort()
         return TabulatedDensity(tuple(pairs))
 
+    def kinks(self):
+        return self._xs[1:-1]
+
     def _draw(self, rng, n):
+        from scipy import integrate
+
         xs, ds = self._xs, self._ds
         cdf = integrate.cumulative_trapezoid(ds, xs, initial=0.0)
         cdf /= cdf[-1]
@@ -405,8 +416,12 @@ def entropy_bits(dist: FadingDistribution) -> float:
 def entropy_bits_quadrature(dist: FadingDistribution, tol: float = 1e-8) -> float:
     """Independent quadrature route: -integral of p log2 p over the support.
 
-    Kept free of the closed forms so it can serve as their oracle.
+    Kept free of the closed forms so it can serve as their oracle.  The
+    law's kinks are handed to quad as breakpoints: its error estimate on a
+    piecewise-linear density is otherwise far above `tol`.
     """
+    from scipy import integrate
+
     if dist.is_discrete:
         raise DiscreteUnsupported("quadrature entropy applies to continuous laws")
     lo, hi = dist.support()
@@ -417,7 +432,9 @@ def entropy_bits_quadrature(dist: FadingDistribution, tol: float = 1e-8) -> floa
             return 0.0
         return -p * math.log2(p)
 
-    val, err = integrate.quad(integrand, lo, hi, limit=400, epsabs=tol * 0.1, epsrel=1e-10)
+    kinks = dist.kinks()
+    val, err = integrate.quad(integrand, lo, hi, limit=400 + len(kinks), epsabs=tol * 0.1,
+                              epsrel=1e-10, points=kinks if len(kinks) else None)
     if err > tol:
         raise QuadratureFailure(f"entropy quadrature error {err!r} exceeds {tol!r}")
     return val

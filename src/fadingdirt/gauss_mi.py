@@ -20,7 +20,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .bounds_norcsi import ChannelParams
 from .errors import DiscreteUnsupported, InsufficientSamples, SingularCovariance
@@ -194,6 +193,8 @@ def mi_monte_carlo(params: ChannelParams, dist: FadingDistribution,
             lp_y_u = _log_normal_pdf(y, coef * u, v)
             lp_y = _log_normal_pdf(y, 0.0, P + c * c * a * a + 1.0)
         else:
+            from scipy.special import logsumexp
+
             lp_y_u = logsumexp(
                 log_aw[None, :] + _log_normal_pdf(
                     y[:, None], coef_g[None, :] * u[:, None], v_g[None, :]),

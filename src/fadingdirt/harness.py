@@ -5,14 +5,13 @@ Each grid point yields one GapReport row: inner and outer bound, measured
 gap, the claimed gap constant of the relevant theorem, and whether the
 claim held.  Claim violations are data, not errors — the point of the sweep
 is to surface where the printed constants fail numerically.  Rows are
-produced in deterministic grid order regardless of the worker count.
+produced in deterministic grid order.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -109,51 +108,75 @@ def _report(theorem, inner, outer, P, c2, mu_A, dist_id, claimed, assumptions_ok
     )
 
 
-def _point_no_rcsi(spec, dist, dist_id, P, c2):
-    params = bn.ChannelParams(P=P, c=math.sqrt(c2), mu_A=dist.mean)
+def _no_rcsi_points(spec, dist, dist_id):
+    mu = dist.mean
     alpha = entropy_power_alpha(dist).alpha
-    inner = bn.inner_no_rcsi(params)
-    try:
-        outer = bn.outer_no_rcsi(params, alpha)
-        ok = c2 >= 3.0  # paper's partial-approximate-capacity regime
-    except ZeroGain:
-        outer = bn.RateBound(bits=0.5 * math.log2(1 + P), theorem="no-rcsi-outer",
-                             branch="awgn-fallback", assumptions_ok={})
-        ok = False
-    return _report("no-rcsi", inner, outer, P, c2, dist.mean, dist_id,
-                   bn.gap_no_rcsi(alpha), ok)
+    claimed = bn.gap_no_rcsi(alpha)
+
+    def point(P, c2):
+        params = bn.ChannelParams(P=P, c=math.sqrt(c2), mu_A=mu)
+        inner = bn.inner_no_rcsi(params)
+        try:
+            outer = bn.outer_no_rcsi(params, alpha)
+            ok = c2 >= 3.0  # paper's partial-approximate-capacity regime
+        except ZeroGain:
+            outer = bn.RateBound(bits=0.5 * math.log2(1 + P), theorem="no-rcsi-outer",
+                                 branch="awgn-fallback", assumptions_ok={})
+            ok = False
+        return _report("no-rcsi", inner, outer, P, c2, mu, dist_id, claimed, ok)
+    return point
 
 
-def _point_mass_half(spec, dist, dist_id, P, c2):
-    params = bn.ChannelParams(P=P, c=math.sqrt(c2), mu_A=dist.mean)
+def _mass_half_points(spec, dist, dist_id):
+    mu = dist.mean
     try:
         mp = br.mass_half_params(dist)
         ok = True
     except br.NoDominantAtom:
         # evaluate anyway against the largest atom; flagged as out of scope
-        i = int(np.argmax(dist.probs))
-        a_p, P_p = float(dist.values[i]), float(dist.probs[i])
-        rest = [(v, p) for j, (v, p) in enumerate(zip(dist.values, dist.probs)) if j != i]
-        G = float(sum(p * math.log2((v - a_p) ** 2) for v, p in rest))
-        Gp = float(sum(p * math.log2((v - a_p) ** 2 / (v * v) + 1.0) for v, p in rest))
-        mp = br.MassHalfParams(a_prime=a_p, P_prime=P_p, P_bar=1.0 - P_p, G=G, G_prime=Gp)
+        mp = br.gap_params_at(dist, int(np.argmax(dist.probs)))
         ok = False
-    inner = br.inner_mass_half(params, dist, mp)
-    outer = br.outer_mass_half(params, mp)
-    return _report("mass-half", inner, outer, P, c2, dist.mean, dist_id,
-                   mp.G_prime - mp.G + 3.0, ok)
+    claimed = mp.G_prime - mp.G + 3.0
+
+    def point(P, c2):
+        params = bn.ChannelParams(P=P, c=math.sqrt(c2), mu_A=mu)
+        inner = br.inner_mass_half(params, dist, mp)
+        outer = br.outer_mass_half(params, mp)
+        return _report("mass-half", inner, outer, P, c2, mu, dist_id, claimed, ok)
+    return point
 
 
-def _point_strong(spec, dist, dist_id, P, c2):
-    c = math.sqrt(c2)
-    params = bn.ChannelParams(P=P, c=c, mu_A=dist.mean)
-    alpha_sf = c2 / (c2 + 1.0)
-    ok = br.strong_condition_check(dist, c, alpha_sf)
-    sp = br.strong_params(dist, c, alpha_sf)
-    inner = br.inner_strong(params, dist)
-    outer = br.outer_strong(params, sp, condition_ok=True)
-    claimed = max(math.log2(alpha_sf) / 2.0 - sp.G_tilde + 3.0, 1.0)
-    return _report("strong", inner, outer, P, c2, dist.mean, dist_id, claimed, ok)
+def _strong_points(spec, dist, dist_id):
+    mu = dist.mean
+    by_c2 = {}  # the spacing condition and G-tilde depend on c, not on P
+
+    def point(P, c2):
+        c = math.sqrt(c2)
+        if c2 not in by_c2:
+            alpha_sf = c2 / (c2 + 1.0)
+            ok = br.strong_condition_check(dist, c, alpha_sf)
+            sp = br.strong_params(dist, c, alpha_sf)
+            by_c2[c2] = ok, sp, max(math.log2(alpha_sf) / 2.0 - sp.G_tilde + 3.0, 1.0)
+        ok, sp, claimed = by_c2[c2]
+        params = bn.ChannelParams(P=P, c=c, mu_A=mu)
+        inner = br.inner_strong(params, dist)
+        outer = br.outer_strong(params, sp, condition_ok=True)
+        return _report("strong", inner, outer, P, c2, mu, dist_id, claimed, ok)
+    return point
+
+
+def _continuous_points(spec, dist, dist_id):
+    mu = dist.mean
+    interval = spec.interval if spec.interval is not None else dist.support()
+    cp = br.continuous_interval_params(dist, interval)
+
+    def point(P, c2):
+        params = bn.ChannelParams(P=P, c=math.sqrt(c2), mu_A=mu)
+        outer = br.outer_continuous(params, cp)
+        inner = br.inner_continuous(params, dist, cp.a_prime)
+        return _report("continuous", inner, outer, P, c2, mu, dist_id,
+                       float("nan"), cp.prob_I >= 0.5)
+    return point
 
 
 def _point_phase(spec, P, Q):
@@ -168,41 +191,28 @@ def _point_phase(spec, P, Q):
                    f"phase{spec.Delta:.4g}", 3.0, True)
 
 
-def _point_continuous(spec, dist, dist_id, P, c2):
-    params = bn.ChannelParams(P=P, c=math.sqrt(c2), mu_A=dist.mean)
-    interval = spec.interval
-    if interval is None:
-        lo, hi = dist.support()
-        interval = (lo, hi)
-    cp = br.continuous_interval_params(dist, interval)
-    outer = br.outer_continuous(params, dist, interval)
-    inner = br.inner_continuous(params, dist, cp.a_prime)
-    return _report("continuous", inner, outer, P, c2, dist.mean, dist_id,
-                   float("nan"), cp.prob_I >= 0.5)
+_LAW_POINTS = {
+    "no-rcsi": _no_rcsi_points,
+    "mass-half": _mass_half_points,
+    "strong": _strong_points,
+    "continuous": _continuous_points,
+}
 
 
 def run_sweep(spec: SweepSpec, threads: int = 1):
     """Evaluate the theorem's bounds over the grid; one GapReport per point,
     in grid order.  Points violating the theorem's preconditions are kept
-    and flagged with assumptions_ok=False rather than dropped."""
+    and flagged with assumptions_ok=False rather than dropped.
+
+    The constants that depend only on the law are computed once per sweep.
+    `threads` is accepted for compatibility and ignored: the points run in
+    this thread, which under the GIL is the fastest way.
+    """
     if spec.theorem == "phase-binomial":
-        points = [(P, Q) for P in spec.P_list for Q in spec.Q_list]
-        fn = lambda pq: _point_phase(spec, pq[0], pq[1])
-    else:
-        dist = spec.resolved_dist()
-        dist_id = spec.dist_id or dist.label()
-        point_fn = {
-            "no-rcsi": _point_no_rcsi,
-            "mass-half": _point_mass_half,
-            "strong": _point_strong,
-            "continuous": _point_continuous,
-        }[spec.theorem]
-        points = [(P, c2) for P in spec.P_list for c2 in spec.c2_list]
-        fn = lambda pc: point_fn(spec, dist, dist_id, pc[0], pc[1])
-    if threads and threads > 1:
-        with ThreadPoolExecutor(max_workers=int(threads)) as pool:
-            return list(pool.map(fn, points))
-    return [fn(pt) for pt in points]
+        return [_point_phase(spec, P, Q) for P in spec.P_list for Q in spec.Q_list]
+    dist = spec.resolved_dist()
+    point = _LAW_POINTS[spec.theorem](spec, dist, spec.dist_id or dist.label())
+    return [point(P, c2) for P in spec.P_list for c2 in spec.c2_list]
 
 
 # ---------------------------------------------------------------------------
@@ -250,12 +260,13 @@ def verify_claims(theorem: str = "all", preset: str = "smoke", threads: int = 1)
 
     Returns (summary, rows).  Never asserts: violated claims are counted and
     reported, with the worst measured gap and worst excess over the claim.
+    `threads` is accepted for compatibility and ignored, as in `run_sweep`.
     """
     names = ("no-rcsi", "mass-half", "strong", "phase-binomial") if theorem == "all" else (theorem,)
     rows = []
     for name in names:
         for spec in _preset_specs(name, preset):
-            rows.extend(run_sweep(spec, threads=threads))
+            rows.extend(run_sweep(spec))
     checked = [r for r in rows if r.assumptions_ok]
     summary = {
         "points": len(rows),

@@ -20,6 +20,7 @@ from fadingdirt.bounds_norcsi import (
 )
 from fadingdirt.bounds_rcsi import (
     _inner_strategies,
+    continuous_interval_params,
     inner_mass_half,
     mass_half_params,
     outer_continuous,
@@ -229,7 +230,7 @@ def test_acceptance_7_piecewise_evaluators():
 
     mp = mass_half_params(TWO_POINT)
     sp = strong_params(strong_support(3, 2.0), 2.0, 4.0 / 5.0)
-    gauss = Gaussian(0.0, 1.0)
+    gauss_cp = continuous_interval_params(Gaussian(0.0, 1.0), (-1.5, 1.5))
     families = {
         "no-rcsi": [outer_no_rcsi(ChannelParams(P=P, c=2.0), 1.0).bits
                     for P in grid(0.1, 1000.0)],
@@ -248,7 +249,7 @@ def test_acceptance_7_piecewise_evaluators():
                                  math.pi / 2).bits
             for P in grid(0.1, 1000.0)],
         "continuous": [
-            outer_continuous(ChannelParams(P=P, c=2.0), gauss, (-1.5, 1.5)).bits
+            outer_continuous(ChannelParams(P=P, c=2.0), gauss_cp).bits
             for P in grid(0.1, 1000.0)],
     }
     bad = [name for name, vals in families.items() if not nondecreasing(vals)]

@@ -302,15 +302,16 @@ class TestContinuous:
 
     def test_outer_zero_gain(self):
         with pytest.raises(ZeroGain):
-            outer_continuous(ChannelParams(P=1, c=0), Gaussian(0.0, 1.0), (-1, 1))
+            cp = continuous_interval_params(Gaussian(0.0, 1.0), (-1, 1))
+            outer_continuous(ChannelParams(P=1, c=0), cp)
 
     def test_outer_finite_and_above_inner(self):
         g = Gaussian(0.0, 1.0)
         for P in (1.0, 10.0, 100.0):
             for c in (1.0, 3.0):
                 params = ChannelParams(P=P, c=c)
-                o = outer_continuous(params, g, (-1.0, 1.0))
                 cp = continuous_interval_params(g, (-1.0, 1.0))
+                o = outer_continuous(params, cp)
                 i = inner_continuous(params, g, cp.a_prime)
                 assert math.isfinite(o.bits)
                 assert 0.0 <= i.bits <= 0.5 * math.log2(1 + P) + 1e-9
@@ -328,7 +329,7 @@ class TestContinuous:
         assert got.bits == pytest.approx(want, abs=1e-6)
 
     def test_outer_nondecreasing_in_p(self):
-        g = Gaussian(0.0, 1.0)
-        vals = [outer_continuous(ChannelParams(P=float(P), c=2), g, (-1.0, 1.0)).bits
+        cp = continuous_interval_params(Gaussian(0.0, 1.0), (-1.0, 1.0))
+        vals = [outer_continuous(ChannelParams(P=float(P), c=2), cp).bits
                 for P in np.logspace(-1, 3, 10)]
         assert all(vals[i + 1] >= vals[i] - 1e-12 for i in range(len(vals) - 1))

@@ -1,0 +1,61 @@
+"""The closed-form commands never load scipy: only quadrature and the
+no-RCSI Monte Carlo mixture pay for its import."""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import fadingdirt
+from fadingdirt.fading import strong_support
+
+SRC = str(Path(fadingdirt.__file__).resolve().parent.parent)
+
+# runs one command in a fresh interpreter, then reports its exit code and
+# the scipy modules it left in sys.modules on the last line of stderr
+PROBE = """
+import json, sys
+from fadingdirt.cli import main
+rc = main(sys.argv[1:])
+loaded = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+sys.stderr.write("\\n" + json.dumps({"rc": rc, "scipy": loaded}) + "\\n")
+"""
+
+STRONG4 = json.dumps(strong_support(4, 2.0).to_json())
+
+CLOSED_FORM_COMMANDS = {
+    "verify": ["verify", "--grid", "smoke"],
+    "bounds-no-rcsi": ["bounds", "--theorem", "no-rcsi", "--P", "3", "--c", "2"],
+    "bounds-mass-half": ["bounds", "--theorem", "mass-half", "--P", "15", "--c", "8",
+                         "--dist", "two-point"],
+    "bounds-strong": ["bounds", "--theorem", "strong", "--P", "10", "--c", "2",
+                      "--dist", STRONG4],
+    "bounds-phase-binomial": ["bounds", "--theorem", "phase-binomial", "--P", "3"],
+    "gp": ["gp", "--example", "binary-nonoise", "--restarts", "2"],
+    "mi-rcsi": ["mi", "--P", "3", "--c", "2", "--dist", "two-point", "--n", "10000"],
+}
+
+
+def run_fresh(argv):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", PROBE] + argv, capture_output=True,
+                          env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr.decode(errors="replace")[-500:]
+    return json.loads(proc.stderr.decode().strip().splitlines()[-1])
+
+
+@pytest.mark.parametrize("name", sorted(CLOSED_FORM_COMMANDS))
+def test_closed_form_command_never_loads_scipy(name):
+    report = run_fresh(CLOSED_FORM_COMMANDS[name])
+    assert report == {"rc": 0, "scipy": []}
+
+
+def test_quadrature_command_loads_scipy():
+    report = run_fresh(["bounds", "--theorem", "continuous", "--P", "10", "--c", "3",
+                        "--interval", "-1", "1"])
+    assert report["rc"] == 0
+    assert "scipy.integrate" in report["scipy"]

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fadingdirt.cli import main
 from fadingdirt.errors import (
     DiscreteUnsupported,
     InvalidC,
@@ -67,6 +69,52 @@ class TestEntropy:
     def test_quadrature_rejects_discrete(self):
         with pytest.raises(DiscreteUnsupported):
             entropy_bits_quadrature(TWO_POINT)
+
+
+def two_hump_law(seed, nodes=15):
+    """Seeded piecewise-linear two-hump density, zero mean, unit variance;
+    its kinks fall off quad's bisection points."""
+    rng = np.random.default_rng(seed)
+    xs = np.linspace(-1.0, 1.0, nodes)
+    ds = (np.exp(-(xs - 0.45) ** 2 / 0.06)
+          + rng.uniform(0.6, 1.0) * np.exp(-(xs + 0.45) ** 2 / 0.06) + 0.01)
+    ds *= rng.uniform(0.95, 1.05, nodes)
+    ds /= np.trapezoid(ds, xs)
+    return normalize_unit_variance(TabulatedDensity(tuple(zip(xs.tolist(), ds.tolist()))))
+
+
+def piecewise_linear_entropy_bits(law):
+    """Exact -integral of p log2 p for a density linear between grid nodes."""
+    def antiderivative(p):  # of p ln p
+        return p * p / 2 * math.log(p) - p * p / 4 if p > 0 else 0.0
+
+    h = 0.0
+    for (x0, d0), (x1, d1) in zip(law.grid[:-1], law.grid[1:]):
+        if d0 == d1:
+            h -= (x1 - x0) * (d0 * math.log(d0) if d0 > 0 else 0.0)
+        else:
+            h -= (x1 - x0) / (d1 - d0) * (antiderivative(d1) - antiderivative(d0))
+    return h / math.log(2)
+
+
+class TestTabulatedEntropy:
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    def test_quadrature_matches_piecewise_linear_closed_form(self, seed):
+        law = two_hump_law(seed)
+        assert entropy_bits_quadrature(law) == pytest.approx(
+            piecewise_linear_entropy_bits(law), abs=1e-10)
+
+    def test_entropy_power_in_range(self):
+        assert 0.0 < entropy_power_alpha(two_hump_law(0)).alpha < 1.0
+
+    def test_no_rcsi_bounds_command(self, capsys):
+        literal = json.dumps(two_hump_law(0).to_json())
+        code = main(["bounds", "--theorem", "no-rcsi", "--P", "30", "--c", "4",
+                     "--dist", literal])
+        captured = capsys.readouterr()
+        assert code == 0, captured.err
+        payload = json.loads(captured.out)
+        assert payload["inner"]["bits"] <= payload["outer"]["bits"]
 
 
 class TestEntropyPower:

@@ -5,6 +5,7 @@ import xml.dom.minidom
 import numpy as np
 import pytest
 
+from fadingdirt import bounds_rcsi as br
 from fadingdirt.errors import SpecInvalid, UnsupportedFormat
 from fadingdirt.fading import binomial_fading
 from fadingdirt.harness import (
@@ -61,6 +62,21 @@ class TestRunSweep:
         assert rows[1].outer_bits == 3.5
         assert {r.branch_outer for r in rows} == {
             "weak-interference", "strong-interference"}
+
+    def test_law_constants_computed_once_per_sweep(self, monkeypatch):
+        calls = []
+        original = br.continuous_interval_params
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(br, "continuous_interval_params", counted)
+        spec = SweepSpec("continuous", dist="gaussian", P_list=(1.0, 100.0),
+                         c2_list=(1.0, 10.0, 100.0))
+        rows = run_sweep(spec)
+        assert len(rows) == 6
+        assert len(calls) == 1
 
     def test_spec_validation(self):
         with pytest.raises(SpecInvalid):
