@@ -90,6 +90,12 @@ def outer_phase_binomial(params: ChannelParams, Delta: float) -> RateBound:
                      assumptions_ok={"delta_in_range": True})
 
 
+def inner_phase_binomial(params: ChannelParams) -> RateBound:
+    """Treat the faded dirt, of variance Q, as noise on the phase-fading channel."""
+    return RateBound(bits=0.5 * math.log2(1.0 + params.P / (1.0 + params.Q)),
+                     theorem="phase-binomial-inner", branch="treat-as-noise")
+
+
 # ---------------------------------------------------------------------------
 # discrete fading with a dominant atom
 # ---------------------------------------------------------------------------
@@ -106,9 +112,6 @@ def mass_half_params(dist: FadingDistribution) -> MassHalfParams:
     # ties broken toward smaller |a|, then smaller a (deterministic)
     cand = [i for i in range(len(vals)) if probs[i] >= pmax - 1e-12]
     i_star = min(cand, key=lambda i: (abs(vals[i]), vals[i]))
-    for j, v in enumerate(vals):
-        if j != i_star and abs(v) < 1e-12:
-            raise ZeroAtomCollision("atom at a = 0 makes the G' term diverge")
     return gap_params_at(dist, i_star)
 
 
@@ -118,9 +121,24 @@ def gap_params_at(dist: Discrete, i: int) -> MassHalfParams:
     a_p = float(vals[i])
     P_p = float(probs[i])
     rest = [(v, p) for j, (v, p) in enumerate(zip(vals, probs)) if j != i]
+    if any(abs(v) < 1e-12 for v, _ in rest):
+        raise ZeroAtomCollision("atom at a = 0 makes the G' term diverge")
     G = float(sum(p * math.log2((v - a_p) ** 2) for v, p in rest))
     G_prime = float(sum(p * math.log2((v - a_p) ** 2 / (v * v) + 1.0) for v, p in rest))
     return MassHalfParams(a_prime=a_p, P_prime=P_p, P_bar=1.0 - P_p, G=G, G_prime=G_prime)
+
+
+def _theorem_branches(P, c2, mass, rest, G, large_gain):
+    """Treat-as-noise, moderate- and large-gain branches of the theorem-form
+    outer bound, for a dominant mass (P' or P(I)) and its constant G."""
+    return [
+        (0.5 * math.log2(1 + P) + 1.0, "treat-as-noise", rest <= mass * c2),
+        (mass / 2 * math.log2(1 + P) + rest / 2 * math.log2(P * c2) + 1 - G / 2
+         if P * c2 > 0 else math.inf,
+         "moderate-gain", P * c2 > 0 and mass * c2 <= rest * (P + 1)),
+        (mass / 2 * math.log2(1 + P) + large_gain - G / 2, "large-gain",
+         mass * c2 > rest * (P + 1)),
+    ]
 
 
 def _min_branch(theorem, branches, assumptions):
@@ -143,12 +161,7 @@ def outer_mass_half(params: ChannelParams, mp: MassHalfParams, form: str = "appe
              "large-gain", Pp * c2 > Pb * (P + 1)),
         ]
     elif form == "theorem":
-        branches = [
-            (0.5 * math.log2(1 + P) + 1.0, "treat-as-noise", Pb <= Pp * c2),
-            (Pp / 2 * math.log2(1 + P) + Pb / 2 * math.log2(P * c2) + 1 - G / 2 if P * c2 > 0 else math.inf,
-             "moderate-gain", P * c2 > 0 and Pp * c2 <= Pb * (P + 1)),
-            (Pp / 2 * math.log2(1 + P) + 1.5 - G / 2, "large-gain", Pp * c2 > Pb * (P + 1)),
-        ]
+        branches = _theorem_branches(P, c2, Pp, Pb, G, large_gain=1.5)
     else:
         raise ValueError(f"unknown form {form!r}")
     return _min_branch("mass-half-outer", branches,
@@ -190,12 +203,16 @@ def _inner_strategies(params: ChannelParams, values, probs, a_prime):
     return max(treat, 0.0), max(costa, 0.0), max(split, 0.0)
 
 
-def inner_mass_half(params: ChannelParams, dist: Discrete, mp: MassHalfParams) -> RateBound:
-    vals, probs = dist.values, dist.probs
-    rates = _inner_strategies(params, vals, probs, mp.a_prime)
-    tags = ("treat-as-noise", "costa", "power-split")
+def _best_strategy(params: ChannelParams, values, probs, a_prime):
+    """(rate, tag) of the best strategy at a', the first one on ties."""
+    rates = _inner_strategies(params, values, probs, a_prime)
     i = int(np.argmax(rates))
-    return RateBound(bits=float(rates[i]), theorem="mass-half-inner", branch=tags[i],
+    return rates[i], ("treat-as-noise", "costa", "power-split")[i]
+
+
+def inner_mass_half(params: ChannelParams, dist: Discrete, mp: MassHalfParams) -> RateBound:
+    bits, tag = _best_strategy(params, dist.values, dist.probs, mp.a_prime)
+    return RateBound(bits=float(bits), theorem="mass-half-inner", branch=tag,
                      assumptions_ok={"dominant_mass": mp.P_prime >= 0.5})
 
 
@@ -283,11 +300,9 @@ def inner_strong(params: ChannelParams, support: Discrete) -> RateBound:
         raise NotUniform("support must be equiprobable")
     best = (-math.inf, "treat-as-noise")
     for a_p in vals:
-        rates = _inner_strategies(params, vals, probs, float(a_p))
-        tags = ("treat-as-noise", "costa", "power-split")
-        i = int(np.argmax(rates))
-        if rates[i] > best[0]:
-            best = (rates[i], tags[i])
+        rate_tag = _best_strategy(params, vals, probs, float(a_p))
+        if rate_tag[0] > best[0]:
+            best = rate_tag
     return RateBound(bits=float(best[0]), theorem="strong-inner", branch=best[1],
                      assumptions_ok={"uniform": True})
 
@@ -354,15 +369,9 @@ def continuous_interval_params(dist: FadingDistribution, interval) -> Continuous
 def outer_continuous(params: ChannelParams, cp: ContinuousOuterParams) -> RateBound:
     if abs(params.c) < _C_MIN:
         raise ZeroGain("continuous outer bound needs c != 0")
-    P, c2 = params.P, params.c ** 2
-    Pi, Pb, G = cp.prob_I, 1.0 - cp.prob_I, cp.G_tilde_cont
-    branches = [
-        (0.5 * math.log2(1 + P) + 1.0, "treat-as-noise", Pb <= Pi * c2),
-        (Pi / 2 * math.log2(1 + P) + Pb / 2 * math.log2(P * c2) + 1 - G / 2 if P * c2 > 0 else math.inf,
-         "moderate-gain", P * c2 > 0 and Pi * c2 <= Pb * (P + 1)),
-        (Pi / 2 * math.log2(1 + P) + 1 - G / 2, "large-gain", Pi * c2 > Pb * (P + 1)),
-    ]
-    return _min_branch("continuous-outer", branches, {"prob_I_half": Pi >= 0.5})
+    branches = _theorem_branches(params.P, params.c ** 2, cp.prob_I, 1.0 - cp.prob_I,
+                                 cp.G_tilde_cont, large_gain=1.0)
+    return _min_branch("continuous-outer", branches, {"prob_I_half": cp.prob_I >= 0.5})
 
 
 def inner_continuous(params: ChannelParams, dist: FadingDistribution, a_prime: float) -> RateBound:

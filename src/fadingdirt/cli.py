@@ -37,9 +37,6 @@ def _build_parser():
                         help="output serialization")
         sp.add_argument("--out", default=None, metavar="PATH",
                         help="write output to PATH instead of stdout")
-        sp.add_argument("--threads", type=int, default=1,
-                        help="accepted for compatibility and ignored; grids run "
-                             "in one thread")
 
     b = sub.add_parser("bounds", help="evaluate one (P, c) point")
     b.add_argument("--theorem", required=True,
@@ -69,7 +66,6 @@ def _build_parser():
     s.add_argument("--c2-grid", default=None, help="comma-separated c^2 values")
     s.add_argument("--Q-grid", default=None, help="comma-separated Q values")
     s.add_argument("--delta", type=float, default=math.pi / 2)
-    s.add_argument("--seed", type=int, default=0)
     add_output(s)
 
     v = sub.add_parser("verify", help="check the gap claims on canonical grids")
@@ -152,9 +148,7 @@ def _cmd_bounds(args):
         outer = br.outer_strong(params, sp, condition_ok=ok, form=args.form)
     elif args.theorem == "phase-binomial":
         outer = br.outer_phase_binomial(params, args.delta)
-        inner = bn.RateBound(bits=0.5 * math.log2(1.0 + args.P / (1.0 + args.Q)),
-                             theorem="phase-binomial-inner",
-                             branch="treat-as-noise", assumptions_ok={})
+        inner = br.inner_phase_binomial(params)
     else:
         interval = tuple(args.interval) if args.interval else dist.support()
         cp = br.continuous_interval_params(dist, interval)
@@ -177,7 +171,6 @@ def _cmd_sweep(args):
             c2_list=_grid(args.c2_grid, SweepSpec.c2_list),
             Q_list=_grid(args.Q_grid, (1.0,)),
             Delta=args.delta,
-            seed=args.seed,
         )]
     rows = []
     for spec in specs:

@@ -105,6 +105,10 @@ class DegenerateAtoms(ToolkitError):
     pass
 
 
+class AscentNotMonotone(ToolkitError):
+    pass
+
+
 # -- harness / IO ------------------------------------------------------------
 
 class SpecInvalid(ToolkitError):

@@ -19,11 +19,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
+    AscentNotMonotone,
     DegenerateAtoms,
     InstanceTooLarge,
     MalformedAssignment,
     SpecInvalid,
 )
+from .fading import _frozen_array
 
 _ROW_TOL = 1e-12
 _LOG_FLOOR = 1e-300
@@ -40,8 +42,8 @@ class GPInstance:
     rcsi: bool = False
 
     def __post_init__(self):
-        pr = np.asarray(self.prior, dtype=float)
-        W = self.kernel_array
+        pr = _frozen_array(self.prior)
+        W = _frozen_array(self.kernel)
         if len(self.states) != len(self.prior) or len(self.states) == 0:
             raise SpecInvalid("state alphabet and prior sizes differ")
         if self.aux_size < 1:
@@ -52,14 +54,16 @@ class GPInstance:
             raise SpecInvalid(f"kernel shape {W.shape} does not match alphabets")
         if np.any(W < 0) or np.max(np.abs(W.sum(axis=2) - 1.0)) > _ROW_TOL:
             raise SpecInvalid("kernel rows must sum to 1")
+        object.__setattr__(self, "_kernel_array", W)
+        object.__setattr__(self, "_prior_array", pr)
 
     @property
     def kernel_array(self):
-        return np.asarray(self.kernel, dtype=float)
+        return self._kernel_array
 
     @property
     def prior_array(self):
-        return np.asarray(self.prior, dtype=float)
+        return self._prior_array
 
     def to_json(self):
         return {
@@ -68,7 +72,7 @@ class GPInstance:
             "inputs": list(self.inputs),
             "aux_size": self.aux_size,
             "outputs": [list(y) if isinstance(y, tuple) else y for y in self.outputs],
-            "kernel": np.asarray(self.kernel, dtype=float).tolist(),
+            "kernel": self.kernel_array.tolist(),
             "rcsi": self.rcsi,
         }
 
@@ -113,22 +117,25 @@ def _coerce_assignment(inst, p_u_given_s, x_of_us):
     return np.clip(p, 0.0, None), x
 
 
+def _joint(inst, p, x):
+    """The laws p(u,s) and p(u,y) induced by (p(u|s), x(u,s)), and p(y)."""
+    p_su = p * inst.prior_array[None, :]
+    Wp = inst.kernel_array[x, np.arange(len(inst.states))[None, :], :]  # (nu, ns, ny)
+    p_uy = np.einsum("us,usy->uy", p_su, Wp)
+    return p_su, p_uy, p_uy.sum(axis=0)
+
+
 def _objective(inst, p, x):
     """Exact I(Y;U) - I(U;S) in bits for the assignment (p(u|s), x(u,s))."""
-    W = inst.kernel_array
-    prior = inst.prior_array
-    p_su = p * prior[None, :]                       # joint over (u, s)
-    Wp = W[x, np.arange(len(inst.states))[None, :], :]  # (nu, ns, ny)
-    p_uy = np.einsum("us,usy->uy", p_su, Wp)
+    p_su, p_uy, p_y = _joint(inst, p, x)
     p_u = p_su.sum(axis=1)
-    p_y = p_uy.sum(axis=0)
 
     def mi(joint, ma, mb):
         outer = ma[:, None] * mb[None, :]
         mask = joint > 0
         return float(np.sum(joint[mask] * np.log2(joint[mask] / outer[mask])))
 
-    return mi(p_uy, p_u, p_y) - mi(p_su, p_u, prior)
+    return mi(p_uy, p_u, p_y) - mi(p_su, p_u, inst.prior_array)
 
 
 def evaluate_assignment(inst: GPInstance, p_u_given_s, x_of_us) -> float:
@@ -148,7 +155,6 @@ def optimize_alternating(inst: GPInstance, restarts: int = 32, seed: int = 0,
     if restarts < 1 or tol <= 0:
         raise SpecInvalid("need restarts >= 1 and tol > 0")
     W = inst.kernel_array
-    prior = inst.prior_array
     nu, ns = inst.aux_size, len(inst.states)
     s_idx = np.arange(ns)
 
@@ -159,10 +165,7 @@ def optimize_alternating(inst: GPInstance, restarts: int = 32, seed: int = 0,
         x = rng.integers(0, len(inst.inputs), size=(nu, ns))
         val = _objective(inst, p, x)
         for _ in range(max_iters):
-            p_su = p * prior[None, :]
-            Wp = W[x, s_idx[None, :], :]
-            p_uy = np.einsum("us,usy->uy", p_su, Wp)
-            p_y = p_uy.sum(axis=0)
+            _, p_uy, p_y = _joint(inst, p, x)
             q = p_uy / np.maximum(p_y[None, :], _LOG_FLOOR)
             logq = np.log(np.maximum(q, _LOG_FLOOR))
             # greedy x-step: per (u,s) pick the input maximizing E[log q(u|Y)]
@@ -176,7 +179,7 @@ def optimize_alternating(inst: GPInstance, restarts: int = 32, seed: int = 0,
             p /= p.sum(axis=0, keepdims=True)
             new_val = _objective(inst, p, x)
             if new_val < val - 1e-9:
-                raise AssertionError("ascent step decreased the objective")
+                raise AscentNotMonotone(f"restart {r}: step lowered {val!r} to {new_val!r}")
             if new_val - val < tol:
                 val = new_val
                 break

@@ -51,9 +51,7 @@ class SweepSpec:
     Q_list: tuple = (1.0,)       # phase-fading theorem only
     Delta: float = math.pi / 2   # phase-fading theorem only
     interval: tuple = None       # continuous theorem only
-    mu_A: float = 0.0
     dist_id: str = None
-    seed: int = 0
 
     def __post_init__(self):
         if self.theorem not in THEOREMS:
@@ -108,27 +106,24 @@ def _report(theorem, inner, outer, P, c2, mu_A, dist_id, claimed, assumptions_ok
     )
 
 
-def _no_rcsi_points(spec, dist, dist_id):
-    mu = dist.mean
+def _no_rcsi_points(spec, dist):
     alpha = entropy_power_alpha(dist).alpha
     claimed = bn.gap_no_rcsi(alpha)
 
-    def point(P, c2):
-        params = bn.ChannelParams(P=P, c=math.sqrt(c2), mu_A=mu)
+    def point(params, c2):
         inner = bn.inner_no_rcsi(params)
         try:
             outer = bn.outer_no_rcsi(params, alpha)
             ok = c2 >= 3.0  # paper's partial-approximate-capacity regime
         except ZeroGain:
-            outer = bn.RateBound(bits=0.5 * math.log2(1 + P), theorem="no-rcsi-outer",
+            outer = bn.RateBound(bits=0.5 * math.log2(1 + params.P), theorem="no-rcsi-outer",
                                  branch="awgn-fallback", assumptions_ok={})
             ok = False
-        return _report("no-rcsi", inner, outer, P, c2, mu, dist_id, claimed, ok)
+        return inner, outer, claimed, ok
     return point
 
 
-def _mass_half_points(spec, dist, dist_id):
-    mu = dist.mean
+def _mass_half_points(spec, dist):
     try:
         mp = br.mass_half_params(dist)
         ok = True
@@ -138,44 +133,34 @@ def _mass_half_points(spec, dist, dist_id):
         ok = False
     claimed = mp.G_prime - mp.G + 3.0
 
-    def point(P, c2):
-        params = bn.ChannelParams(P=P, c=math.sqrt(c2), mu_A=mu)
-        inner = br.inner_mass_half(params, dist, mp)
-        outer = br.outer_mass_half(params, mp)
-        return _report("mass-half", inner, outer, P, c2, mu, dist_id, claimed, ok)
+    def point(params, c2):
+        return br.inner_mass_half(params, dist, mp), br.outer_mass_half(params, mp), claimed, ok
     return point
 
 
-def _strong_points(spec, dist, dist_id):
-    mu = dist.mean
+def _strong_points(spec, dist):
     by_c2 = {}  # the spacing condition and G-tilde depend on c, not on P
 
-    def point(P, c2):
-        c = math.sqrt(c2)
+    def point(params, c2):
         if c2 not in by_c2:
             alpha_sf = c2 / (c2 + 1.0)
-            ok = br.strong_condition_check(dist, c, alpha_sf)
-            sp = br.strong_params(dist, c, alpha_sf)
+            ok = br.strong_condition_check(dist, params.c, alpha_sf)
+            sp = br.strong_params(dist, params.c, alpha_sf)
             by_c2[c2] = ok, sp, max(math.log2(alpha_sf) / 2.0 - sp.G_tilde + 3.0, 1.0)
         ok, sp, claimed = by_c2[c2]
-        params = bn.ChannelParams(P=P, c=c, mu_A=mu)
         inner = br.inner_strong(params, dist)
-        outer = br.outer_strong(params, sp, condition_ok=True)
-        return _report("strong", inner, outer, P, c2, mu, dist_id, claimed, ok)
+        return inner, br.outer_strong(params, sp, condition_ok=True), claimed, ok
     return point
 
 
-def _continuous_points(spec, dist, dist_id):
-    mu = dist.mean
+def _continuous_points(spec, dist):
     interval = spec.interval if spec.interval is not None else dist.support()
     cp = br.continuous_interval_params(dist, interval)
 
-    def point(P, c2):
-        params = bn.ChannelParams(P=P, c=math.sqrt(c2), mu_A=mu)
+    def point(params, c2):
         outer = br.outer_continuous(params, cp)
         inner = br.inner_continuous(params, dist, cp.a_prime)
-        return _report("continuous", inner, outer, P, c2, mu, dist_id,
-                       float("nan"), cp.prob_I >= 0.5)
+        return inner, outer, float("nan"), cp.prob_I >= 0.5
     return point
 
 
@@ -183,14 +168,13 @@ def _point_phase(spec, P, Q):
     c_eff2 = math.sin(spec.Delta) ** 2 * Q
     params = bn.ChannelParams(P=P, c=0.0, Q=Q)
     outer = br.outer_phase_binomial(params, spec.Delta)
-    # generic treat-dirt-as-noise baseline on the same channel
-    inner = bn.RateBound(bits=0.5 * math.log2(1.0 + P / (1.0 + Q)),
-                         theorem="phase-binomial-inner", branch="treat-as-noise",
-                         assumptions_ok={})
+    inner = br.inner_phase_binomial(params)
     return _report("phase-binomial", inner, outer, P, c_eff2, 0.0,
                    f"phase{spec.Delta:.4g}", 3.0, True)
 
 
+# theorem -> factory(spec, dist) that computes the law's constants once and
+# returns point(params, c2) -> (inner, outer, claimed gap, assumptions ok)
 _LAW_POINTS = {
     "no-rcsi": _no_rcsi_points,
     "mass-half": _mass_half_points,
@@ -199,20 +183,25 @@ _LAW_POINTS = {
 }
 
 
-def run_sweep(spec: SweepSpec, threads: int = 1):
+def run_sweep(spec: SweepSpec):
     """Evaluate the theorem's bounds over the grid; one GapReport per point,
     in grid order.  Points violating the theorem's preconditions are kept
     and flagged with assumptions_ok=False rather than dropped.
 
     The constants that depend only on the law are computed once per sweep.
-    `threads` is accepted for compatibility and ignored: the points run in
-    this thread, which under the GIL is the fastest way.
     """
     if spec.theorem == "phase-binomial":
         return [_point_phase(spec, P, Q) for P in spec.P_list for Q in spec.Q_list]
     dist = spec.resolved_dist()
-    point = _LAW_POINTS[spec.theorem](spec, dist, spec.dist_id or dist.label())
-    return [point(P, c2) for P in spec.P_list for c2 in spec.c2_list]
+    dist_id, mu = spec.dist_id or dist.label(), dist.mean
+    point = _LAW_POINTS[spec.theorem](spec, dist)
+    rows = []
+    for P in spec.P_list:
+        for c2 in spec.c2_list:
+            params = bn.ChannelParams(P=P, c=math.sqrt(c2), mu_A=mu)
+            inner, outer, claimed, ok = point(params, c2)
+            rows.append(_report(spec.theorem, inner, outer, P, c2, mu, dist_id, claimed, ok))
+    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -255,12 +244,11 @@ def _preset_specs(theorem: str, preset: str):
     raise SpecInvalid(f"unknown preset {theorem!r}")
 
 
-def verify_claims(theorem: str = "all", preset: str = "smoke", threads: int = 1):
+def verify_claims(theorem: str = "all", preset: str = "smoke"):
     """Run the canonical grids for one theorem (or 'all') and summarize.
 
     Returns (summary, rows).  Never asserts: violated claims are counted and
     reported, with the worst measured gap and worst excess over the claim.
-    `threads` is accepted for compatibility and ignored, as in `run_sweep`.
     """
     names = ("no-rcsi", "mass-half", "strong", "phase-binomial") if theorem == "all" else (theorem,)
     rows = []

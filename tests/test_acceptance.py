@@ -263,10 +263,10 @@ def test_acceptance_7_piecewise_evaluators():
 def test_acceptance_8_claim_surface_report(tmp_path, capsys):
     """Full claim-verification sweep: deterministic bytes, violations kept."""
     outs = []
-    for tag, threads in (("a", "1"), ("b", "1"), ("c", "4")):
+    for tag in ("a", "b", "c"):
         target = tmp_path / f"report_{tag}.csv"
         code = main(["verify", "--preset", "all", "--format", "csv",
-                     "--threads", threads, "--out", str(target)])
+                     "--out", str(target)])
         capsys.readouterr()
         assert code == 0
         outs.append(target.read_bytes())
@@ -285,4 +285,4 @@ def test_acceptance_8_claim_surface_report(tmp_path, capsys):
         r["theorem"] for r in rows}
     _report(8, "claim-surface report deterministic and violation-preserving",
             ok, f"{len(rows)} rows, {len(flagged)} flagged, byte-identical "
-                f"across runs and thread counts")
+                f"across three runs")

@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 
@@ -71,11 +72,24 @@ class TestSweepVerify:
         _, out2, _ = run_cli(capsys, *argv)
         assert out1 == out2
 
-    def test_thread_flag_does_not_change_output(self, capsys):
-        base = ("sweep", "--preset", "gaussian-smoke", "--format", "csv")
-        _, out1, _ = run_cli(capsys, *base, "--threads", "1")
-        _, out2, _ = run_cli(capsys, *base, "--threads", "7")
-        assert out1 == out2
+    @pytest.mark.parametrize("argv", [
+        ("sweep", "--preset", "gaussian-smoke", "--threads", "2"),
+        ("sweep", "--preset", "gaussian-smoke", "--seed", "0"),
+        ("verify", "--preset", "gaussian-smoke", "--threads", "2"),
+    ], ids=["sweep-threads", "sweep-seed", "verify-threads"])
+    def test_removed_flags_rejected(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(list(argv))
+        assert exc.value.code == 2
+        capsys.readouterr()
+
+    def test_zero_atom_without_dominant_atom_exit_3(self, capsys):
+        dist = '{"kind":"discrete","atoms":[[-1,0.45],[0,0.1],[1,0.45]]}'
+        code, out, err = run_cli(capsys, "sweep", "--theorem", "mass-half",
+                                 "--dist", dist, "--P-grid", "1", "--c2-grid", "4")
+        assert code == 3
+        assert out == ""
+        assert "ZeroAtomCollision" in err
 
     def test_out_file(self, capsys, tmp_path):
         target = tmp_path / "report.csv"
@@ -118,6 +132,16 @@ class TestMiGp:
         assert code == 0
         assert json.loads(out)["value_bits"] >= 0.99
 
+    def test_gp_non_monotone_step_exit_3(self, capsys, monkeypatch):
+        from fadingdirt import gp
+        values = itertools.count(0.0, -1.0)  # every step loses a bit
+        monkeypatch.setattr(gp, "_objective", lambda inst, p, x: next(values))
+        code, out, err = run_cli(capsys, "gp", "--example", "binary-nonoise",
+                                 "--restarts", "1")
+        assert code == 3
+        assert out == ""
+        assert "AscentNotMonotone" in err
+
     def test_gp_needs_source(self, capsys):
         code, _, err = run_cli(capsys, "gp")
         assert code == 3
@@ -129,9 +153,8 @@ class TestHelp:
         ("bounds", ["--theorem", "--P", "--c", "--mu-A", "--Q", "--delta",
                     "--dist", "--interval", "--form"]),
         ("sweep", ["--preset", "--theorem", "--dist", "--P-grid", "--c2-grid",
-                   "--Q-grid", "--delta", "--seed", "--format", "--out",
-                   "--threads"]),
-        ("verify", ["--preset", "--grid", "--format", "--out", "--threads"]),
+                   "--Q-grid", "--delta", "--format", "--out"]),
+        ("verify", ["--preset", "--grid", "--format", "--out"]),
         ("mi", ["--P", "--c", "--mu-A", "--dist", "--a-target", "--k",
                 "--split", "--no-rcsi", "--n", "--seed"]),
         ("gp", ["--instance", "--example", "--atoms", "--no-rcsi",

@@ -223,6 +223,17 @@ class TestInstance:
             GPInstance(states=(0,), prior=(0.9,), inputs=(0,), aux_size=1,
                        outputs=(0,), kernel=(((1.0,),),))
 
+    def test_arrays_built_once_and_read_only(self):
+        inst = binary_nonoise_instance(ATOMS_2)
+        for name in ("kernel_array", "prior_array"):
+            arr = getattr(inst, name)
+            assert getattr(inst, name) is arr
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0] = 0.0
+        np.testing.assert_array_equal(inst.kernel_array, np.asarray(inst.kernel))
+        np.testing.assert_array_equal(inst.prior_array, np.asarray(inst.prior))
+
     def test_json_round_trip(self):
         for inst in (binary_nonoise_instance(ATOMS_2, rcsi=True),
                      binary_nonoise_instance(ATOMS_3, rcsi=False), BSC):
