@@ -30,7 +30,6 @@ from .bounds_rcsi import (
 from .errors import ToolkitError
 from .fading import (
     Discrete,
-    EntropyPower,
     FadingDistribution,
     Gaussian,
     LogNormal,
@@ -38,7 +37,6 @@ from .fading import (
     TabulatedDensity,
     Uniform,
     binomial_fading,
-    entropy_bits,
     entropy_bits_quadrature,
     entropy_power_alpha,
     geometric_fading,

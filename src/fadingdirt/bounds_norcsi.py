@@ -12,8 +12,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .errors import DegenerateDenominator, InvalidAlpha, ZeroGain
-from .fading import EULER_GAMMA, LN2, TWO_PI_E
+from .errors import DegenerateDenominator, IdentityViolated, InvalidAlpha, UnknownFamily, ZeroGain
+from .fading import EULER_GAMMA, TWO_PI_E
 
 _C_MIN = 1e-9
 
@@ -54,35 +54,25 @@ class RateBound:
         }
 
 
-# audit variants for the additive constant of the outer bound; "half" is the
-# canonical theorem statement, the others track the derivation's
-# natural-log artifacts (-E[log S^2]/2 evaluated two ways)
-OUTER_CONSTANTS = {
-    "half": 0.5,
-    "euler": EULER_GAMMA / (2 * LN2),
-    "euler_ln2": (EULER_GAMMA + LN2) / (2 * LN2),
-}
-
-
 def _check_alpha(alpha_ep):
     if not (0.0 < alpha_ep <= 1.0) or not math.isfinite(alpha_ep):
         raise InvalidAlpha(f"alpha_ep must be in (0,1], got {alpha_ep!r}")
 
 
-def outer_no_rcsi(params: ChannelParams, alpha_ep: float, constant: str = "half") -> RateBound:
-    """Outer bound 1/2 log2((P+1)/(c^2 a) + 1/a) + const."""
+def outer_no_rcsi(params: ChannelParams, alpha_ep: float) -> RateBound:
+    """Outer bound 1/2 log2((P+1)/(c^2 a) + 1/a) + 1/2."""
     _check_alpha(alpha_ep)
     P, c = params.P, params.c
     if abs(c) < _C_MIN:
         raise ZeroGain("bound diverges as c -> 0; use the AWGN bound 1/2 log2(1+P)")
-    const = OUTER_CONSTANTS[constant]
-    bits = 0.5 * math.log2((P + 1) / (c * c * alpha_ep) + 1.0 / alpha_ep) + const
-    alt = 0.5 * math.log2((P + 1 + c * c) / (c * c * alpha_ep)) + const
-    assert abs(bits - alt) < 1e-12, "algebraic identity violated"
+    bits = 0.5 * math.log2((P + 1) / (c * c * alpha_ep) + 1.0 / alpha_ep) + 0.5
+    alt = 0.5 * math.log2((P + 1 + c * c) / (c * c * alpha_ep)) + 0.5
+    if not abs(bits - alt) < 1e-12:  # a nan from an overflow fails too
+        raise IdentityViolated(f"the two forms of the outer bound differ: {bits!r} vs {alt!r}")
     return RateBound(
         bits=bits,
         theorem="no-rcsi-outer",
-        branch=constant,
+        branch="half",
         assumptions_ok={"mu_S_zero": params.mu_S == 0.0, "alpha_in_range": True},
     )
 
@@ -132,4 +122,4 @@ def lemma_gap_catalog(family: str, mu: float = 0.0, sigma2: float = 1.0) -> floa
         return EULER_GAMMA + 1.0 + 0.5  # the "-1/2 log(1)" term is 0
     if fam == "lognormal":
         return math.log(math.exp(sigma2) - 1.0) + mu + sigma2 + 0.5
-    raise InvalidAlpha(f"unknown family {family!r}")
+    raise UnknownFamily(f"unknown family {family!r}")

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds_norcsi import ChannelParams, RateBound
+from .bounds_norcsi import _C_MIN, ChannelParams, RateBound
 from .errors import (
     ConditionNotVerified,
     DeltaOutOfRange,
@@ -30,14 +30,11 @@ from .errors import (
 )
 from .fading import Discrete, FadingDistribution
 
-_C_MIN = 1e-9
-
 
 @dataclass(frozen=True)
 class MassHalfParams:
     a_prime: float
     P_prime: float  # mass of the dominant atom, >= 1/2
-    P_bar: float    # 1 - P_prime
     G: float        # bits
     G_prime: float  # bits
 
@@ -45,15 +42,12 @@ class MassHalfParams:
 @dataclass(frozen=True)
 class StrongFadingParams:
     M: int
-    spacings: tuple  # consecutive gaps between support points
     alpha_sf: float
-    a_prime: float
     G_tilde: float  # bits
 
 
 @dataclass(frozen=True)
 class ContinuousOuterParams:
-    interval: tuple  # (a, b)
     prob_I: float
     a_prime: float
     G_tilde_cont: float  # bits
@@ -125,7 +119,7 @@ def gap_params_at(dist: Discrete, i: int) -> MassHalfParams:
         raise ZeroAtomCollision("atom at a = 0 makes the G' term diverge")
     G = float(sum(p * math.log2((v - a_p) ** 2) for v, p in rest))
     G_prime = float(sum(p * math.log2((v - a_p) ** 2 / (v * v) + 1.0) for v, p in rest))
-    return MassHalfParams(a_prime=a_p, P_prime=P_p, P_bar=1.0 - P_p, G=G, G_prime=G_prime)
+    return MassHalfParams(a_prime=a_p, P_prime=P_p, G=G, G_prime=G_prime)
 
 
 def _theorem_branches(P, c2, mass, rest, G, large_gain):
@@ -152,7 +146,7 @@ def _min_branch(theorem, branches, assumptions):
 def outer_mass_half(params: ChannelParams, mp: MassHalfParams, form: str = "appendix") -> RateBound:
     P, c = params.P, params.c
     c2 = c * c
-    Pp, Pb, G = mp.P_prime, mp.P_bar, mp.G
+    Pp, Pb, G = mp.P_prime, 1.0 - mp.P_prime, mp.G
     if form == "appendix":
         branches = [
             (0.5 * math.log2(P + c2 + 1) - Pb / 2 * math.log2(c2) - G / 2 + 1 if c2 > 0 else math.inf,
@@ -220,6 +214,11 @@ def inner_mass_half(params: ChannelParams, dist: Discrete, mp: MassHalfParams) -
 # strong fading (uniform, exponentially spaced support)
 # ---------------------------------------------------------------------------
 
+def _check_equiprobable(probs):
+    if probs.max() - probs.min() > 1e-12:
+        raise NotUniform("support must be equiprobable")
+
+
 def strong_condition_check(support: Discrete, c: float, alpha_sf: float) -> bool:
     """Spacing condition of the strong-fading theorem.
 
@@ -232,9 +231,7 @@ def strong_condition_check(support: Discrete, c: float, alpha_sf: float) -> bool
     """
     if not support.is_discrete:
         raise NotUniform("strong-fading support must be discrete")
-    probs = support.probs
-    if probs.max() - probs.min() > 1e-12:
-        raise NotUniform("support must be equiprobable")
+    _check_equiprobable(support.probs)
     if alpha_sf < 0:
         return False
     gaps = np.diff(support.values)
@@ -247,19 +244,16 @@ def strong_condition_check(support: Discrete, c: float, alpha_sf: float) -> bool
     return True
 
 
-def strong_params(support: Discrete, c: float, alpha_sf: float, a_prime=None) -> StrongFadingParams:
-    """Bundle the spacing list and the G-tilde constant for the support."""
+def strong_params(support: Discrete, alpha_sf: float) -> StrongFadingParams:
+    """The support size and the G-tilde constant, with a' the atom nearest 0."""
     vals = support.values
-    M = len(vals)
-    if a_prime is None:
-        a_prime = float(min(vals, key=abs))
+    a_prime = float(min(vals, key=abs))
     rest = [v for v in vals if v != a_prime]
     for v in rest:
         if abs(v) < 1e-12:
             raise ZeroAtomCollision("atom at a = 0 makes G-tilde diverge")
     g_tilde = float(sum(math.log2((v - a_prime) ** 2 / (v * v) + 1.0) for v in rest))
-    return StrongFadingParams(M=M, spacings=tuple(np.diff(vals).tolist()),
-                              alpha_sf=alpha_sf, a_prime=a_prime, G_tilde=g_tilde)
+    return StrongFadingParams(M=len(vals), alpha_sf=alpha_sf, G_tilde=g_tilde)
 
 
 def outer_strong(params: ChannelParams, sp: StrongFadingParams, condition_ok: bool,
@@ -296,8 +290,7 @@ def outer_strong(params: ChannelParams, sp: StrongFadingParams, condition_ok: bo
 def inner_strong(params: ChannelParams, support: Discrete) -> RateBound:
     """Best of the three strategies, maximized over the precoding target."""
     vals, probs = support.values, support.probs
-    if probs.max() - probs.min() > 1e-12:
-        raise NotUniform("support must be equiprobable")
+    _check_equiprobable(probs)
     best = (-math.inf, "treat-as-noise")
     for a_p in vals:
         rate_tag = _best_strategy(params, vals, probs, float(a_p))
@@ -355,15 +348,12 @@ def continuous_interval_params(dist: FadingDistribution, interval) -> Continuous
 
     lo_s, hi_s = dist.support()
     g = 0.0
-    if lo_s < a:
-        v, _ = integrate.quad(lambda x: float(dist.pdf(x)) * math.log2((x - a_prime) ** 2),
-                              lo_s, a, limit=300, epsabs=1e-7)
-        g += v
-    if hi_s > b:
-        v, _ = integrate.quad(lambda x: float(dist.pdf(x)) * math.log2((x - a_prime) ** 2),
-                              b, hi_s, limit=300, epsabs=1e-7)
-        g += v
-    return ContinuousOuterParams(interval=(a, b), prob_I=prob_i, a_prime=a_prime, G_tilde_cont=g)
+    for lo, hi in ((lo_s, a), (b, hi_s)):  # the complement of I, left side first
+        if lo < hi:
+            v, _ = integrate.quad(lambda x: float(dist.pdf(x)) * math.log2((x - a_prime) ** 2),
+                                  lo, hi, limit=300, epsabs=1e-7)
+            g += v
+    return ContinuousOuterParams(prob_I=prob_i, a_prime=a_prime, G_tilde_cont=g)
 
 
 def outer_continuous(params: ChannelParams, cp: ContinuousOuterParams) -> RateBound:

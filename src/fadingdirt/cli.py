@@ -15,7 +15,7 @@ import sys
 
 from . import bounds_norcsi as bn
 from . import bounds_rcsi as br
-from .errors import SpecInvalid, ToolkitError
+from .errors import SpecInvalid, ToolkitError, malformed
 from .fading import entropy_power_alpha, parse_distribution
 from .gauss_mi import CostaAssignment, mi_monte_carlo
 from .gp import GPInstance, binary_nonoise_instance, optimize_alternating
@@ -134,7 +134,7 @@ def _cmd_bounds(args):
     dist = parse_distribution(args.dist)
     params = bn.ChannelParams(P=args.P, c=args.c, mu_A=args.mu_A, Q=args.Q)
     if args.theorem == "no-rcsi":
-        alpha = entropy_power_alpha(dist).alpha
+        alpha = entropy_power_alpha(dist)
         inner, outer = bn.inner_no_rcsi(params), bn.outer_no_rcsi(params, alpha)
     elif args.theorem == "mass-half":
         mp = br.mass_half_params(dist)
@@ -143,7 +143,7 @@ def _cmd_bounds(args):
     elif args.theorem == "strong":
         alpha_sf = args.c ** 2 / (args.c ** 2 + 1.0)
         ok = br.strong_condition_check(dist, args.c, alpha_sf)
-        sp = br.strong_params(dist, args.c, alpha_sf)
+        sp = br.strong_params(dist, alpha_sf)
         inner = br.inner_strong(params, dist)
         outer = br.outer_strong(params, sp, condition_ok=ok, form=args.form)
     elif args.theorem == "phase-binomial":
@@ -204,12 +204,12 @@ def _cmd_mi(args):
 
 def _cmd_gp(args):
     if args.example == "binary-nonoise":
-        atoms = json.loads(args.atoms)
-        inst = binary_nonoise_instance(atoms, rcsi=not args.no_rcsi,
-                                       aux_size=args.aux_size)
+        with malformed("--atoms"):
+            inst = binary_nonoise_instance(json.loads(args.atoms), rcsi=not args.no_rcsi,
+                                           aux_size=args.aux_size)
     elif args.instance:
         with open(args.instance, "r", encoding="utf-8") as fh:
-            inst = GPInstance.from_json(json.load(fh))
+            inst = GPInstance.from_json(fh.read())
     else:
         raise SpecInvalid("gp needs --instance or --example")
     value, (p, x) = optimize_alternating(inst, restarts=args.restarts,

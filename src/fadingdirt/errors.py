@@ -1,5 +1,7 @@
 """Exception types shared across the toolkit."""
 
+import contextlib
+
 
 class ToolkitError(ValueError):
     """Base class for all domain errors raised by this package."""
@@ -8,6 +10,10 @@ class ToolkitError(ValueError):
 # -- distribution catalog ----------------------------------------------------
 
 class ZeroVariance(ToolkitError):
+    pass
+
+
+class NotUnitVariance(ToolkitError):
     pass
 
 
@@ -42,6 +48,14 @@ class InvalidC(ToolkitError):
 # -- bound evaluators --------------------------------------------------------
 
 class InvalidAlpha(ToolkitError):
+    pass
+
+
+class UnknownFamily(ToolkitError):
+    pass
+
+
+class IdentityViolated(ToolkitError):
     pass
 
 
@@ -117,3 +131,15 @@ class SpecInvalid(ToolkitError):
 
 class UnsupportedFormat(ToolkitError):
     pass
+
+
+@contextlib.contextmanager
+def malformed(what):
+    """Report a missing key, a wrong type or bad JSON inside the block as
+    SpecInvalid; a ToolkitError raised there passes through unchanged."""
+    try:
+        yield
+    except ToolkitError:
+        raise
+    except (KeyError, TypeError, ValueError) as exc:
+        raise SpecInvalid(f"malformed {what}: {type(exc).__name__}: {exc}") from exc

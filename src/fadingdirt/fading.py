@@ -3,8 +3,7 @@
 All laws are univariate.  Discrete laws carry an explicit atom list; the
 continuous families (Gaussian, uniform, Rayleigh, log-normal, tabulated
 density) expose a pdf and closed-form or quadrature entropy.  Every law is
-immutable after construction, so instances can be shared freely across
-threads; samplers take an explicit seed.
+immutable after construction; samplers take an explicit seed.
 """
 
 from __future__ import annotations
@@ -22,8 +21,10 @@ from .errors import (
     InvalidN,
     InvalidP,
     NonFinite,
+    NotUnitVariance,
     QuadratureFailure,
     ZeroVariance,
+    malformed,
 )
 
 LN2 = math.log(2.0)
@@ -32,6 +33,8 @@ EULER_GAMMA = float(np.euler_gamma)
 
 _ATOM_PROB_TOL = 1e-12
 _DENSITY_NORM_TOL = 1e-9
+_ENTROPY_QUAD_TOL = 1e-8
+_GEOMETRIC_TAIL = 1e-13
 
 
 def _frozen_array(seq):
@@ -60,10 +63,6 @@ class FadingDistribution:
     @property
     def var(self) -> float:
         raise NotImplementedError
-
-    @property
-    def second_moment(self) -> float:
-        return self.var + self.mean ** 2
 
     def entropy_bits(self) -> float:
         raise NotImplementedError
@@ -132,6 +131,9 @@ class Discrete(FadingDistribution):
 
     def entropy_bits(self):
         return float(-_xlog2x(self.probs).sum())
+
+    def support(self):
+        return (float(self.values[0]), float(self.values[-1]))
 
     def _affine(self, scale, shift):
         pairs = [(a * scale + shift, p) for a, p in self.atoms]
@@ -391,34 +393,23 @@ class TabulatedDensity(FadingDistribution):
 # operations
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class EntropyPower:
-    h_bits: float
-    alpha: float  # 2^(2 h_bits) / (2 pi e); <= 1 for unit-variance laws
-
-
-def normalize_unit_variance(dist: FadingDistribution, target_mean: float = 0.0) -> FadingDistribution:
-    """Affine image a -> (a - mean)/sqrt(var) + target_mean."""
+def normalize_unit_variance(dist: FadingDistribution) -> FadingDistribution:
+    """Affine image a -> (a - mean)/sqrt(var)."""
     m, v = dist.mean, dist.var
     if not (math.isfinite(m) and math.isfinite(v)):
         raise NonFinite("distribution has non-finite moments")
     if v <= 1e-15:
         raise ZeroVariance(f"variance {v!r} too small to normalize")
     scale = 1.0 / math.sqrt(v)
-    return dist._affine(scale, target_mean - m * scale)
+    return dist._affine(scale, -m * scale)
 
 
-def entropy_bits(dist: FadingDistribution) -> float:
-    """Entropy of the law in bits (differential for continuous laws)."""
-    return dist.entropy_bits()
-
-
-def entropy_bits_quadrature(dist: FadingDistribution, tol: float = 1e-8) -> float:
+def entropy_bits_quadrature(dist: FadingDistribution) -> float:
     """Independent quadrature route: -integral of p log2 p over the support.
 
     Kept free of the closed forms so it can serve as their oracle.  The
     law's kinks are handed to quad as breakpoints: its error estimate on a
-    piecewise-linear density is otherwise far above `tol`.
+    piecewise-linear density is otherwise far above the tolerance.
     """
     from scipy import integrate
 
@@ -433,6 +424,7 @@ def entropy_bits_quadrature(dist: FadingDistribution, tol: float = 1e-8) -> floa
         return -p * math.log2(p)
 
     kinks = dist.kinks()
+    tol = _ENTROPY_QUAD_TOL
     val, err = integrate.quad(integrand, lo, hi, limit=400 + len(kinks), epsabs=tol * 0.1,
                               epsrel=1e-10, points=kinks if len(kinks) else None)
     if err > tol:
@@ -440,14 +432,13 @@ def entropy_bits_quadrature(dist: FadingDistribution, tol: float = 1e-8) -> floa
     return val
 
 
-def entropy_power_alpha(dist: FadingDistribution) -> EntropyPower:
-    """Entropy power of a continuous unit-variance law, alpha in (0, 1]."""
+def entropy_power_alpha(dist: FadingDistribution) -> float:
+    """Entropy power 2^(2h)/(2 pi e) of a continuous unit-variance law, in (0, 1]."""
     if dist.is_discrete:
         raise DiscreteUnsupported("entropy power is defined for continuous fading only")
     if abs(dist.var - 1.0) > 1e-9:
-        raise ZeroVariance(f"law must be unit variance, got {dist.var!r}")
-    h = dist.entropy_bits()
-    return EntropyPower(h_bits=h, alpha=2.0 ** (2.0 * h) / TWO_PI_E)
+        raise NotUnitVariance(f"law must be unit variance, got {dist.var!r}")
+    return 2.0 ** (2.0 * dist.entropy_bits()) / TWO_PI_E
 
 
 def unit_rayleigh() -> Rayleigh:
@@ -455,18 +446,18 @@ def unit_rayleigh() -> Rayleigh:
     return Rayleigh(sigma=math.sqrt(2.0 / (4.0 - math.pi)))
 
 
-def geometric_fading(p: float, tail: float = 1e-13) -> Discrete:
+def geometric_fading(p: float) -> Discrete:
     """Zero-mean unit-variance lattice law with geometric atom masses.
 
     Atoms sit at k_a + n*Delta with mass (1-p)^n p; Delta = p/sqrt(1-p) makes
     the variance one, k_a = -Delta(1-p)/p centres the law.  The infinite tail
-    is truncated once its mass drops below `tail` and renormalized.
+    is truncated once its mass drops below 1e-13 and renormalized.
     """
     if not 0 < p < 1:
         raise InvalidP(f"p must be in (0,1), got {p!r}")
     delta = p / math.sqrt(1.0 - p)
     k_a = -delta * (1.0 - p) / p
-    n_max = int(math.ceil(math.log(tail) / math.log(1.0 - p)))
+    n_max = int(math.ceil(math.log(_GEOMETRIC_TAIL) / math.log(1.0 - p)))
     n = np.arange(n_max + 1)
     probs = (1.0 - p) ** n * p
     probs /= probs.sum()
@@ -528,32 +519,37 @@ _SHORTHAND = {
 
 
 def parse_distribution(spec) -> FadingDistribution:
-    """Build a law from a JSON object, JSON text, or a shorthand name."""
+    """Build a law from a JSON object, JSON text, or a shorthand name.
+
+    Text that is neither, and a literal with a missing key or a value of the
+    wrong type, raise SpecInvalid."""
     if isinstance(spec, FadingDistribution):
         return spec
     if isinstance(spec, str):
         name = spec.strip()
         if name in _SHORTHAND:
             return _SHORTHAND[name]()
-        spec = json.loads(name)
+        with malformed(f"law {name!r}, neither a shorthand ({', '.join(_SHORTHAND)}) nor JSON"):
+            spec = json.loads(name)
     if not isinstance(spec, dict) or "kind" not in spec:
         raise NonFinite(f"not a distribution literal: {spec!r}")
     kind = spec["kind"]
-    if kind == "discrete":
-        return Discrete(tuple((float(a), float(p)) for a, p in spec["atoms"]))
-    if kind == "gaussian":
-        return Gaussian(float(spec.get("mean", 0.0)), float(spec.get("var", 1.0)))
-    if kind == "uniform":
-        return Uniform(float(spec["lo"]), float(spec["hi"]))
-    if kind == "rayleigh":
-        return Rayleigh(float(spec["sigma"]), float(spec.get("loc", 0.0)), float(spec.get("scale", 1.0)))
-    if kind == "lognormal":
-        return LogNormal(
-            float(spec.get("mu", 0.0)),
-            float(spec.get("sigma2", 1.0)),
-            float(spec.get("loc", 0.0)),
-            float(spec.get("scale", 1.0)),
-        )
-    if kind == "tabulated":
-        return TabulatedDensity(tuple((float(x), float(d)) for x, d in spec["grid"]))
+    with malformed(f"{kind!r} literal"):
+        if kind == "discrete":
+            return Discrete(tuple((float(a), float(p)) for a, p in spec["atoms"]))
+        if kind == "gaussian":
+            return Gaussian(float(spec.get("mean", 0.0)), float(spec.get("var", 1.0)))
+        if kind == "uniform":
+            return Uniform(float(spec["lo"]), float(spec["hi"]))
+        if kind == "rayleigh":
+            return Rayleigh(float(spec["sigma"]), float(spec.get("loc", 0.0)), float(spec.get("scale", 1.0)))
+        if kind == "lognormal":
+            return LogNormal(
+                float(spec.get("mu", 0.0)),
+                float(spec.get("sigma2", 1.0)),
+                float(spec.get("loc", 0.0)),
+                float(spec.get("scale", 1.0)),
+            )
+        if kind == "tabulated":
+            return TabulatedDensity(tuple((float(x), float(d)) for x, d in spec["grid"]))
     raise NonFinite(f"unknown distribution kind {kind!r}")

@@ -17,11 +17,11 @@ value from exact Gaussian-mixture density ratios.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .bounds_norcsi import ChannelParams
+from .bounds_norcsi import ChannelParams, k_star
 from .errors import DiscreteUnsupported, InsufficientSamples, SingularCovariance
 from .fading import LN2, FadingDistribution
 
@@ -57,7 +57,7 @@ def _resolve(params: ChannelParams, asg: CostaAssignment):
         if asg.rcsi:
             k = costa_inflation(P1, params.c, asg.a_target)
         else:
-            k = P1 * params.c * params.mu_A / (P1 + 1.0 + params.c ** 2)
+            k = k_star(replace(params, P=P1))
     else:
         k = asg.inflation_k
     return P1, P2, k
@@ -71,7 +71,7 @@ def costa_rate_exact(params: ChannelParams, dist: FadingDistribution,
         raise DiscreteUnsupported("exact per-realization rate needs finite fading atoms")
     P1, P2, k = _resolve(params, asg)
     c = params.c
-    ea2 = dist.second_moment
+    ea2 = dist.var + dist.mean ** 2
 
     stage1 = 0.0
     if P2 > 0:
@@ -146,7 +146,7 @@ def mi_monte_carlo(params: ChannelParams, dist: FadingDistribution,
     with closed-form component moments, and the (U, S) pair is exactly
     jointly Gaussian.  Samples are partitioned into fixed independent
     streams whose running moments are merged, so the result depends on
-    (seed, n) only, not on scheduling.
+    (seed, n) only.
     """
     n = int(n)
     if n < 10 ** 4:

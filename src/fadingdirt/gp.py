@@ -24,11 +24,13 @@ from .errors import (
     InstanceTooLarge,
     MalformedAssignment,
     SpecInvalid,
+    malformed,
 )
 from .fading import _frozen_array
 
 _ROW_TOL = 1e-12
 _LOG_FLOOR = 1e-300
+_MAX_ITERS = 2000  # ascent steps per restart
 
 
 @dataclass(frozen=True)
@@ -78,19 +80,22 @@ class GPInstance:
 
     @staticmethod
     def from_json(obj):
-        if isinstance(obj, str):
-            obj = json.loads(obj)
-        outputs = tuple(tuple(y) if isinstance(y, list) else y for y in obj["outputs"])
-        kernel = tuple(tuple(tuple(row) for row in plane) for plane in obj["kernel"])
-        return GPInstance(
-            states=tuple(obj["states"]),
-            prior=tuple(obj["prior"]),
-            inputs=tuple(obj["inputs"]),
-            aux_size=int(obj["aux_size"]),
-            outputs=outputs,
-            kernel=kernel,
-            rcsi=bool(obj.get("rcsi", False)),
-        )
+        """Instance from a JSON object or text; a missing key, a value of the
+        wrong type or bad JSON raises SpecInvalid."""
+        with malformed("GP instance"):
+            if isinstance(obj, str):
+                obj = json.loads(obj)
+            outputs = tuple(tuple(y) if isinstance(y, list) else y for y in obj["outputs"])
+            kernel = tuple(tuple(tuple(row) for row in plane) for plane in obj["kernel"])
+            return GPInstance(
+                states=tuple(obj["states"]),
+                prior=tuple(obj["prior"]),
+                inputs=tuple(obj["inputs"]),
+                aux_size=int(obj["aux_size"]),
+                outputs=outputs,
+                kernel=kernel,
+                rcsi=bool(obj.get("rcsi", False)),
+            )
 
 
 def _coerce_assignment(inst, p_u_given_s, x_of_us):
@@ -144,7 +149,7 @@ def evaluate_assignment(inst: GPInstance, p_u_given_s, x_of_us) -> float:
 
 
 def optimize_alternating(inst: GPInstance, restarts: int = 32, seed: int = 0,
-                         tol: float = 1e-10, max_iters: int = 2000):
+                         tol: float = 1e-10):
     """Coordinate ascent over (p(u|s), x(u,s)); returns (value, (p, x)).
 
     The p-step is a softmax minorize-maximize update (monotone); the x-step
@@ -164,7 +169,7 @@ def optimize_alternating(inst: GPInstance, restarts: int = 32, seed: int = 0,
         p = rng.dirichlet(np.ones(nu), size=ns).T  # (nu, ns)
         x = rng.integers(0, len(inst.inputs), size=(nu, ns))
         val = _objective(inst, p, x)
-        for _ in range(max_iters):
+        for _ in range(_MAX_ITERS):
             _, p_uy, p_y = _joint(inst, p, x)
             q = p_uy / np.maximum(p_y[None, :], _LOG_FLOOR)
             logq = np.log(np.maximum(q, _LOG_FLOOR))

@@ -50,7 +50,6 @@ class SweepSpec:
     c2_list: tuple = CANONICAL_C2
     Q_list: tuple = (1.0,)       # phase-fading theorem only
     Delta: float = math.pi / 2   # phase-fading theorem only
-    interval: tuple = None       # continuous theorem only
     dist_id: str = None
 
     def __post_init__(self):
@@ -106,8 +105,8 @@ def _report(theorem, inner, outer, P, c2, mu_A, dist_id, claimed, assumptions_ok
     )
 
 
-def _no_rcsi_points(spec, dist):
-    alpha = entropy_power_alpha(dist).alpha
+def _no_rcsi_points(dist):
+    alpha = entropy_power_alpha(dist)
     claimed = bn.gap_no_rcsi(alpha)
 
     def point(params, c2):
@@ -123,11 +122,13 @@ def _no_rcsi_points(spec, dist):
     return point
 
 
-def _mass_half_points(spec, dist):
+def _mass_half_points(dist):
     try:
         mp = br.mass_half_params(dist)
         ok = True
     except br.NoDominantAtom:
+        if not dist.is_discrete:
+            raise
         # evaluate anyway against the largest atom; flagged as out of scope
         mp = br.gap_params_at(dist, int(np.argmax(dist.probs)))
         ok = False
@@ -138,14 +139,14 @@ def _mass_half_points(spec, dist):
     return point
 
 
-def _strong_points(spec, dist):
+def _strong_points(dist):
     by_c2 = {}  # the spacing condition and G-tilde depend on c, not on P
 
     def point(params, c2):
         if c2 not in by_c2:
             alpha_sf = c2 / (c2 + 1.0)
             ok = br.strong_condition_check(dist, params.c, alpha_sf)
-            sp = br.strong_params(dist, params.c, alpha_sf)
+            sp = br.strong_params(dist, alpha_sf)
             by_c2[c2] = ok, sp, max(math.log2(alpha_sf) / 2.0 - sp.G_tilde + 3.0, 1.0)
         ok, sp, claimed = by_c2[c2]
         inner = br.inner_strong(params, dist)
@@ -153,9 +154,8 @@ def _strong_points(spec, dist):
     return point
 
 
-def _continuous_points(spec, dist):
-    interval = spec.interval if spec.interval is not None else dist.support()
-    cp = br.continuous_interval_params(dist, interval)
+def _continuous_points(dist):
+    cp = br.continuous_interval_params(dist, dist.support())
 
     def point(params, c2):
         outer = br.outer_continuous(params, cp)
@@ -173,7 +173,7 @@ def _point_phase(spec, P, Q):
                    f"phase{spec.Delta:.4g}", 3.0, True)
 
 
-# theorem -> factory(spec, dist) that computes the law's constants once and
+# theorem -> factory(dist) that computes the law's constants once and
 # returns point(params, c2) -> (inner, outer, claimed gap, assumptions ok)
 _LAW_POINTS = {
     "no-rcsi": _no_rcsi_points,
@@ -194,7 +194,7 @@ def run_sweep(spec: SweepSpec):
         return [_point_phase(spec, P, Q) for P in spec.P_list for Q in spec.Q_list]
     dist = spec.resolved_dist()
     dist_id, mu = spec.dist_id or dist.label(), dist.mean
-    point = _LAW_POINTS[spec.theorem](spec, dist)
+    point = _LAW_POINTS[spec.theorem](dist)
     rows = []
     for P in spec.P_list:
         for c2 in spec.c2_list:

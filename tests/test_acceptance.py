@@ -101,7 +101,7 @@ def test_acceptance_2_gap_catalog():
 
 def test_acceptance_3_entropy_power():
     """Entropy-power values agree between quadrature and closed forms."""
-    a_gauss = entropy_power_alpha(Gaussian(0.0, 1.0)).alpha
+    a_gauss = entropy_power_alpha(Gaussian(0.0, 1.0))
     r3 = math.sqrt(3.0)
     uni = Uniform(-r3, r3)
     a_uni_quad = 2.0 ** (2.0 * entropy_bits_quadrature(uni)) / TWO_PI_E
@@ -207,7 +207,7 @@ def test_acceptance_6_strong_fading_construction():
     # piecewise outer bounds agree branch by branch
     mp = mass_half_params(TWO_POINT)
     for P, c, alpha in ((15.0, 2.0, 1.0), (1.0, 8.0, 4.0)):
-        sp = strong_params(TWO_POINT, c, alpha)
+        sp = strong_params(TWO_POINT, alpha)
         a = outer_strong(ChannelParams(P=P, c=c), sp, condition_ok=True).bits
         b = outer_mass_half(ChannelParams(P=P, c=c), mp).bits
         ok &= abs(a - b) <= 1e-9
@@ -229,7 +229,7 @@ def test_acceptance_7_piecewise_evaluators():
         return all(vals[i + 1] >= vals[i] - 1e-12 for i in range(len(vals) - 1))
 
     mp = mass_half_params(TWO_POINT)
-    sp = strong_params(strong_support(3, 2.0), 2.0, 4.0 / 5.0)
+    sp = strong_params(strong_support(3, 2.0), 4.0 / 5.0)
     gauss_cp = continuous_interval_params(Gaussian(0.0, 1.0), (-1.5, 1.5))
     families = {
         "no-rcsi": [outer_no_rcsi(ChannelParams(P=P, c=2.0), 1.0).bits

@@ -186,7 +186,7 @@ class TestStrongCondition:
 class TestOuterStrong:
     def test_requires_condition(self):
         d = strong_support(3, 2.0)
-        sp = strong_params(d, 2.0, 0.8)
+        sp = strong_params(d, 0.8)
         with pytest.raises(ConditionNotVerified):
             outer_strong(ChannelParams(P=10, c=2), sp, condition_ok=False)
 
@@ -194,7 +194,7 @@ class TestOuterStrong:
         # k2/M > (M-1)/M (P+1): M=3, c=30, P=1
         d = strong_support(3, 30.0)
         al = 0.9
-        sp = strong_params(d, 30.0, al)
+        sp = strong_params(d, al)
         got = outer_strong(ChannelParams(P=1, c=30), sp, condition_ok=True)
         want = (1 / 6) * math.log2(2.0) - (2 / 6) * math.log2(al) + 1.5
         assert got.bits == pytest.approx(want, abs=1e-12)
@@ -204,7 +204,7 @@ class TestOuterStrong:
         c = 10.0
         al = c * c / (c * c + 1.0)
         d = strong_support(4, c)
-        sp = strong_params(d, c, al)
+        sp = strong_params(d, al)
         got = outer_strong(ChannelParams(P=100, c=c), sp, condition_ok=True)
         P, k2, alm = mpmath.mpf(100), mpmath.mpf(100), mpmath.mpf(100) / 101
         w = mpmath.mpf(3) / 8
@@ -214,7 +214,7 @@ class TestOuterStrong:
 
     def test_theorem_form_available(self):
         d = strong_support(3, 4.0)
-        sp = strong_params(d, 4.0, 16.0 / 17.0)
+        sp = strong_params(d, 16.0 / 17.0)
         a = outer_strong(ChannelParams(P=10, c=4), sp, condition_ok=True)
         t = outer_strong(ChannelParams(P=10, c=4), sp, condition_ok=True, form="theorem")
         assert math.isfinite(a.bits) and math.isfinite(t.bits)
@@ -222,7 +222,7 @@ class TestOuterStrong:
     def test_m2_coincides_with_mass_half_preoptimized_branch(self):
         # equivalent slack alpha = 1 makes the M=2 pre-optimized branches equal
         mp_ = mass_half_params(TWO_POINT)
-        sp = strong_params(TWO_POINT, 2.0, 1.0)
+        sp = strong_params(TWO_POINT, 1.0)
         a = outer_strong(ChannelParams(P=15, c=2), sp, condition_ok=True)
         b = outer_mass_half(ChannelParams(P=15, c=2), mp_)
         assert a.bits == pytest.approx(b.bits, abs=1e-9)
@@ -230,7 +230,7 @@ class TestOuterStrong:
     def test_m2_coincides_with_mass_half_large_gain_branch(self):
         # equivalent slack alpha = Delta_1^2 = 4 for the large-gain branch
         mp_ = mass_half_params(TWO_POINT)
-        sp = strong_params(TWO_POINT, 8.0, 4.0)
+        sp = strong_params(TWO_POINT, 4.0)
         a = outer_strong(ChannelParams(P=1, c=8), sp, condition_ok=True)
         b = outer_mass_half(ChannelParams(P=1, c=8), mp_)
         assert a.bits == pytest.approx(b.bits, abs=1e-9)
@@ -238,7 +238,7 @@ class TestOuterStrong:
     def test_nondecreasing_in_p(self):
         c = 2.0
         d = strong_support(3, c)
-        sp = strong_params(d, c, c * c / (c * c + 1.0))
+        sp = strong_params(d, c * c / (c * c + 1.0))
         # stay inside the pre-optimized branch regime (P >= k2/(M-1) - 1);
         # across the regime switch the piecewise theorem is not monotone
         vals = [outer_strong(ChannelParams(P=float(P), c=c), sp, condition_ok=True).bits

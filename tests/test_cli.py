@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+from fadingdirt import errors
 from fadingdirt.cli import main
 
 
@@ -40,6 +41,36 @@ class TestBounds:
             main(["bounds", "--theorem", "no-rcsi", "--P", "3", "--bogus-flag"])
         assert exc.value.code == 2
         capsys.readouterr()
+
+
+# outside input the theorems cannot take: malformed literals and files, and
+# laws of the wrong kind
+_BAD_INPUT = {
+    "unknown-shorthand": ["bounds", "--theorem", "no-rcsi", "--P", "1", "--dist", "strong3"],
+    "missing-key": ["bounds", "--theorem", "no-rcsi", "--P", "1",
+                    "--dist", '{"kind":"uniform"}'],
+    "short-atom": ["bounds", "--theorem", "mass-half", "--P", "1",
+                   "--dist", '{"kind":"discrete","atoms":[[1]]}'],
+    "non-numeric": ["bounds", "--theorem", "no-rcsi", "--P", "1",
+                    "--dist", '{"kind":"gaussian","mean":"x"}'],
+    "truncated-atoms": ["gp", "--example", "binary-nonoise", "--atoms", "[[1,0.5],[2"],
+    "instance-missing-keys": ["gp", "--instance", "{instance}"],
+    "mass-half-density": ["sweep", "--theorem", "mass-half", "--dist", "gaussian"],
+    "continuous-atoms": ["bounds", "--theorem", "continuous", "--P", "1",
+                         "--dist", "two-point"],
+}
+
+
+@pytest.mark.parametrize("name", list(_BAD_INPUT))
+def test_bad_input_exit_3(capsys, tmp_path, name):
+    instance = tmp_path / "inst.json"
+    instance.write_text('{"states": [0, 1]}')
+    argv = [a.replace("{instance}", str(instance)) for a in _BAD_INPUT[name]]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 3
+    assert out == ""
+    kind = err.split(":")[1].strip()
+    assert issubclass(getattr(errors, kind), errors.ToolkitError), err
 
 
 class TestSweepVerify:

@@ -1,6 +1,7 @@
-"""Output bytes pinned by sha256: the full claim-verification report and
-every sweep preset.  A refactor of the bound, sweep or emission layers must
-leave these hashes unchanged."""
+"""Output bytes pinned by sha256: the full claim-verification report, every
+sweep preset, the continuous sweeps, and one `bounds` point per theorem and
+form.  A refactor of the bound, sweep or emission layers must leave these
+hashes unchanged."""
 
 import hashlib
 
@@ -33,6 +34,46 @@ GOLDEN = {
         "3d3d9ae358e58e6e55ff644d887fffcf0e86ee87a070a8af6ab7589250d1d2f2",
     ("sweep", "--preset", "phase-binomial", "--format", "json"):
         "f296f5f493ecb3b67a40d58ff14d212d613d56999821413961aab66c754ffa2a",
+    ("sweep", "--theorem", "continuous", "--dist", "gaussian", "--format", "csv"):
+        "b864d0fabb6341279904136d4804bc527bcc712e23174a7ddd9589b68a7d48ca",
+    ("sweep", "--theorem", "continuous", "--dist", "rayleigh", "--format", "csv"):
+        "e4b70926a6e3c205a08046451b7f5d87456cc13534de8b5c2f6807fadaa949eb",
+    ("sweep", "--theorem", "continuous", "--dist", "uniform", "--format", "json"):
+        "7ebe2b44f2438b4a8b54a8a76bdc6257cf4b8b9a04a54fb8a5440324c233da36",
+}
+
+_THREE_ATOMS = '{"kind":"discrete","atoms":[[-1.0,0.6],[0.5,0.3],[2.0,0.1]]}'
+_STRONG4 = ('{"kind":"discrete","atoms":[[-1.1832159566199232,0.25],[-0.50709255283711,0.25],'
+            '[0.16903085094570325,0.25],[1.5212776585113297,0.25]]}')
+
+# `bounds` prints one JSON object to stdout
+BOUNDS_GOLDEN = {
+    "no-rcsi": (
+        ("--theorem", "no-rcsi", "--P", "3", "--c", "2", "--dist", "uniform"),
+        "a9958fd2038dcb181f1f06df8538a0a41415b205dc68b70343584e518454c1ed"),
+    "mass-half-appendix": (
+        ("--theorem", "mass-half", "--P", "15", "--c", "8", "--dist", _THREE_ATOMS,
+         "--form", "appendix"),
+        "2e1ec3786131ad313fc3ce72a3a7364ca2f088c48dc961fc17f7945903e40512"),
+    "mass-half-theorem": (
+        ("--theorem", "mass-half", "--P", "10", "--c", "1.5", "--dist", _THREE_ATOMS,
+         "--form", "theorem"),
+        "d8d8576a251b72d0905769de49d5b637375dab988ef424292e3e26cf87ac0c7b"),
+    "strong-appendix": (
+        ("--theorem", "strong", "--P", "10", "--c", "2", "--dist", _STRONG4,
+         "--form", "appendix"),
+        "af39eeef51fc3b1d1b75f02c1512907d9bce98f7dd54e318dbc8818b14f9f4e5"),
+    "strong-theorem": (
+        ("--theorem", "strong", "--P", "100", "--c", "2", "--dist", _STRONG4,
+         "--form", "theorem"),
+        "784382c14760ff5aa8c18117a3f93f5c1919168a4c0edebccea650b7f18d9d37"),
+    "phase-binomial": (
+        ("--theorem", "phase-binomial", "--P", "10", "--Q", "4", "--delta", "1.2"),
+        "6303bc3a3f480f6ede16e68bdfaf3cf9fe2e5015445e75854e5fd08ab9a74a46"),
+    "continuous": (
+        ("--theorem", "continuous", "--P", "10", "--c", "8", "--dist", "gaussian",
+         "--interval", "-1", "1"),
+        "1c9f10fcad79c4b605f853ad5b4e67b9c0dff2d22c0c1b7f18f91ed14e78507d"),
 }
 
 
@@ -42,3 +83,11 @@ def test_output_sha256(argv, tmp_path, capsys):
     assert main([*argv, "--out", str(target)]) == 0
     capsys.readouterr()
     assert hashlib.sha256(target.read_bytes()).hexdigest() == GOLDEN[argv]
+
+
+@pytest.mark.parametrize("name", list(BOUNDS_GOLDEN))
+def test_bounds_sha256(name, capsys):
+    argv, digest = BOUNDS_GOLDEN[name]
+    assert main(["bounds", *argv]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
