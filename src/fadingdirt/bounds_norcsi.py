@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass, field
 
 from .errors import DegenerateDenominator, IdentityViolated, InvalidAlpha, UnknownFamily, ZeroGain
-from .fading import EULER_GAMMA, TWO_PI_E
+from .fading import EULER_GAMMA, LN2, TWO_PI_E
 
 _C_MIN = 1e-9
 
@@ -59,6 +59,12 @@ def _check_alpha(alpha_ep):
         raise InvalidAlpha(f"alpha_ep must be in (0,1], got {alpha_ep!r}")
 
 
+def _log_add(x, y):
+    """log(e^x + e^y) without forming either exponential."""
+    hi, lo = max(x, y), min(x, y)
+    return hi + math.log1p(math.exp(lo - hi))
+
+
 def outer_no_rcsi(params: ChannelParams, alpha_ep: float) -> RateBound:
     """Outer bound 1/2 log2((P+1)/(c^2 a) + 1/a) + 1/2."""
     _check_alpha(alpha_ep)
@@ -67,7 +73,12 @@ def outer_no_rcsi(params: ChannelParams, alpha_ep: float) -> RateBound:
         raise ZeroGain("bound diverges as c -> 0; use the AWGN bound 1/2 log2(1+P)")
     bits = 0.5 * math.log2((P + 1) / (c * c * alpha_ep) + 1.0 / alpha_ep) + 0.5
     alt = 0.5 * math.log2((P + 1 + c * c) / (c * c * alpha_ep)) + 0.5
-    if not abs(bits - alt) < 1e-12:  # a nan from an overflow fails too
+    if not (math.isfinite(bits) and math.isfinite(alt)):
+        # (P + 1)/(c^2 a) overflowed: the same two forms, summed in the log domain
+        log_c2, log_a = 2.0 * math.log(abs(c)), math.log(alpha_ep)
+        bits = 0.5 * _log_add(math.log1p(P) - log_c2 - log_a, -log_a) / LN2 + 0.5
+        alt = 0.5 * (_log_add(math.log1p(P), log_c2) - log_c2 - log_a) / LN2 + 0.5
+    if not abs(bits - alt) < 1e-12:  # a nan fails too
         raise IdentityViolated(f"the two forms of the outer bound differ: {bits!r} vs {alt!r}")
     return RateBound(
         bits=bits,

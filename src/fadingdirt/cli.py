@@ -15,7 +15,7 @@ import sys
 
 from . import bounds_norcsi as bn
 from . import bounds_rcsi as br
-from .errors import SpecInvalid, ToolkitError, malformed
+from .errors import FileInaccessible, SpecInvalid, ToolkitError, malformed
 from .fading import entropy_power_alpha, parse_distribution
 from .gauss_mi import CostaAssignment, mi_monte_carlo
 from .gp import GPInstance, binary_nonoise_instance, optimize_alternating
@@ -119,8 +119,11 @@ def _grid(text, default):
 
 def _write(data: bytes, out):
     if out:
-        with open(out, "wb") as fh:
-            fh.write(data)
+        try:
+            with open(out, "wb") as fh:
+                fh.write(data)
+        except OSError as exc:
+            raise FileInaccessible(f"cannot write --out {out!r}: {exc.strerror}") from exc
     else:
         sys.stdout.buffer.write(data)
         sys.stdout.buffer.flush()
@@ -208,8 +211,13 @@ def _cmd_gp(args):
             inst = binary_nonoise_instance(json.loads(args.atoms), rcsi=not args.no_rcsi,
                                            aux_size=args.aux_size)
     elif args.instance:
-        with open(args.instance, "r", encoding="utf-8") as fh:
-            inst = GPInstance.from_json(fh.read())
+        try:
+            with open(args.instance, "rb") as fh:
+                data = fh.read()
+        except OSError as exc:
+            raise FileInaccessible(
+                f"cannot read --instance {args.instance!r}: {exc.strerror}") from exc
+        inst = GPInstance.from_json(data)
     else:
         raise SpecInvalid("gp needs --instance or --example")
     value, (p, x) = optimize_alternating(inst, restarts=args.restarts,

@@ -133,6 +133,10 @@ class UnsupportedFormat(ToolkitError):
     pass
 
 
+class FileInaccessible(ToolkitError):
+    """An input file cannot be read or an output file cannot be written."""
+
+
 @contextlib.contextmanager
 def malformed(what):
     """Report a missing key, a wrong type or bad JSON inside the block as

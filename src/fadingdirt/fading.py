@@ -377,10 +377,8 @@ class TabulatedDensity(FadingDistribution):
         return self._xs[1:-1]
 
     def _draw(self, rng, n):
-        from scipy import integrate
-
         xs, ds = self._xs, self._ds
-        cdf = integrate.cumulative_trapezoid(ds, xs, initial=0.0)
+        cdf = np.concatenate(([0.0], np.cumsum(np.diff(xs) * (ds[1:] + ds[:-1]) / 2.0)))
         cdf /= cdf[-1]
         u = rng.uniform(size=n)
         return np.interp(u, cdf, xs)

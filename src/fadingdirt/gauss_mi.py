@@ -116,6 +116,7 @@ def costa_rate_exact(params: ChannelParams, dist: FadingDistribution,
 
 _N_STREAMS = 16
 _GRID_POINTS = 401
+_CHUNK = 256  # samples per (chunk x atoms) buffer of `_log_mixture`
 
 
 def _mixture_atoms(dist: FadingDistribution):
@@ -134,6 +135,33 @@ def _mixture_atoms(dist: FadingDistribution):
 
 def _log_normal_pdf(x, mean, var):
     return -0.5 * np.log(2.0 * math.pi * var) - (x - mean) ** 2 / (2.0 * var)
+
+
+def _log_mixture(y, mean_coef, u, var, log_w):
+    """log sum_a w_a N(y; mean_coef_a * u, var_a) for each sample.
+
+    Works through `_CHUNK` samples at a time in one (chunk x atoms) buffer,
+    in place: subtract the means, square, scale, add the log weights, shift
+    each row by its max, exponentiate and sum.  Memory stays bounded in n,
+    and no row's result depends on the chunk it falls in.
+    """
+    scale = -0.5 / var
+    offset = log_w - 0.5 * np.log(2.0 * math.pi * var)
+    out = np.empty(len(y))
+    buf = np.empty((min(_CHUNK, len(y)), len(offset)))
+    for lo in range(0, len(y), _CHUNK):
+        hi = min(lo + _CHUNK, len(y))
+        b = buf[: hi - lo]
+        np.multiply(u[lo:hi, None], mean_coef, out=b)
+        np.subtract(y[lo:hi, None], b, out=b)
+        np.square(b, out=b)
+        np.multiply(b, scale, out=b)
+        np.add(b, offset, out=b)
+        top = b.max(axis=1)
+        np.subtract(b, top[:, None], out=b)
+        np.exp(b, out=b)
+        out[lo:hi] = top + np.log(b.sum(axis=1))
+    return out
 
 
 def mi_monte_carlo(params: ChannelParams, dist: FadingDistribution,
@@ -193,15 +221,8 @@ def mi_monte_carlo(params: ChannelParams, dist: FadingDistribution,
             lp_y_u = _log_normal_pdf(y, coef * u, v)
             lp_y = _log_normal_pdf(y, 0.0, P + c * c * a * a + 1.0)
         else:
-            from scipy.special import logsumexp
-
-            lp_y_u = logsumexp(
-                log_aw[None, :] + _log_normal_pdf(
-                    y[:, None], coef_g[None, :] * u[:, None], v_g[None, :]),
-                axis=1)
-            lp_y = logsumexp(
-                log_aw[None, :] + _log_normal_pdf(y[:, None], 0.0, vy_g[None, :]),
-                axis=1)
+            lp_y_u = _log_mixture(y, coef_g, u, v_g, log_aw)
+            lp_y = _log_mixture(y, 0.0, u, vy_g, log_aw)
         lp_u_s = _log_normal_pdf(u, k * s, P1)
         lp_u = _log_normal_pdf(u, 0.0, var_u)
         contrib = (lp_y_u - lp_y - lp_u_s + lp_u) / LN2

@@ -80,10 +80,11 @@ class GPInstance:
 
     @staticmethod
     def from_json(obj):
-        """Instance from a JSON object or text; a missing key, a value of the
-        wrong type or bad JSON raises SpecInvalid."""
+        """Instance from a JSON object or its text (str or bytes); a missing
+        key, a value of the wrong type, bad JSON or bad UTF-8 raises
+        SpecInvalid."""
         with malformed("GP instance"):
-            if isinstance(obj, str):
+            if isinstance(obj, (str, bytes)):
                 obj = json.loads(obj)
             outputs = tuple(tuple(y) if isinstance(y, list) else y for y in obj["outputs"])
             kernel = tuple(tuple(tuple(row) for row in plane) for plane in obj["kernel"])

@@ -4,6 +4,7 @@ import mpmath
 import numpy as np
 import pytest
 
+from fadingdirt import bounds_norcsi
 from fadingdirt.bounds_norcsi import (
     ChannelParams,
     gap_no_rcsi,
@@ -55,10 +56,21 @@ class TestOuter:
         with pytest.raises(ZeroGain):
             outer_no_rcsi(ChannelParams(P=1, c=0), 1.0)
 
-    def test_overflow_breaks_identity(self):
-        # (P+1)/c^2 overflows to inf in both forms; inf - inf is nan
+    @pytest.mark.parametrize("P, c, alpha", [
+        (1e308, 0.5, 1.0),
+        (1e308, 0.5, ALPHA_U),
+        (1.7976931348623157e308, 1e154, 0.3),
+        (1e300, 1e-9, 1e-10),
+    ], ids=["P1e308", "P1e308-uniform-alpha", "Pmax-c1e154", "tiny-c2-alpha"])
+    def test_overflow_computed_in_log_domain(self, P, c, alpha):
+        # (P+1)/(c^2 a) or P+1+c^2 overflows; the bound itself is finite
+        got = outer_no_rcsi(ChannelParams(P=P, c=c), alpha).bits
+        assert got == pytest.approx(mp_outer(P, mpmath.mpf(c) ** 2, alpha), abs=1e-12)
+
+    def test_log_domain_keeps_identity_check(self, monkeypatch):
+        monkeypatch.setattr(bounds_norcsi, "_log_add", lambda x, y: x + y)
         with pytest.raises(IdentityViolated):
-            outer_no_rcsi(ChannelParams(P=1e308, c=0.5), 1.0)
+            outer_no_rcsi(ChannelParams(P=1e308, c=0.5), 0.5)
 
     def test_rejects_bad_alpha(self):
         for alpha in (0.0, -0.5, 1.5, float("nan")):

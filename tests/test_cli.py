@@ -55,6 +55,9 @@ _BAD_INPUT = {
                     "--dist", '{"kind":"gaussian","mean":"x"}'],
     "truncated-atoms": ["gp", "--example", "binary-nonoise", "--atoms", "[[1,0.5],[2"],
     "instance-missing-keys": ["gp", "--instance", "{instance}"],
+    "instance-not-utf8": ["gp", "--instance", "{binary}"],
+    "instance-missing-file": ["gp", "--instance", "{missing}/inst.json"],
+    "out-missing-dir": ["verify", "--out", "{missing}/x.csv"],
     "mass-half-density": ["sweep", "--theorem", "mass-half", "--dist", "gaussian"],
     "continuous-atoms": ["bounds", "--theorem", "continuous", "--P", "1",
                          "--dist", "two-point"],
@@ -65,7 +68,12 @@ _BAD_INPUT = {
 def test_bad_input_exit_3(capsys, tmp_path, name):
     instance = tmp_path / "inst.json"
     instance.write_text('{"states": [0, 1]}')
-    argv = [a.replace("{instance}", str(instance)) for a in _BAD_INPUT[name]]
+    binary = tmp_path / "inst.bin"
+    binary.write_bytes(b'{"states": "\xff"}')
+    paths = {"{instance}": instance, "{binary}": binary, "{missing}": tmp_path / "missing"}
+    argv = list(_BAD_INPUT[name])
+    for key, path in paths.items():
+        argv = [a.replace(key, str(path)) for a in argv]
     code, out, err = run_cli(capsys, *argv)
     assert code == 3
     assert out == ""

@@ -1,5 +1,5 @@
-"""The closed-form commands never load scipy: only quadrature and the
-no-RCSI Monte Carlo mixture pay for its import."""
+"""The closed-form commands and every `mi` estimate never load scipy: only
+quadrature pays for its import."""
 
 import json
 import os
@@ -25,6 +25,7 @@ sys.stderr.write("\\n" + json.dumps({"rc": rc, "scipy": loaded}) + "\\n")
 """
 
 STRONG4 = json.dumps(strong_support(4, 2.0).to_json())
+TRIANGLE = json.dumps({"kind": "tabulated", "grid": [[-1.5, 0.0], [0.0, 2.0 / 3.0], [1.5, 0.0]]})
 
 CLOSED_FORM_COMMANDS = {
     "verify": ["verify", "--grid", "smoke"],
@@ -36,6 +37,15 @@ CLOSED_FORM_COMMANDS = {
     "bounds-phase-binomial": ["bounds", "--theorem", "phase-binomial", "--P", "3"],
     "gp": ["gp", "--example", "binary-nonoise", "--restarts", "2"],
     "mi-rcsi": ["mi", "--P", "3", "--c", "2", "--dist", "two-point", "--n", "10000"],
+}
+
+# the Gaussian-mixture estimate without receiver side information, on a
+# density law and on a tabulated one (sampled through its trapezoid cdf)
+MIXTURE_COMMANDS = {
+    "mi-no-rcsi-gaussian": ["mi", "--P", "3", "--c", "2", "--dist", "gaussian", "--no-rcsi",
+                            "--n", "10000"],
+    "mi-no-rcsi-tabulated": ["mi", "--P", "3", "--c", "2", "--dist", TRIANGLE, "--no-rcsi",
+                             "--n", "10000"],
 }
 
 
@@ -51,6 +61,12 @@ def run_fresh(argv):
 @pytest.mark.parametrize("name", sorted(CLOSED_FORM_COMMANDS))
 def test_closed_form_command_never_loads_scipy(name):
     report = run_fresh(CLOSED_FORM_COMMANDS[name])
+    assert report == {"rc": 0, "scipy": []}
+
+
+@pytest.mark.parametrize("name", sorted(MIXTURE_COMMANDS))
+def test_mixture_estimate_never_loads_scipy(name):
+    report = run_fresh(MIXTURE_COMMANDS[name])
     assert report == {"rc": 0, "scipy": []}
 
 

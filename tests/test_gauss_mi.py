@@ -1,4 +1,6 @@
+import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,7 +11,8 @@ from fadingdirt.errors import (
     InsufficientSamples,
     SingularCovariance,
 )
-from fadingdirt.fading import Discrete, Gaussian
+from fadingdirt import gauss_mi
+from fadingdirt.fading import Discrete, Gaussian, geometric_fading, parse_distribution
 from fadingdirt.gauss_mi import (
     CostaAssignment,
     costa_inflation,
@@ -122,3 +125,85 @@ class TestMonteCarlo:
         with pytest.raises(SingularCovariance):
             mi_monte_carlo(ChannelParams(P=1, c=1), TWO_POINT,
                            CostaAssignment(a_target=1.0, split_delta=0.0), 10 ** 4, 0)
+
+
+# the seed-0 tabulated law of the benchmark: a two-hump density on 15 nodes
+TABULATED_0 = json.dumps({"kind": "tabulated", "grid": [
+    [-2.1055434690983366, 0.009209573742099623], [-1.8093578404641613, 0.038369915353129405],
+    [-1.513172211829986, 0.16516843471921422], [-1.2169865831958104, 0.41605593572561383],
+    [-0.9208009545616351, 0.5208097591623791], [-0.6246153259274596, 0.3496158959171474],
+    [-0.3284296972932845, 0.11371733897452929], [-0.03224406865910903, 0.04255573500342634],
+    [0.2639415599750662, 0.1241469664377311], [0.5601271886092419, 0.37692835969320015],
+    [0.8563128172434171, 0.5605930410708775], [1.1524984458775922, 0.43313508484603896],
+    [1.4486840745117675, 0.18471656464147257], [1.744869703145943, 0.0413566225530956],
+    [2.041055331780118, 0.008973207748853072]]})
+
+# (estimate, stderr) at P=3, c=2, mu_A=0.5, half the power on the Costa
+# codeword, no RCSI, n=1e4, seed 0, recorded with scipy's logsumexp
+RECORDED = {
+    "gaussian": (0.13186002676665584, 0.007469686309860457),
+    "rayleigh": (0.13668935568632606, 0.007282967380406324),
+    "uniform": (0.13228461778644174, 0.0071799914187911295),
+    "geometric": (0.14421521334240364, 0.00754520037398053),
+    "tabulated0": (0.12735917626818347, 0.00712387233595945),
+}
+
+
+def _law(name):
+    if name == "geometric":
+        return geometric_fading(0.55)
+    return parse_distribution(TABULATED_0 if name == "tabulated0" else name)
+
+
+def _mixture_inputs(n):
+    """Mixture parameters of the Gaussian law at P=3, c=2 and n fixed
+    sample points, some of them so far out (|y| ~ 1e3) that every term
+    underflows unless the row max is shifted out."""
+    P, c, k = 3.0, 2.0, 1.0
+    av, aw = gauss_mi._mixture_atoms(Gaussian(0.0, 1.0))
+    var_u = P + k * k
+    coef = (P + c * av * k) / var_u
+    var = P + c * c * av * av - (P + c * av * k) ** 2 / var_u + 1.0
+    rng = np.random.default_rng(1)
+    y = rng.normal(0.0, 5.0, n)
+    y[::50] = rng.choice([-1.0, 1.0], len(y[::50])) * rng.uniform(900.0, 1100.0, len(y[::50]))
+    u = rng.normal(0.0, 2.0, n)
+    return y, coef, u, var, np.log(aw)
+
+
+class TestMixtureKernel:
+    def test_matches_logsumexp(self):
+        from scipy.special import logsumexp
+
+        y, coef, u, var, log_w = _mixture_inputs(600)  # two full chunks and a part
+        far = np.abs(y) > 800.0
+        for mean_coef in (coef, 0.0):
+            terms = log_w + gauss_mi._log_normal_pdf(y[:, None], mean_coef * u[:, None], var)
+            with np.errstate(divide="ignore"):
+                assert np.isneginf(np.log(np.exp(terms).sum(axis=1))[far]).all()
+            got = gauss_mi._log_mixture(y, mean_coef, u, var, log_w)
+            np.testing.assert_allclose(got, logsumexp(terms, axis=1), rtol=1e-12, atol=1e-12)
+
+    def test_chunk_size_does_not_change_estimate(self, monkeypatch):
+        params = ChannelParams(P=3, c=2, mu_A=0.5)
+        asg = CostaAssignment(split_delta=0.5, rcsi=False)
+        want = mi_monte_carlo(params, Gaussian(0.0, 1.0), asg, 10 ** 4, 2)
+        for chunk in (1, 7):
+            monkeypatch.setattr(gauss_mi, "_CHUNK", chunk)
+            assert mi_monte_carlo(params, Gaussian(0.0, 1.0), asg, 10 ** 4, 2) == want
+
+    def test_memory_bounded_in_n(self):
+        tracemalloc.start()
+        try:
+            mi_monte_carlo(ChannelParams(P=3, c=2), Gaussian(0.0, 1.0),
+                           CostaAssignment(rcsi=False), 2 * 10 ** 5, 0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2 ** 20
+
+    @pytest.mark.parametrize("name", sorted(RECORDED))
+    def test_reproduces_recorded_estimates(self, name):
+        got = mi_monte_carlo(ChannelParams(P=3, c=2, mu_A=0.5), _law(name),
+                             CostaAssignment(split_delta=0.5, rcsi=False), 10 ** 4, 0)
+        assert got == pytest.approx(RECORDED[name], rel=0, abs=1e-12)
