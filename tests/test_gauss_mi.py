@@ -5,13 +5,13 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from fadingdirt import gauss_mi
 from fadingdirt.bounds_norcsi import ChannelParams, inner_no_rcsi_with_k, k_star
 from fadingdirt.errors import (
     DiscreteUnsupported,
     InsufficientSamples,
     SingularCovariance,
 )
-from fadingdirt import gauss_mi
 from fadingdirt.fading import Discrete, Gaussian, geometric_fading, parse_distribution
 from fadingdirt.gauss_mi import (
     CostaAssignment,
