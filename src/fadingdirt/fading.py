@@ -49,6 +49,11 @@ def _xlog2x(p):
         return np.where(p > 0, p * np.log2(np.where(p > 0, p, 1.0)), 0.0)
 
 
+def _check_finite(kind, *params):
+    if not all(math.isfinite(v) for v in params):
+        raise NonFinite(f"{kind} parameters must be finite, got {params!r}")
+
+
 class FadingDistribution:
     """Common interface; concrete laws are the dataclasses below."""
 
@@ -155,6 +160,11 @@ class Gaussian(FadingDistribution):
     mu: float = 0.0
     variance: float = 1.0
 
+    def __post_init__(self):
+        _check_finite("gaussian", self.mu, self.variance)
+        if not self.variance > 0:
+            raise ZeroVariance("gaussian needs var > 0")
+
     @property
     def mean(self):
         return self.mu
@@ -190,6 +200,7 @@ class Uniform(FadingDistribution):
     hi: float
 
     def __post_init__(self):
+        _check_finite("uniform", self.lo, self.hi)
         if not self.hi > self.lo:
             raise ZeroVariance("uniform needs hi > lo")
 
@@ -231,6 +242,7 @@ class Rayleigh(FadingDistribution):
     scale: float = 1.0
 
     def __post_init__(self):
+        _check_finite("rayleigh", self.sigma, self.loc, self.scale)
         if self.sigma <= 0 or self.scale == 0:
             raise ZeroVariance("rayleigh needs sigma > 0 and scale != 0")
 
@@ -248,8 +260,6 @@ class Rayleigh(FadingDistribution):
 
     def pdf(self, x):
         r = (np.asarray(x, dtype=float) - self.loc) / self.scale
-        if self.scale < 0:
-            r = -r  # not used in practice; normalization keeps scale > 0
         s2 = self.sigma ** 2
         out = np.where(r > 0, r / s2 * np.exp(-np.minimum(r * r / (2 * s2), 745.0)), 0.0)
         return out / abs(self.scale)
@@ -279,6 +289,7 @@ class LogNormal(FadingDistribution):
     scale: float = 1.0
 
     def __post_init__(self):
+        _check_finite("lognormal", self.lmu, self.sigma2, self.loc, self.scale)
         if self.sigma2 <= 0 or self.scale == 0:
             raise ZeroVariance("lognormal needs sigma2 > 0 and scale != 0")
 

@@ -22,7 +22,13 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .bounds_norcsi import ChannelParams, k_star
-from .errors import DiscreteUnsupported, InsufficientSamples, SingularCovariance
+from .errors import (
+    DiscreteUnsupported,
+    InsufficientSamples,
+    NonFinite,
+    SingularCovariance,
+    SpecInvalid,
+)
 from .fading import LN2, FadingDistribution
 
 _VAR_MIN = 1e-14
@@ -43,6 +49,9 @@ class CostaAssignment:
         if not 0.0 <= self.split_delta <= 1.0:
             raise SingularCovariance(
                 f"split_delta must be in [0,1], got {self.split_delta!r}")
+        if not all(math.isfinite(v) for v in (self.a_target, self.inflation_k or 0.0)):
+            raise NonFinite(f"a_target {self.a_target!r} and inflation k "
+                            f"{self.inflation_k!r} must be finite")
 
 
 def costa_inflation(P1: float, c: float, a_target: float) -> float:
@@ -179,6 +188,8 @@ def mi_monte_carlo(params: ChannelParams, dist: FadingDistribution,
     n = int(n)
     if n < 10 ** 4:
         raise InsufficientSamples(f"need n >= 1e4, got {n!r}")
+    if seed < 0:
+        raise SpecInvalid(f"seed must be >= 0, got {seed!r}")
     P1, P2, k = _resolve(params, asg)
     if P1 < _VAR_MIN:
         raise SingularCovariance("Monte Carlo estimator needs power on the Costa codeword")

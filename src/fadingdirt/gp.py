@@ -31,6 +31,7 @@ from .fading import _frozen_array
 _ROW_TOL = 1e-12
 _LOG_FLOOR = 1e-300
 _MAX_ITERS = 2000  # ascent steps per restart
+_CHUNK = 1024  # exhaustive grid points per `_objective` call: _CHUNK * |U| * |Y| floats
 
 
 @dataclass(frozen=True)
@@ -106,47 +107,40 @@ def _coerce_assignment(inst, p_u_given_s, x_of_us):
         raise MalformedAssignment(f"p(u|s) must have shape {(nu, ns)}, got {p.shape}")
     if np.any(p < -_ROW_TOL) or np.max(np.abs(p.sum(axis=0) - 1.0)) > 1e-9:
         raise MalformedAssignment("p(u|s) columns must be probability vectors")
-    if isinstance(x_of_us, dict):
-        x = np.empty((nu, ns), dtype=int)
-        try:
-            for u in range(nu):
-                for s in range(ns):
-                    x[u, s] = x_of_us[(u, s)]
-        except KeyError as exc:
-            raise MalformedAssignment(f"x(u,s) missing entry {exc}") from exc
-    else:
-        x = np.asarray(x_of_us, dtype=int)
-        if x.shape != (nu, ns):
-            raise MalformedAssignment(f"x(u,s) must have shape {(nu, ns)}")
+    x = np.asarray(x_of_us)
+    if x.shape != (nu, ns):
+        raise MalformedAssignment(f"x(u,s) must have shape {(nu, ns)}")
+    x = x.astype(int)
     if np.any(x < 0) or np.any(x >= nx):
         raise MalformedAssignment("x(u,s) value outside the input alphabet")
     return np.clip(p, 0.0, None), x
 
 
 def _joint(inst, p, x):
-    """The laws p(u,s) and p(u,y) induced by (p(u|s), x(u,s)), and p(y)."""
-    p_su = p * inst.prior_array[None, :]
-    Wp = inst.kernel_array[x, np.arange(len(inst.states))[None, :], :]  # (nu, ns, ny)
-    p_uy = np.einsum("us,usy->uy", p_su, Wp)
-    return p_su, p_uy, p_uy.sum(axis=0)
+    """The laws p(u,s) and p(u,y) induced by (p(u|s), x(u,s)); p may carry
+    leading batch axes, and so do the laws."""
+    p_su = p * inst.prior_array
+    Wp = inst.kernel_array[x, np.arange(len(inst.states)), :]  # (nu, ns, ny)
+    return p_su, np.einsum("...us,usy->...uy", p_su, Wp)
 
 
-def _objective(inst, p, x):
-    """Exact I(Y;U) - I(U;S) in bits for the assignment (p(u|s), x(u,s))."""
-    p_su, p_uy, p_y = _joint(inst, p, x)
-    p_u = p_su.sum(axis=1)
+def _mi(joint, ma, mb):
+    """Mutual information in bits of each joint law over the last two axes."""
+    ratio = np.divide(joint, ma[..., :, None] * mb[..., None, :],
+                      out=np.ones_like(joint), where=joint > 0)
+    return np.sum(joint * np.log2(ratio), axis=(-2, -1))
 
-    def mi(joint, ma, mb):
-        outer = ma[:, None] * mb[None, :]
-        mask = joint > 0
-        return float(np.sum(joint[mask] * np.log2(joint[mask] / outer[mask])))
 
-    return mi(p_uy, p_u, p_y) - mi(p_su, p_u, inst.prior_array)
+def _objective(inst, p_su, p_uy):
+    """Exact I(Y;U) - I(U;S) in bits of the joint laws from `_joint`, one
+    value per leading batch index."""
+    p_u = p_su.sum(axis=-1)
+    return _mi(p_uy, p_u, p_uy.sum(axis=-2)) - _mi(p_su, p_u, inst.prior_array)
 
 
 def evaluate_assignment(inst: GPInstance, p_u_given_s, x_of_us) -> float:
     p, x = _coerce_assignment(inst, p_u_given_s, x_of_us)
-    return _objective(inst, p, x)
+    return float(_objective(inst, *_joint(inst, p, x)))
 
 
 def optimize_alternating(inst: GPInstance, restarts: int = 32, seed: int = 0,
@@ -158,32 +152,30 @@ def optimize_alternating(inst: GPInstance, restarts: int = 32, seed: int = 0,
     channel.  Best value over random restarts wins, lowest restart index on
     ties, so the result depends only on (restarts, seed, tol).
     """
-    if restarts < 1 or tol <= 0:
-        raise SpecInvalid("need restarts >= 1 and tol > 0")
+    if restarts < 1 or seed < 0 or not tol > 0:
+        raise SpecInvalid("need restarts >= 1, seed >= 0 and tol > 0")
     W = inst.kernel_array
     nu, ns = inst.aux_size, len(inst.states)
-    s_idx = np.arange(ns)
-
     best_val, best_asg = -math.inf, None
     for r in range(restarts):
         rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(r,)))
         p = rng.dirichlet(np.ones(nu), size=ns).T  # (nu, ns)
         x = rng.integers(0, len(inst.inputs), size=(nu, ns))
-        val = _objective(inst, p, x)
+        p_su, p_uy = _joint(inst, p, x)
+        val = float(_objective(inst, p_su, p_uy))
         for _ in range(_MAX_ITERS):
-            _, p_uy, p_y = _joint(inst, p, x)
-            q = p_uy / np.maximum(p_y[None, :], _LOG_FLOOR)
+            q = p_uy / np.maximum(p_uy.sum(axis=0), _LOG_FLOOR)
             logq = np.log(np.maximum(q, _LOG_FLOOR))
             # greedy x-step: per (u,s) pick the input maximizing E[log q(u|Y)]
             scores = np.einsum("xsy,uy->usx", W, logq)
             x = scores.argmax(axis=2)
             # p-step: p(u|s) proportional to exp(E[log q(u|Y)]) at the new x
-            Wp = W[x, s_idx[None, :], :]
-            t = np.einsum("usy,uy->us", Wp, logq)
+            t = scores.max(axis=2)
             t -= t.max(axis=0, keepdims=True)
             p = np.exp(t)
             p /= p.sum(axis=0, keepdims=True)
-            new_val = _objective(inst, p, x)
+            p_su, p_uy = _joint(inst, p, x)  # the one joint law of this step
+            new_val = float(_objective(inst, p_su, p_uy))
             if new_val < val - 1e-9:
                 raise AscentNotMonotone(f"restart {r}: step lowered {val!r} to {new_val!r}")
             if new_val - val < tol:
@@ -195,28 +187,30 @@ def optimize_alternating(inst: GPInstance, restarts: int = 32, seed: int = 0,
     return best_val, best_asg
 
 
-def _simplex_grid(dim, steps):
-    for comp in itertools.combinations_with_replacement(range(dim), steps):
-        v = np.bincount(comp, minlength=dim) / steps
-        yield v
-
-
 def optimize_exhaustive(inst: GPInstance, prob_grid: int = 11):
     """Brute-force oracle: all deterministic x(u,s) maps and all p(u|s) on a
-    simplex grid of resolution 1/(prob_grid-1)."""
+    simplex grid of resolution 1/(prob_grid-1), scored `_CHUNK` grid points
+    per call.  A point replaces the best so far only if it beats it by more
+    than 1e-15, so the first optimum in enumeration order wins."""
     nu, ns, nx = inst.aux_size, len(inst.states), len(inst.inputs)
     if nu * ns > 6 or nx > 3 or prob_grid > 21 or prob_grid < 2:
         raise InstanceTooLarge(
             f"exhaustive search limited to |U||S| <= 6, |X| <= 3, grid <= 21")
-    cols = [np.array(list(_simplex_grid(nu, prob_grid - 1)))] * ns
+    steps = prob_grid - 1
+    col = np.array([np.bincount(c, minlength=nu) for c in
+                    itertools.combinations_with_replacement(range(nu), steps)]) / steps
+    # every column choice, the last state's fastest: (points, nu, ns)
+    grid = col[np.indices((len(col),) * ns).reshape(ns, -1).T].transpose(0, 2, 1)
     best_val, best_asg = -math.inf, None
     for xs in itertools.product(range(nx), repeat=nu * ns):
         x = np.asarray(xs, dtype=int).reshape(nu, ns)
-        for pcols in itertools.product(*[range(len(c)) for c in cols]):
-            p = np.stack([cols[s][pcols[s]] for s in range(ns)], axis=1)
-            val = _objective(inst, p, x)
-            if val > best_val + 1e-15:
-                best_val, best_asg = val, (p, x)
+        for lo in range(0, len(grid), _CHUNK):
+            vals = _objective(inst, *_joint(inst, grid[lo:lo + _CHUNK], x))
+            i = 0  # each later point that beats the best so far by the slack, as a scan would
+            while (hits := np.flatnonzero(vals[i:] > best_val + 1e-15)).size:
+                i += hits[0]
+                best_val, best_asg = float(vals[i]), (grid[lo + i], x)
+                i += 1
     return best_val, best_asg
 
 

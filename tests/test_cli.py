@@ -61,7 +61,30 @@ _BAD_INPUT = {
     "mass-half-density": ["sweep", "--theorem", "mass-half", "--dist", "gaussian"],
     "continuous-atoms": ["bounds", "--theorem", "continuous", "--P", "1",
                          "--dist", "two-point"],
+    "mi-negative-seed": ["mi", "--P", "3", "--seed", "-1"],
+    "mi-norcsi-negative-seed": ["mi", "--no-rcsi", "--P", "3", "--dist", "gaussian",
+                                "--n", "10000", "--seed", "-1"],
+    "mi-nan-k": ["mi", "--P", "3", "--k", "nan"],
+    "mi-infinite-a-target": ["mi", "--P", "3", "--a-target", "inf"],
+    "gp-negative-seed": ["gp", "--example", "binary-nonoise", "--seed", "-1"],
+    "gp-nan-tol": ["gp", "--example", "binary-nonoise", "--tol", "nan"],
 }
+# continuous-law literals with a non-finite or non-positive parameter, under
+# both commands that integrate or sample the law, and the error each must name
+_BAD_LAWS = {
+    "gaussian-negative-var": ('{"kind":"gaussian","var":-1}', "ZeroVariance"),
+    "gaussian-zero-var": ('{"kind":"gaussian","var":0}', "ZeroVariance"),
+    "gaussian-nan-mean": ('{"kind":"gaussian","mean":"nan"}', "NonFinite"),
+    "uniform-infinite": ('{"kind":"uniform","lo":"-inf","hi":1}', "NonFinite"),
+    "rayleigh-infinite": ('{"kind":"rayleigh","sigma":"inf"}', "NonFinite"),
+}
+_EXPECTED_KIND = {}
+for _name, (_law, _kind) in _BAD_LAWS.items():
+    _BAD_INPUT[f"bounds-{_name}"] = ["bounds", "--theorem", "continuous", "--P", "10",
+                                     "--c", "3", "--dist", _law]
+    _BAD_INPUT[f"mi-{_name}"] = ["mi", "--no-rcsi", "--P", "10", "--c", "3",
+                                 "--n", "10000", "--dist", _law]
+    _EXPECTED_KIND[f"bounds-{_name}"] = _EXPECTED_KIND[f"mi-{_name}"] = _kind
 
 
 @pytest.mark.parametrize("name", list(_BAD_INPUT))
@@ -79,6 +102,7 @@ def test_bad_input_exit_3(capsys, tmp_path, name):
     assert out == ""
     kind = err.split(":")[1].strip()
     assert issubclass(getattr(errors, kind), errors.ToolkitError), err
+    assert kind == _EXPECTED_KIND.get(name, kind), err
 
 
 class TestSweepVerify:
@@ -174,7 +198,7 @@ class TestMiGp:
     def test_gp_non_monotone_step_exit_3(self, capsys, monkeypatch):
         from fadingdirt import gp
         values = itertools.count(0.0, -1.0)  # every step loses a bit
-        monkeypatch.setattr(gp, "_objective", lambda inst, p, x: next(values))
+        monkeypatch.setattr(gp, "_objective", lambda inst, p_su, p_uy: next(values))
         code, out, err = run_cli(capsys, "gp", "--example", "binary-nonoise",
                                  "--restarts", "1")
         assert code == 3

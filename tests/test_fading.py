@@ -322,3 +322,39 @@ class TestValidation:
         t = TabulatedDensity(tuple(zip(xs.tolist(), d.tolist())))
         assert t.mean == pytest.approx(0.0, abs=1e-9)
         assert t.entropy_bits() == pytest.approx(1.0, abs=1e-6)
+
+    @pytest.mark.parametrize("make,error", [
+        (lambda: Gaussian(0.0, -1.0), ZeroVariance),
+        (lambda: Gaussian(0.0, 0.0), ZeroVariance),
+        (lambda: Gaussian(math.nan, 1.0), NonFinite),
+        (lambda: Gaussian(0.0, math.inf), NonFinite),
+        (lambda: Uniform(-math.inf, 1.0), NonFinite),
+        (lambda: Uniform(0.0, math.nan), NonFinite),
+        (lambda: Rayleigh(math.inf), NonFinite),
+        (lambda: Rayleigh(1.0, math.nan), NonFinite),
+        (lambda: Rayleigh(1.0, 0.0, -math.inf), NonFinite),
+        (lambda: LogNormal(math.nan, 1.0), NonFinite),
+        (lambda: LogNormal(0.0, math.inf), NonFinite),
+        (lambda: LogNormal(0.0, 1.0, 0.0, math.nan), NonFinite),
+    ])
+    def test_continuous_parameters_finite_and_positive(self, make, error):
+        with pytest.raises(error):
+            make()
+
+
+class TestMirroredRayleigh:
+    LAW = '{"kind":"rayleigh","sigma":1,"scale":-1}'
+
+    def test_pdf_is_mirror_image(self):
+        xs = np.linspace(-12.0, 12.0, 24001)
+        mirrored = Rayleigh(1.0, 0.0, -1.0).pdf(xs)
+        np.testing.assert_array_equal(mirrored, Rayleigh(1.0).pdf(-xs))
+        assert np.trapezoid(mirrored, xs) == pytest.approx(1.0, abs=1e-6)
+
+    @pytest.mark.parametrize("argv", [
+        ["bounds", "--theorem", "continuous", "--P", "10", "--c", "3"],
+        ["mi", "--no-rcsi", "--P", "10", "--c", "3", "--n", "10000"],
+    ], ids=["bounds", "mi"])
+    def test_commands_succeed(self, capsys, argv):
+        assert main(argv + ["--dist", self.LAW]) == 0
+        assert json.loads(capsys.readouterr().out)

@@ -12,6 +12,7 @@ from fadingdirt.errors import (
     MalformedAssignment,
     SpecInvalid,
 )
+from fadingdirt import gp
 from fadingdirt.gp import (
     GPInstance,
     binary_nonoise_instance,
@@ -80,6 +81,47 @@ BSC = GPInstance(states=(0,), prior=(1.0,), inputs=(0, 1), aux_size=2,
                  outputs=(0, 1), kernel=(((0.9, 0.1),), ((0.1, 0.9),)))
 
 
+def aux3(atoms, rcsi):
+    return binary_nonoise_instance(atoms, rcsi=rcsi, aux_size=3)
+
+
+# (instance, grid, optimum, p(u|s) in grid steps, x(u,s)) as the point-by-point
+# search found them before the oracle scored the grid in batches
+PARENT_OPTIMA = {
+    "bsc-grid11": (lambda: BSC, 11, 0.5310044064107189, [[5], [5]], [[0], [1]]),
+    "atoms2-rcsi-aux2-grid11": (lambda: binary_nonoise_instance(ATOMS_2, aux_size=2), 11, 1.0,
+                                [[5, 5], [5, 5]], [[0, 1], [1, 0]]),
+    "atoms2-norcsi-aux2-grid11": (lambda: binary_nonoise_instance(ATOMS_2, rcsi=False, aux_size=2),
+                                  11, 0.5, [[5, 5], [5, 5]], [[0, 0], [1, 1]]),
+    "atoms3-rcsi-aux2-grid21": (lambda: binary_nonoise_instance(ATOMS_3, aux_size=2), 21, 1.0,
+                                [[10, 10], [10, 10]], [[0, 1], [1, 0]]),
+    "atoms2-rcsi-aux3-grid6": (lambda: aux3(ATOMS_2, True), 6, 0.9709505944546687,
+                               [[0, 0], [3, 3], [2, 2]], [[0, 0], [0, 1], [1, 0]]),
+    "atoms2-norcsi-aux3-grid6": (lambda: aux3(ATOMS_2, False), 6, 0.4854752972273343,
+                                 [[3, 3], [0, 0], [2, 2]], [[0, 0], [0, 0], [1, 1]]),
+    "atoms3-rcsi-aux3-grid6": (lambda: aux3(ATOMS_3, True), 6, 0.9709505944546687,
+                               [[3, 0], [0, 3], [2, 2]], [[0, 0], [0, 1], [1, 0]]),
+    "atoms3-norcsi-aux3-grid6": (lambda: aux3(ATOMS_3, False), 6, 0.6473003963031126,
+                                 [[3, 0], [0, 3], [2, 2]], [[0, 0], [0, 1], [1, 0]]),
+}
+# the same at aux 3 and grid 11, keyed by (atoms, rcsi)
+PARENT_AUX3_GRID11 = {
+    "atoms2-rcsi": (ATOMS_2, True, 1.0, [[0, 0], [5, 5], [5, 5]], [[0, 0], [0, 1], [1, 0]]),
+    "atoms2-norcsi": (ATOMS_2, False, 0.5, [[5, 5], [0, 0], [5, 5]], [[0, 0], [0, 0], [1, 1]]),
+    "atoms3-rcsi": (ATOMS_3, True, 0.9999999999999998,
+                    [[5, 0], [0, 5], [5, 5]], [[0, 0], [0, 1], [1, 0]]),
+    "atoms3-norcsi": (ATOMS_3, False, 0.6666666666666665,
+                      [[5, 0], [0, 5], [5, 5]], [[0, 0], [0, 1], [1, 0]]),
+}
+
+
+def assert_optimum(result, grid, value, steps, x):
+    val, (p, xm) = result
+    assert val == pytest.approx(value, abs=1e-12)
+    np.testing.assert_array_equal(p, np.array(steps) / (grid - 1))
+    np.testing.assert_array_equal(xm, x)
+
+
 class TestEvaluate:
     def test_product_strategy_is_one_bit(self):
         p, x = xs_assignment()
@@ -97,11 +139,12 @@ class TestEvaluate:
         p, x = xs_assignment()
         assert evaluate_assignment(inst, p, x) <= math.log2(inst.aux_size)
 
-    def test_dict_map_accepted(self):
+    def test_dict_map_rejected(self):
         inst = binary_nonoise_instance(ATOMS_2)
         p, x = xs_assignment()
         xd = {(u, s): int(x[u, s]) for u in range(4) for s in range(2)}
-        assert evaluate_assignment(inst, p, xd) == 1.0
+        with pytest.raises(MalformedAssignment):
+            evaluate_assignment(inst, p, xd)
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(0, 10 ** 6))
@@ -112,6 +155,21 @@ class TestEvaluate:
         x = rng.integers(0, 2, size=(4, 2))
         got = evaluate_assignment(inst, p, x)
         assert got == pytest.approx(brute_force_objective(inst, p, x), abs=1e-12)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 10 ** 6), st.integers(1, 9), st.booleans())
+    def test_batch_matches_independent_brute_force(self, seed, batch, rcsi):
+        rng = np.random.default_rng(seed)
+        inst = binary_nonoise_instance(ATOMS_3, rcsi=rcsi)
+        p = rng.dirichlet(np.ones(4), size=(batch, 2)).transpose(0, 2, 1)
+        p[rng.random(p.shape) < 0.3] = 0.0  # grid points have empty cells
+        p[:, 0, :] += p.sum(axis=1) == 0
+        p /= p.sum(axis=1, keepdims=True)
+        x = rng.integers(0, 2, size=(4, 2))
+        got = gp._objective(inst, *gp._joint(inst, p, x))
+        assert got.shape == (batch,)
+        for value, row in zip(got, p):
+            assert value == pytest.approx(brute_force_objective(inst, row, x), abs=1e-12)
 
     def test_malformed_assignment(self):
         inst = binary_nonoise_instance(ATOMS_2)
@@ -187,6 +245,44 @@ class TestExhaustive:
         ex, _ = optimize_exhaustive(inst, prob_grid=11)
         alt, _ = optimize_alternating(inst, restarts=16, seed=0)
         assert alt >= ex - 1e-6
+
+    @pytest.mark.parametrize("name", list(PARENT_OPTIMA))
+    def test_parent_optimum_and_assignment(self, name):
+        make, grid, *pinned = PARENT_OPTIMA[name]
+        assert_optimum(optimize_exhaustive(make(), prob_grid=grid), grid, *pinned)
+
+    def test_chunk_size_does_not_change_result(self, monkeypatch):
+        for make, grid in ((lambda: aux3(ATOMS_2, True), 5), (lambda: aux3(ATOMS_3, False), 5),
+                           (lambda: binary_nonoise_instance(ATOMS_3, aux_size=2), 11)):
+            results = []
+            for chunk in (1, 7, gp._CHUNK):
+                monkeypatch.setattr(gp, "_CHUNK", chunk)
+                results.append(optimize_exhaustive(make(), prob_grid=grid))
+            for val, (p, x) in results[1:]:
+                assert val == results[0][0]
+                np.testing.assert_array_equal(p, results[0][1][0])
+                np.testing.assert_array_equal(x, results[0][1][1])
+
+    @pytest.mark.parametrize("name", list(PARENT_AUX3_GRID11))
+    def test_aux3_grid11_one_call_per_chunk(self, monkeypatch, name):
+        atoms, rcsi, *pinned = PARENT_AUX3_GRID11[name]
+        calls = []
+        objective = gp._objective
+
+        def counted(inst, p_su, p_uy):
+            calls.append(len(p_su))
+            return objective(inst, p_su, p_uy)
+
+        monkeypatch.setattr(gp, "_objective", counted)
+        inst = aux3(atoms, rcsi)
+        result = optimize_exhaustive(inst, prob_grid=11)
+        assert_optimum(result, 11, *pinned)
+        points = math.comb(10 + 2, 2) ** 2  # p(u|s) grid points per x-map
+        assert sum(calls) == 2 ** 6 * points
+        assert len(calls) == 2 ** 6 * math.ceil(points / gp._CHUNK)
+        monkeypatch.setattr(gp, "_objective", objective)
+        alt, _ = optimize_alternating(inst, restarts=32, seed=0)
+        assert alt >= result[0] - 1e-6
 
     def test_instance_too_large(self):
         with pytest.raises(InstanceTooLarge):
