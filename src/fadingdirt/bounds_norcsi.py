@@ -20,12 +20,11 @@ _C_MIN = 1e-9
 
 @dataclass(frozen=True)
 class ChannelParams:
-    """Scalar channel configuration (P, c, mu_A, mu_S, Q)."""
+    """Scalar channel configuration (P, c, mu_A, Q); the state mean is 0."""
 
     P: float
     c: float
     mu_A: float = 0.0
-    mu_S: float = 0.0
     Q: float = 1.0  # state variance; used by the phase-fading theorem only
 
     def __post_init__(self):
@@ -33,7 +32,7 @@ class ChannelParams:
             raise DegenerateDenominator(f"P must be >= 0, got {self.P!r}")
         if self.Q < 0:
             raise DegenerateDenominator(f"Q must be >= 0, got {self.Q!r}")
-        for name in ("P", "c", "mu_A", "mu_S", "Q"):
+        for name in ("P", "c", "mu_A", "Q"):
             if not math.isfinite(getattr(self, name)):
                 raise DegenerateDenominator(f"{name} must be finite")
 
@@ -84,7 +83,7 @@ def outer_no_rcsi(params: ChannelParams, alpha_ep: float) -> RateBound:
         bits=bits,
         theorem="no-rcsi-outer",
         branch="half",
-        assumptions_ok={"mu_S_zero": params.mu_S == 0.0, "alpha_in_range": True},
+        assumptions_ok={"mu_S_zero": True, "alpha_in_range": True},  # the model fixes E[S] = 0
     )
 
 

@@ -25,6 +25,7 @@ from .errors import (
     NoDominantAtom,
     NotUniform,
     RootNotFound,
+    SpecInvalid,
     ZeroAtomCollision,
     ZeroGain,
 )
@@ -109,16 +110,23 @@ def mass_half_params(dist: FadingDistribution) -> MassHalfParams:
     return gap_params_at(dist, i_star)
 
 
+def _spread_terms(others, a_prime, name):
+    """log2((v - a')^2/v^2 + 1) for each atom v other than a': the terms of
+    G' (weighted by the atom masses) and of G-tilde (summed as they are)."""
+    if any(abs(v) < 1e-12 for v in others):
+        raise ZeroAtomCollision(f"atom at a = 0 makes {name} diverge")
+    return [math.log2((v - a_prime) ** 2 / (v * v) + 1.0) for v in others]
+
+
 def gap_params_at(dist: Discrete, i: int) -> MassHalfParams:
     """The mass-half constants with atom i as a', whatever its mass."""
     vals, probs = dist.values, dist.probs
     a_p = float(vals[i])
     P_p = float(probs[i])
     rest = [(v, p) for j, (v, p) in enumerate(zip(vals, probs)) if j != i]
-    if any(abs(v) < 1e-12 for v, _ in rest):
-        raise ZeroAtomCollision("atom at a = 0 makes the G' term diverge")
+    terms = _spread_terms([v for v, _ in rest], a_p, "the G' term")
     G = float(sum(p * math.log2((v - a_p) ** 2) for v, p in rest))
-    G_prime = float(sum(p * math.log2((v - a_p) ** 2 / (v * v) + 1.0) for v, p in rest))
+    G_prime = float(sum(p * t for (_, p), t in zip(rest, terms)))
     return MassHalfParams(a_prime=a_p, P_prime=P_p, G=G, G_prime=G_prime)
 
 
@@ -157,7 +165,7 @@ def outer_mass_half(params: ChannelParams, mp: MassHalfParams, form: str = "appe
     elif form == "theorem":
         branches = _theorem_branches(P, c2, Pp, Pb, G, large_gain=1.5)
     else:
-        raise ValueError(f"unknown form {form!r}")
+        raise SpecInvalid(f"unknown form {form!r}")
     return _min_branch("mass-half-outer", branches,
                        {"dominant_mass": Pp >= 0.5, "mu_A_zero": params.mu_A == 0.0})
 
@@ -232,11 +240,11 @@ def strong_condition_check(support: Discrete, c: float, alpha_sf: float) -> bool
     if not support.is_discrete:
         raise NotUniform("strong-fading support must be discrete")
     _check_equiprobable(support.probs)
+    if len(support.values) < 2:
+        raise NotUniform("strong-fading support needs at least 2 atoms")
     if alpha_sf < 0:
         return False
     gaps = np.diff(support.values)
-    if gaps[0] <= 0:
-        return False
     k = alpha_sf * c * c - 1.0
     for m in range(2, len(gaps)):
         if gaps[m] ** 2 < k * float(np.sum(gaps[:m - 1] ** 2)):
@@ -249,10 +257,7 @@ def strong_params(support: Discrete, alpha_sf: float) -> StrongFadingParams:
     vals = support.values
     a_prime = float(min(vals, key=abs))
     rest = [v for v in vals if v != a_prime]
-    for v in rest:
-        if abs(v) < 1e-12:
-            raise ZeroAtomCollision("atom at a = 0 makes G-tilde diverge")
-    g_tilde = float(sum(math.log2((v - a_prime) ** 2 / (v * v) + 1.0) for v in rest))
+    g_tilde = float(sum(_spread_terms(rest, a_prime, "G-tilde")))
     return StrongFadingParams(M=len(vals), alpha_sf=alpha_sf, G_tilde=g_tilde)
 
 
@@ -282,7 +287,7 @@ def outer_strong(params: ChannelParams, sp: StrongFadingParams, condition_ok: bo
              "large-gain", c2 / M > (M - 1) / M * (P + 1)),
         ]
     else:
-        raise ValueError(f"unknown form {form!r}")
+        raise SpecInvalid(f"unknown form {form!r}")
     return _min_branch("strong-outer", branches,
                        {"condition": condition_ok, "uniform": True})
 
@@ -319,32 +324,27 @@ def continuous_interval_params(dist: FadingDistribution, interval) -> Continuous
         raise IntervalMassTooSmall(f"P(I) = {prob_i!r} < 1/2")
 
     target = prob_i / (b - a)
-    xs = np.linspace(a, b, 2001)
+    xs = np.linspace(a, b, 2001)  # xs[-1] is b exactly
     fs = np.asarray(dist.pdf(xs), dtype=float) - target
+    # grid points that solve the equation or open a sign change; the first wins
+    hits = np.flatnonzero((fs == 0.0) | np.append(fs[:-1] * fs[1:] < 0, False))
     if np.max(np.abs(fs)) < 1e-12:
         a_prime = a  # constant density: every point solves the equation
+    elif len(hits) == 0:
+        raise RootNotFound("density never crosses P(I)/(b-a) on [a,b]")
+    elif fs[hits[0]] == 0.0:
+        a_prime = float(xs[hits[0]])
     else:
-        a_prime = None
-        for i in range(len(xs) - 1):
-            if fs[i] == 0.0:
-                a_prime = float(xs[i])
-                break
-            if fs[i] * fs[i + 1] < 0:
-                lo, hi = xs[i], xs[i + 1]
-                for _ in range(100):
-                    mid = 0.5 * (lo + hi)
-                    fm = float(dist.pdf(mid)) - target
-                    if fs[i] * fm <= 0:
-                        hi = mid
-                    else:
-                        lo = mid
-                a_prime = 0.5 * (lo + hi)
-                break
-        if a_prime is None:
-            if fs[-1] == 0.0:
-                a_prime = b
+        i = hits[0]
+        lo, hi = xs[i], xs[i + 1]
+        for _ in range(100):
+            mid = 0.5 * (lo + hi)
+            fm = float(dist.pdf(mid)) - target
+            if fs[i] * fm <= 0:
+                hi = mid
             else:
-                raise RootNotFound("density never crosses P(I)/(b-a) on [a,b]")
+                lo = mid
+        a_prime = 0.5 * (lo + hi)
 
     lo_s, hi_s = dist.support()
     g = 0.0

@@ -19,7 +19,7 @@ from .errors import FileInaccessible, SpecInvalid, ToolkitError, malformed
 from .fading import entropy_power_alpha, parse_distribution
 from .gauss_mi import CostaAssignment, mi_monte_carlo
 from .gp import GPInstance, binary_nonoise_instance, optimize_alternating
-from .harness import SweepSpec, _preset_specs, emit, run_sweep, verify_claims
+from .harness import CLAIMED, THEOREMS, SweepSpec, _preset_specs, emit, run_sweep, verify_claims
 
 _EXIT_PRECONDITION = 3
 
@@ -39,9 +39,7 @@ def _build_parser():
                         help="write output to PATH instead of stdout")
 
     b = sub.add_parser("bounds", help="evaluate one (P, c) point")
-    b.add_argument("--theorem", required=True,
-                   choices=["no-rcsi", "mass-half", "strong", "phase-binomial",
-                            "continuous"])
+    b.add_argument("--theorem", required=True, choices=THEOREMS)
     b.add_argument("--P", type=float, required=True, help="input power")
     b.add_argument("--c", type=float, default=1.0, help="interference gain")
     b.add_argument("--mu-A", type=float, default=0.0, help="fading mean")
@@ -58,9 +56,7 @@ def _build_parser():
     s = sub.add_parser("sweep", help="run a parameter sweep")
     s.add_argument("--preset", default=None,
                    help="named sweep preset (e.g. gaussian-smoke, mass-half)")
-    s.add_argument("--theorem", default=None,
-                   choices=["no-rcsi", "mass-half", "strong", "phase-binomial",
-                            "continuous"])
+    s.add_argument("--theorem", default=None, choices=THEOREMS)
     s.add_argument("--dist", default=None, help="fading law for --theorem sweeps")
     s.add_argument("--P-grid", default=None, help="comma-separated P values")
     s.add_argument("--c2-grid", default=None, help="comma-separated c^2 values")
@@ -69,9 +65,7 @@ def _build_parser():
     add_output(s)
 
     v = sub.add_parser("verify", help="check the gap claims on canonical grids")
-    v.add_argument("--preset", default="all",
-                   choices=["all", "no-rcsi", "mass-half", "strong",
-                            "phase-binomial", "gaussian-smoke"],
+    v.add_argument("--preset", default="all", choices=["all", *CLAIMED, "gaussian-smoke"],
                    help="which claim family to verify")
     v.add_argument("--grid", default="smoke", choices=["smoke", "full"],
                    help="grid density")

@@ -23,6 +23,7 @@ from .errors import (
     NonFinite,
     NotUnitVariance,
     QuadratureFailure,
+    SpecInvalid,
     ZeroVariance,
     malformed,
 )
@@ -507,12 +508,19 @@ def strong_support(M: int, c: float) -> Discrete:
     return Discrete(tuple(zip(values.tolist(), probs.tolist())))
 
 
+def seeded_rng(seed: int, *stream: int) -> np.random.Generator:
+    """The generator of stream `stream` under `seed`, the package's only
+    source of random draws; with no stream key it is the seed's root stream."""
+    if seed < 0:
+        raise SpecInvalid(f"seed must be >= 0, got {seed!r}")
+    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=stream))
+
+
 def sample(dist: FadingDistribution, seed: int, n: int):
     """Deterministic sampler: same (dist, seed, n) gives the same stream."""
     if n < 1:
         raise InvalidN(f"n must be >= 1, got {n!r}")
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
-    return dist._draw(rng, int(n))
+    return dist._draw(seeded_rng(seed), int(n))
 
 
 # ---------------------------------------------------------------------------

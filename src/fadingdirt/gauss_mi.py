@@ -27,9 +27,8 @@ from .errors import (
     InsufficientSamples,
     NonFinite,
     SingularCovariance,
-    SpecInvalid,
 )
-from .fading import LN2, FadingDistribution
+from .fading import LN2, FadingDistribution, seeded_rng
 
 _VAR_MIN = 1e-14
 
@@ -73,8 +72,7 @@ def _resolve(params: ChannelParams, asg: CostaAssignment):
 
 
 def costa_rate_exact(params: ChannelParams, dist: FadingDistribution,
-                     asg: CostaAssignment, u_scale: float = 1.0,
-                     plus_inside: bool = False) -> float:
+                     asg: CostaAssignment) -> float:
     """Exact achievable rate (bits) of the assignment by covariance algebra."""
     if asg.rcsi and not dist.is_discrete:
         raise DiscreteUnsupported("exact per-realization rate needs finite fading atoms")
@@ -88,30 +86,26 @@ def costa_rate_exact(params: ChannelParams, dist: FadingDistribution,
     if P1 <= 0:
         return stage1
 
-    var_u = u_scale * u_scale * (P1 + k * k)
+    var_u = P1 + k * k
     if var_u < _VAR_MIN:
         raise SingularCovariance(f"var(U) = {var_u!r} too small")
-    i_us = 0.5 * math.log2(var_u / (u_scale * u_scale * P1))
+    i_us = 0.5 * math.log2(var_u / P1)
 
     def i_yu(a):
         var_y = P1 + c * c * a * a + 1.0
-        cov = u_scale * (P1 + k * c * a)
+        cov = P1 + k * c * a
         det = var_y * var_u - cov * cov
         if det < _VAR_MIN:
             raise SingularCovariance(f"singular (U,Y) covariance at a={a!r}")
         return 0.5 * math.log2(var_y * var_u / det)
 
     if asg.rcsi:
-        if plus_inside:
-            stage2 = float(sum(p * max(0.0, i_yu(a) - i_us)
-                               for a, p in zip(dist.values, dist.probs)))
-        else:
-            avg = float(sum(p * i_yu(a) for a, p in zip(dist.values, dist.probs)))
-            stage2 = max(0.0, avg - i_us)
+        avg = float(sum(p * i_yu(a) for a, p in zip(dist.values, dist.probs)))
+        stage2 = max(0.0, avg - i_us)
     else:
         # Gaussian max-entropy route: aggregate second moments over A
         var_y = P1 + c * c * ea2 + 1.0
-        cov = u_scale * (P1 + k * c * dist.mean)
+        cov = P1 + k * c * dist.mean
         det = var_y * var_u - cov * cov
         if det < _VAR_MIN:
             raise SingularCovariance("singular aggregate (U,Y) covariance")
@@ -188,8 +182,7 @@ def mi_monte_carlo(params: ChannelParams, dist: FadingDistribution,
     n = int(n)
     if n < 10 ** 4:
         raise InsufficientSamples(f"need n >= 1e4, got {n!r}")
-    if seed < 0:
-        raise SpecInvalid(f"seed must be >= 0, got {seed!r}")
+    rngs = [seeded_rng(seed, j) for j in range(_N_STREAMS)]
     P1, P2, k = _resolve(params, asg)
     if P1 < _VAR_MIN:
         raise SingularCovariance("Monte Carlo estimator needs power on the Costa codeword")
@@ -214,11 +207,8 @@ def mi_monte_carlo(params: ChannelParams, dist: FadingDistribution,
 
     means = np.zeros(_N_STREAMS)
     m2s = np.zeros(_N_STREAMS)
-    for j in range(_N_STREAMS):
+    for j, rng in enumerate(rngs):
         nj = int(counts[j])
-        if nj == 0:
-            continue
-        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(j,)))
         a = dist._draw(rng, nj)
         s = rng.standard_normal(nj)
         x1 = math.sqrt(P1) * rng.standard_normal(nj)
@@ -244,12 +234,12 @@ def mi_monte_carlo(params: ChannelParams, dist: FadingDistribution,
     mean, m2, cnt = 0.0, 0.0, 0.0
     for j in range(_N_STREAMS):
         nj = float(counts[j])
-        if nj == 0:
-            continue
         delta = means[j] - mean
         tot = cnt + nj
         mean += delta * nj / tot
         m2 += m2s[j] + delta * delta * cnt * nj / tot
         cnt = tot
-    var = m2 / (cnt - 1.0)
-    return float(mean), float(math.sqrt(var / cnt))
+    mean, se = float(mean), math.sqrt(m2 / (cnt - 1.0) / cnt)
+    if not (math.isfinite(mean) and math.isfinite(se)):
+        raise NonFinite(f"Monte Carlo estimate {mean!r} +- {se!r} is not finite")
+    return mean, se

@@ -26,7 +26,7 @@ from .errors import (
     SpecInvalid,
     malformed,
 )
-from .fading import _frozen_array
+from .fading import _frozen_array, seeded_rng
 
 _ROW_TOL = 1e-12
 _LOG_FLOOR = 1e-300
@@ -152,13 +152,13 @@ def optimize_alternating(inst: GPInstance, restarts: int = 32, seed: int = 0,
     channel.  Best value over random restarts wins, lowest restart index on
     ties, so the result depends only on (restarts, seed, tol).
     """
-    if restarts < 1 or seed < 0 or not tol > 0:
-        raise SpecInvalid("need restarts >= 1, seed >= 0 and tol > 0")
+    if restarts < 1 or not tol > 0:
+        raise SpecInvalid("need restarts >= 1 and tol > 0")
     W = inst.kernel_array
     nu, ns = inst.aux_size, len(inst.states)
     best_val, best_asg = -math.inf, None
     for r in range(restarts):
-        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(r,)))
+        rng = seeded_rng(seed, r)
         p = rng.dirichlet(np.ones(nu), size=ns).T  # (nu, ns)
         x = rng.integers(0, len(inst.inputs), size=(nu, ns))
         p_su, p_uy = _joint(inst, p, x)

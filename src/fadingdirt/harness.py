@@ -29,6 +29,7 @@ from .fading import (
 )
 
 THEOREMS = ("no-rcsi", "mass-half", "strong", "phase-binomial", "continuous")
+CLAIMED = THEOREMS[:-1]  # the theorems with a claimed gap and a verify preset
 
 CANONICAL_P = (0.1, 1.0, 10.0, 100.0, 1000.0)
 CANONICAL_C2 = (0.25, 1.0, 3.0, 10.0, 100.0, 1e4)
@@ -63,6 +64,8 @@ class SweepSpec:
                 raise SpecInvalid(f"{name} contains a non-finite value")
         if any(p < 0 for p in self.P_list):
             raise SpecInvalid("P values must be >= 0")
+        if any(c2 < 0 for c2 in self.c2_list):
+            raise SpecInvalid("c2 values must be >= 0")
 
     def resolved_dist(self) -> FadingDistribution:
         if self.dist is None:
@@ -145,12 +148,14 @@ def _strong_points(dist):
     def point(params, c2):
         if c2 not in by_c2:
             alpha_sf = c2 / (c2 + 1.0)
-            ok = br.strong_condition_check(dist, params.c, alpha_sf)
-            sp = br.strong_params(dist, alpha_sf)
-            by_c2[c2] = ok, sp, max(math.log2(alpha_sf) / 2.0 - sp.G_tilde + 3.0, 1.0)
-        ok, sp, claimed = by_c2[c2]
+            by_c2[c2] = (br.strong_condition_check(dist, params.c, alpha_sf),
+                         br.strong_params(dist, alpha_sf))
+        ok, sp = by_c2[c2]
         inner = br.inner_strong(params, dist)
-        return inner, br.outer_strong(params, sp, condition_ok=True), claimed, ok
+        # ZeroGain at c = 0 before the claim's log2(alpha_sf) can fail
+        outer = br.outer_strong(params, sp, condition_ok=True)
+        claimed = max(math.log2(sp.alpha_sf) / 2.0 - sp.G_tilde + 3.0, 1.0)
+        return inner, outer, claimed, ok
     return point
 
 
@@ -250,7 +255,7 @@ def verify_claims(theorem: str = "all", preset: str = "smoke"):
     Returns (summary, rows).  Never asserts: violated claims are counted and
     reported, with the worst measured gap and worst excess over the claim.
     """
-    names = ("no-rcsi", "mass-half", "strong", "phase-binomial") if theorem == "all" else (theorem,)
+    names = CLAIMED if theorem == "all" else (theorem,)
     rows = []
     for name in names:
         for spec in _preset_specs(name, preset):
@@ -280,22 +285,23 @@ def _fmt(v):
     return str(v)
 
 
+# text table formats: column separator and header-line prefix
+_TABLES = {"csv": (",", ""), "plotdata": (" ", "# ")}
+
+
 def emit(rows, fmt: str) -> bytes:
     """Serialize GapReport rows to deterministic bytes."""
     if not rows:
         raise UnsupportedFormat("empty report table")
-    if fmt == "csv":
-        lines = [",".join(CSV_COLUMNS)]
-        lines += [",".join(_fmt(v) for v in r.to_row()) for r in rows]
+    if fmt in _TABLES:
+        sep, prefix = _TABLES[fmt]
+        lines = [prefix + sep.join(CSV_COLUMNS)]
+        lines += [sep.join(_fmt(v) for v in r.to_row()) for r in rows]
         return ("\n".join(lines) + "\n").encode()
     if fmt == "json":
         payload = [{k: (("%.12g" % v) if isinstance(v, float) else v)
                     for k, v in r.to_json().items()} for r in rows]
         return (json.dumps(payload, indent=1, sort_keys=False) + "\n").encode()
-    if fmt == "plotdata":
-        lines = ["# " + " ".join(CSV_COLUMNS)]
-        lines += [" ".join(_fmt(v) for v in r.to_row()) for r in rows]
-        return ("\n".join(lines) + "\n").encode()
     if fmt == "svg":
         return _emit_svg(rows)
     raise UnsupportedFormat(f"unknown format {fmt!r}")

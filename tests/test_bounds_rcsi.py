@@ -24,10 +24,19 @@ from fadingdirt.errors import (
     IntervalMassTooSmall,
     NoDominantAtom,
     NotUniform,
+    SpecInvalid,
     ZeroAtomCollision,
     ZeroGain,
 )
-from fadingdirt.fading import Discrete, Gaussian, Uniform, geometric_fading, strong_support
+from fadingdirt.fading import (
+    Discrete,
+    Gaussian,
+    TabulatedDensity,
+    Uniform,
+    geometric_fading,
+    parse_distribution,
+    strong_support,
+)
 from fadingdirt.gauss_mi import CostaAssignment, costa_rate_exact
 
 mpmath.mp.dps = 50
@@ -183,6 +192,16 @@ class TestStrongCondition:
             strong_condition_check(Discrete(((-1.0, 0.7), (1.0, 0.3))), 2.0, 0.8)
 
 
+@pytest.mark.parametrize("outer", [
+    lambda form: outer_mass_half(ChannelParams(P=1, c=2), mass_half_params(TWO_POINT), form=form),
+    lambda form: outer_strong(ChannelParams(P=1, c=2), strong_params(strong_support(3, 2.0), 0.8),
+                              condition_ok=True, form=form),
+], ids=["mass-half", "strong"])
+def test_unknown_form(outer):
+    with pytest.raises(SpecInvalid):
+        outer("printed")
+
+
 class TestOuterStrong:
     def test_requires_condition(self):
         d = strong_support(3, 2.0)
@@ -295,6 +314,34 @@ class TestContinuous:
         assert cp.prob_I == pytest.approx(1.0, abs=1e-9)
         assert cp.a_prime == u.lo
         assert cp.G_tilde_cont == 0.0
+
+    @pytest.mark.parametrize("law,interval", [
+        ("gaussian", (-1.0, 1.0)), ("gaussian", (-0.8, 1.3)), ("rayleigh", (-1.0, 1.5)),
+        ("rayleigh", None), ("uniform", (-1.5, 1.5)), ("uniform", (-1.8, 1.8)),
+        # a triangle whose density meets P(I)/(b-a) = 1/2 on the grid, at x = -1/2
+        (TabulatedDensity(((-1.0, 0.0), (0.0, 1.0), (1.0, 0.0))), (-1.0, 1.0)),
+    ])
+    def test_a_prime_matches_grid_scan(self, law, interval):
+        # the first grid point on the level, else bisection of the first
+        # sign change, found by a plain scan over the 2001-point grid
+        dist = parse_distribution(law)
+        a, b = interval or dist.support()
+        cp = continuous_interval_params(dist, (a, b))
+        target = cp.prob_I / (b - a)
+        xs = np.linspace(a, b, 2001)
+        fs = dist.pdf(xs) - target
+        if np.max(np.abs(fs)) < 1e-12:
+            assert cp.a_prime == a
+            return
+        i = next(i for i in range(len(xs)) if fs[i] == 0.0 or fs[i] * fs[i + 1] < 0)
+        if fs[i] == 0.0:
+            assert cp.a_prime == xs[i]
+            return
+        lo, hi = xs[i], xs[i + 1]
+        for _ in range(100):
+            mid = 0.5 * (lo + hi)
+            lo, hi = (lo, mid) if fs[i] * (float(dist.pdf(mid)) - target) <= 0 else (mid, hi)
+        assert cp.a_prime == 0.5 * (lo + hi)
 
     def test_interval_mass_too_small(self):
         with pytest.raises(IntervalMassTooSmall):

@@ -6,6 +6,7 @@ import pytest
 
 from fadingdirt import errors
 from fadingdirt.cli import main
+from fadingdirt.fading import strong_support
 
 
 def run_cli(capsys, *argv):
@@ -43,6 +44,9 @@ class TestBounds:
         capsys.readouterr()
 
 
+_STRONG3 = json.dumps(strong_support(3, 2.0).to_json())
+_ONE_ATOM = '{"kind":"discrete","atoms":[[0,1]]}'
+
 # outside input the theorems cannot take: malformed literals and files, and
 # laws of the wrong kind
 _BAD_INPUT = {
@@ -68,6 +72,15 @@ _BAD_INPUT = {
     "mi-infinite-a-target": ["mi", "--P", "3", "--a-target", "inf"],
     "gp-negative-seed": ["gp", "--example", "binary-nonoise", "--seed", "-1"],
     "gp-nan-tol": ["gp", "--example", "binary-nonoise", "--tol", "nan"],
+    "sweep-negative-c2": ["sweep", "--theorem", "no-rcsi", "--dist", "gaussian",
+                          "--c2-grid", "-1"],
+    "sweep-strong-zero-c2": ["sweep", "--theorem", "strong", "--dist", _STRONG3,
+                             "--c2-grid", "0", "--P-grid", "1"],
+    "bounds-strong-one-atom": ["bounds", "--theorem", "strong", "--P", "1", "--c", "2",
+                               "--dist", _ONE_ATOM],
+    "sweep-strong-one-atom": ["sweep", "--theorem", "strong", "--dist", _ONE_ATOM],
+    "mi-norcsi-overflow": ["mi", "--P", "3", "--no-rcsi", "--n", "10000",
+                           "--dist", '{"kind":"lognormal","sigma2":800}'],
 }
 # continuous-law literals with a non-finite or non-positive parameter, under
 # both commands that integrate or sample the law, and the error each must name
@@ -78,7 +91,13 @@ _BAD_LAWS = {
     "uniform-infinite": ('{"kind":"uniform","lo":"-inf","hi":1}', "NonFinite"),
     "rayleigh-infinite": ('{"kind":"rayleigh","sigma":"inf"}', "NonFinite"),
 }
-_EXPECTED_KIND = {}
+_EXPECTED_KIND = {
+    "sweep-negative-c2": "SpecInvalid",
+    "sweep-strong-zero-c2": "ZeroGain",
+    "bounds-strong-one-atom": "NotUniform",
+    "sweep-strong-one-atom": "NotUniform",
+    "mi-norcsi-overflow": "NonFinite",
+}
 for _name, (_law, _kind) in _BAD_LAWS.items():
     _BAD_INPUT[f"bounds-{_name}"] = ["bounds", "--theorem", "continuous", "--P", "10",
                                      "--c", "3", "--dist", _law]

@@ -15,6 +15,7 @@ from fadingdirt.errors import (
     InvalidP,
     NonFinite,
     NotUnitVariance,
+    SpecInvalid,
     ZeroVariance,
 )
 from fadingdirt.fading import (
@@ -275,6 +276,14 @@ class TestSampler:
     def test_rejects_nonpositive_n(self):
         with pytest.raises(InvalidN):
             sample(TWO_POINT, 0, 0)
+
+    def test_rejects_negative_seed(self):
+        with pytest.raises(SpecInvalid):
+            sample(Gaussian(), -1, 10)
+
+    def test_root_stream_of_the_seed(self):
+        want = np.random.default_rng(np.random.SeedSequence(42)).normal(0.0, 1.0, size=100)
+        assert np.array_equal(sample(Gaussian(), 42, 100), want)
 
 
 class TestParsing:
