@@ -29,7 +29,7 @@ from .errors import (
     ZeroAtomCollision,
     ZeroGain,
 )
-from .fading import Discrete, FadingDistribution
+from .fading import Discrete, FadingDistribution, check_mass, integrate
 
 
 @dataclass(frozen=True)
@@ -312,14 +312,16 @@ def inner_strong(params: ChannelParams, support: Discrete) -> RateBound:
 def continuous_interval_params(dist: FadingDistribution, interval) -> ContinuousOuterParams:
     """Mean-value point a' with pdf(a')(b-a) = P(I), and the log-distance
     integral over the complement of I."""
-    from scipy import integrate
-
     if dist.is_discrete:
         raise NotUniform("continuous outer bound needs a density")
     a, b = float(interval[0]), float(interval[1])
     if not b > a:
         raise IntervalMassTooSmall("empty interval")
-    prob_i, err = integrate.quad(lambda x: float(dist.pdf(x)), a, b, limit=300, epsabs=1e-10)
+    prob_i = integrate(dist, lambda x, p: p, a, b, 1e-10)[0]
+    lo_s, hi_s = dist.support()
+    # over the support, P(I) is the mass itself
+    check_mass(prob_i if (a, b) == (lo_s, hi_s)
+               else integrate(dist, lambda x, p: p, lo_s, hi_s, 1e-10)[0])
     if prob_i < 0.5 - 1e-8:
         raise IntervalMassTooSmall(f"P(I) = {prob_i!r} < 1/2")
 
@@ -346,13 +348,10 @@ def continuous_interval_params(dist: FadingDistribution, interval) -> Continuous
                 lo = mid
         a_prime = 0.5 * (lo + hi)
 
-    lo_s, hi_s = dist.support()
     g = 0.0
     for lo, hi in ((lo_s, a), (b, hi_s)):  # the complement of I, left side first
         if lo < hi:
-            v, _ = integrate.quad(lambda x: float(dist.pdf(x)) * math.log2((x - a_prime) ** 2),
-                                  lo, hi, limit=300, epsabs=1e-7)
-            g += v
+            g += integrate(dist, lambda x, p: p * math.log2((x - a_prime) ** 2), lo, hi, 1e-7)[0]
     return ContinuousOuterParams(prob_I=prob_i, a_prime=a_prime, G_tilde_cont=g)
 
 
@@ -366,16 +365,10 @@ def outer_continuous(params: ChannelParams, cp: ContinuousOuterParams) -> RateBo
 
 def inner_continuous(params: ChannelParams, dist: FadingDistribution, a_prime: float) -> RateBound:
     """Costa precoding against c*a'*S under continuous fading, by quadrature."""
-    from scipy import integrate
-
     P, c2 = params.P, params.c ** 2
     lo, hi = dist.support()
-
-    def integrand(x):
-        return float(dist.pdf(x)) * math.log2(
-            P * c2 / (P + c2 * x * x + 1) * (x - a_prime) ** 2 + 1.0)
-
-    loss, _ = integrate.quad(integrand, lo, hi, limit=300, epsabs=1e-8)
+    loss = integrate(dist, lambda x, p: p * math.log2(
+        P * c2 / (P + c2 * x * x + 1) * (x - a_prime) ** 2 + 1.0), lo, hi, 1e-8)[0]
     bits = max(0.0, 0.5 * math.log2(1 + P) - 0.5 * loss)
     return RateBound(bits=bits, theorem="continuous-inner", branch="costa",
                      assumptions_ok={})

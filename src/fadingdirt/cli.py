@@ -54,9 +54,10 @@ def _build_parser():
                    help="piecewise form for mass-half/strong outer bounds")
 
     s = sub.add_parser("sweep", help="run a parameter sweep")
-    s.add_argument("--preset", default=None,
-                   help="named sweep preset (e.g. gaussian-smoke, mass-half)")
-    s.add_argument("--theorem", default=None, choices=THEOREMS)
+    mode = s.add_mutually_exclusive_group()
+    mode.add_argument("--preset", default=None,
+                      help="named sweep preset (e.g. gaussian-smoke, mass-half)")
+    mode.add_argument("--theorem", default=None, choices=THEOREMS)
     s.add_argument("--dist", default=None, help="fading law for --theorem sweeps")
     s.add_argument("--P-grid", default=None, help="comma-separated P values")
     s.add_argument("--c2-grid", default=None, help="comma-separated c^2 values")
@@ -87,10 +88,11 @@ def _build_parser():
     m.add_argument("--seed", type=int, default=0)
 
     g = sub.add_parser("gp", help="solve a finite-alphabet instance")
-    g.add_argument("--instance", default=None, metavar="PATH",
-                   help="GPInstance JSON file")
-    g.add_argument("--example", default=None, choices=["binary-nonoise"],
-                   help="build a canonical instance instead of loading one")
+    source = g.add_mutually_exclusive_group()
+    source.add_argument("--instance", default=None, metavar="PATH",
+                        help="GPInstance JSON file")
+    source.add_argument("--example", default=None, choices=["binary-nonoise"],
+                        help="build a canonical instance instead of loading one")
     g.add_argument("--atoms", default="[[-1,0.5],[1,0.5]]",
                    help="fading atoms JSON for --example")
     g.add_argument("--no-rcsi", action="store_true",

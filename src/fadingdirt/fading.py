@@ -35,6 +35,7 @@ EULER_GAMMA = float(np.euler_gamma)
 _ATOM_PROB_TOL = 1e-12
 _DENSITY_NORM_TOL = 1e-9
 _ENTROPY_QUAD_TOL = 1e-8
+_MASS_TOL = 1e-6
 _GEOMETRIC_TAIL = 1e-13
 
 
@@ -414,31 +415,46 @@ def normalize_unit_variance(dist: FadingDistribution) -> FadingDistribution:
     return dist._affine(scale, -m * scale)
 
 
+def integrate(dist: FadingDistribution, f, lo: float, hi: float, epsabs: float,
+              epsrel: float = 1.49e-8, points=()):
+    """(value, abserr) of the integral of f(x, p(x)) over [lo, hi] with
+    breakpoints `points`, p the law's density; f is not called where p <= 0.
+    The one scipy import; `quad` is looked up at each call, for profilers."""
+    import scipy.integrate
+
+    def integrand(x):
+        p = float(dist.pdf(x))
+        return f(x, p) if p > 0 else 0.0
+
+    return scipy.integrate.quad(integrand, lo, hi, limit=400 + len(points), epsabs=epsabs,
+                                epsrel=epsrel, points=points if len(points) else None)
+
+
+def check_mass(mass: float):
+    """Raise QuadratureFailure unless a quadrature of the density over the
+    support found the law's unit mass: an integrand that sits on a sliver of
+    a wide support is otherwise missed with a small error estimate."""
+    if not abs(mass - 1.0) <= _MASS_TOL:
+        raise QuadratureFailure(f"quadrature found mass {mass!r} over the support, not 1")
+
+
 def entropy_bits_quadrature(dist: FadingDistribution) -> float:
     """Independent quadrature route: -integral of p log2 p over the support.
 
     Kept free of the closed forms so it can serve as their oracle.  The
-    law's kinks are handed to quad as breakpoints: its error estimate on a
-    piecewise-linear density is otherwise far above the tolerance.
+    law's kinks are breakpoints: the error estimate on a piecewise-linear
+    density is otherwise far above the tolerance.
     """
-    from scipy import integrate
-
     if dist.is_discrete:
         raise DiscreteUnsupported("quadrature entropy applies to continuous laws")
     lo, hi = dist.support()
-
-    def integrand(x):
-        p = float(dist.pdf(x))
-        if p <= 0:
-            return 0.0
-        return -p * math.log2(p)
-
     kinks = dist.kinks()
     tol = _ENTROPY_QUAD_TOL
-    val, err = integrate.quad(integrand, lo, hi, limit=400 + len(kinks), epsabs=tol * 0.1,
-                              epsrel=1e-10, points=kinks if len(kinks) else None)
+    val, err = integrate(dist, lambda x, p: -p * math.log2(p), lo, hi, tol * 0.1,
+                         epsrel=1e-10, points=kinks)
     if err > tol:
         raise QuadratureFailure(f"entropy quadrature error {err!r} exceeds {tol!r}")
+    check_mass(integrate(dist, lambda x, p: p, lo, hi, tol * 0.1, epsrel=1e-10, points=kinks)[0])
     return val
 
 
@@ -538,8 +554,9 @@ _SHORTHAND = {
 def parse_distribution(spec) -> FadingDistribution:
     """Build a law from a JSON object, JSON text, or a shorthand name.
 
-    Text that is neither, and a literal with a missing key or a value of the
-    wrong type, raise SpecInvalid."""
+    Text that is neither, a value that is not an object with a known kind,
+    and a literal with a missing key or a value of the wrong type raise
+    SpecInvalid."""
     if isinstance(spec, FadingDistribution):
         return spec
     if isinstance(spec, str):
@@ -549,7 +566,7 @@ def parse_distribution(spec) -> FadingDistribution:
         with malformed(f"law {name!r}, neither a shorthand ({', '.join(_SHORTHAND)}) nor JSON"):
             spec = json.loads(name)
     if not isinstance(spec, dict) or "kind" not in spec:
-        raise NonFinite(f"not a distribution literal: {spec!r}")
+        raise SpecInvalid(f"not a distribution literal: {spec!r}")
     kind = spec["kind"]
     with malformed(f"{kind!r} literal"):
         if kind == "discrete":
@@ -569,4 +586,4 @@ def parse_distribution(spec) -> FadingDistribution:
             )
         if kind == "tabulated":
             return TabulatedDensity(tuple((float(x), float(d)) for x, d in spec["grid"]))
-    raise NonFinite(f"unknown distribution kind {kind!r}")
+    raise SpecInvalid(f"unknown distribution kind {kind!r}")

@@ -24,6 +24,7 @@ from fadingdirt.errors import (
     IntervalMassTooSmall,
     NoDominantAtom,
     NotUniform,
+    QuadratureFailure,
     SpecInvalid,
     ZeroAtomCollision,
     ZeroGain,
@@ -31,6 +32,7 @@ from fadingdirt.errors import (
 from fadingdirt.fading import (
     Discrete,
     Gaussian,
+    LogNormal,
     TabulatedDensity,
     Uniform,
     geometric_fading,
@@ -342,6 +344,15 @@ class TestContinuous:
             mid = 0.5 * (lo + hi)
             lo, hi = (lo, mid) if fs[i] * (float(dist.pdf(mid)) - target) <= 0 else (mid, hi)
         assert cp.a_prime == 0.5 * (lo + hi)
+
+    @pytest.mark.parametrize("interval", [None, (0.5, 2.0)], ids=["support", "interval"])
+    def test_quadrature_that_misses_the_mass_fails(self, interval):
+        # quad sees 7e-12 of this law's mass over its support: the P(I) check
+        # alone read that as IntervalMassTooSmall, and over (0.5, 2), where
+        # P(I) = 0.51 is right, the complement integral G-tilde came out wrong
+        law = LogNormal(0.0, 1.0)
+        with pytest.raises(QuadratureFailure, match="mass"):
+            continuous_interval_params(law, interval or law.support())
 
     def test_interval_mass_too_small(self):
         with pytest.raises(IntervalMassTooSmall):

@@ -46,6 +46,10 @@ class TestBounds:
 
 _STRONG3 = json.dumps(strong_support(3, 2.0).to_json())
 _ONE_ATOM = '{"kind":"discrete","atoms":[[0,1]]}'
+# log-normal laws whose mass a quadrature over the support misses: the first
+# on the 401-node grid of the no-RCSI mixture, the second also under `quad`
+_UNIT_LOGNORMAL = '{"kind":"lognormal","mu":0.0,"sigma2":0.25,"scale":1.6559018331762287}'
+_WIDE_LOGNORMAL = '{"kind":"lognormal","sigma2":1}'
 
 # outside input the theorems cannot take: malformed literals and files, and
 # laws of the wrong kind
@@ -81,6 +85,16 @@ _BAD_INPUT = {
     "sweep-strong-one-atom": ["sweep", "--theorem", "strong", "--dist", _ONE_ATOM],
     "mi-norcsi-overflow": ["mi", "--P", "3", "--no-rcsi", "--n", "10000",
                            "--dist", '{"kind":"lognormal","sigma2":800}'],
+    "mi-norcsi-nonfinite": ["mi", "--P", "3", "--no-rcsi", "--n", "10000",
+                            "--dist", '{"kind":"discrete","atoms":[[-1e170,0.5],[1e170,0.5]]}'],
+    "mi-norcsi-lognormal": ["mi", "--P", "3", "--c", "2", "--no-rcsi", "--n", "10000",
+                            "--dist", _UNIT_LOGNORMAL],
+    "unknown-kind": ["bounds", "--theorem", "no-rcsi", "--P", "1", "--dist", '{"kind":"nope"}'],
+    "not-an-object": ["bounds", "--theorem", "no-rcsi", "--P", "1", "--dist", "[1, 2]"],
+    "sweep-wide-lognormal": ["sweep", "--theorem", "continuous", "--dist", _WIDE_LOGNORMAL,
+                             "--P-grid", "1", "--c2-grid", "1"],
+    "bounds-wide-lognormal-interval": ["bounds", "--theorem", "continuous", "--P", "1",
+                                       "--dist", _WIDE_LOGNORMAL, "--interval", "0.5", "2"],
 }
 # continuous-law literals with a non-finite or non-positive parameter, under
 # both commands that integrate or sample the law, and the error each must name
@@ -96,7 +110,13 @@ _EXPECTED_KIND = {
     "sweep-strong-zero-c2": "ZeroGain",
     "bounds-strong-one-atom": "NotUniform",
     "sweep-strong-one-atom": "NotUniform",
-    "mi-norcsi-overflow": "NonFinite",
+    "mi-norcsi-overflow": "QuadratureFailure",
+    "mi-norcsi-nonfinite": "NonFinite",
+    "mi-norcsi-lognormal": "QuadratureFailure",
+    "unknown-kind": "SpecInvalid",
+    "not-an-object": "SpecInvalid",
+    "sweep-wide-lognormal": "QuadratureFailure",
+    "bounds-wide-lognormal-interval": "QuadratureFailure",
 }
 for _name, (_law, _kind) in _BAD_LAWS.items():
     _BAD_INPUT[f"bounds-{_name}"] = ["bounds", "--theorem", "continuous", "--P", "10",
@@ -164,6 +184,17 @@ class TestSweepVerify:
             main(list(argv))
         assert exc.value.code == 2
         capsys.readouterr()
+
+    @pytest.mark.parametrize("argv", [
+        ("sweep", "--preset", "gaussian-smoke", "--theorem", "mass-half", "--dist", "two-point",
+         "--P-grid", "7"),
+        ("gp", "--example", "binary-nonoise", "--instance", "f.json"),
+    ], ids=["sweep-preset-and-theorem", "gp-example-and-instance"])
+    def test_conflicting_modes_rejected(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(list(argv))
+        assert exc.value.code == 2
+        assert "not allowed with argument" in capsys.readouterr().err
 
     def test_zero_atom_without_dominant_atom_exit_3(self, capsys):
         dist = '{"kind":"discrete","atoms":[[-1,0.45],[0,0.1],[1,0.45]]}'

@@ -15,6 +15,7 @@ from fadingdirt.errors import (
     InvalidP,
     NonFinite,
     NotUnitVariance,
+    QuadratureFailure,
     SpecInvalid,
     ZeroVariance,
 )
@@ -30,6 +31,7 @@ from fadingdirt.fading import (
     entropy_bits_quadrature,
     entropy_power_alpha,
     geometric_fading,
+    integrate,
     normalize_unit_variance,
     parse_distribution,
     sample,
@@ -66,6 +68,13 @@ class TestEntropy:
         r = unit_rayleigh()
         h_nats = 1 + math.log(r.sigma / math.sqrt(2)) + np.euler_gamma / 2
         assert r.entropy_bits() == pytest.approx(h_nats / math.log(2), abs=1e-12)
+
+    @pytest.mark.parametrize("sigma2", [1.0, 2.0])
+    def test_quadrature_that_misses_the_mass_fails(self, sigma2):
+        # the density sits on a sliver of its support near 0, so quad sees
+        # almost none of it (h = 2.047 bits at sigma2 = 1) with a tiny error
+        with pytest.raises(QuadratureFailure, match="mass"):
+            entropy_bits_quadrature(LogNormal(0.0, sigma2))
 
     def test_quadrature_rejects_discrete(self):
         with pytest.raises(DiscreteUnsupported):
@@ -116,6 +125,29 @@ class TestTabulatedEntropy:
         assert code == 0, captured.err
         payload = json.loads(captured.out)
         assert payload["inner"]["bits"] <= payload["outer"]["bits"]
+
+
+class TestIntegrate:
+    def test_density_weighted_integral(self):
+        value, err = integrate(Gaussian(0.0, 1.0), lambda x, p: p * x * x, -12.0, 12.0, 1e-12)
+        assert value == pytest.approx(1.0, abs=1e-10)
+        assert 0.0 <= err < 1e-10
+
+    def test_f_not_called_off_the_density(self):
+        seen = []
+        value, _ = integrate(Uniform(0.0, 1.0), lambda x, p: seen.append(x) or p,
+                             -1.0, 2.0, 1e-10, points=(0.0, 1.0))
+        assert value == pytest.approx(1.0, abs=1e-12)
+        assert seen and all(0.0 <= x <= 1.0 for x in seen)
+
+    def test_quad_looked_up_at_each_call(self, monkeypatch):
+        # a profiler counts quadratures by replacing scipy.integrate.quad
+        import scipy.integrate
+        quad, calls = scipy.integrate.quad, []
+        monkeypatch.setattr(scipy.integrate, "quad",
+                            lambda *a, **k: calls.append(a[1:3]) or quad(*a, **k))
+        entropy_bits_quadrature(Uniform(-1.0, 1.0))
+        assert calls == [(-1.0, 1.0), (-1.0, 1.0)]  # the entropy, then the mass
 
 
 class TestEntropyPower:
@@ -305,10 +337,12 @@ class TestParsing:
         assert d == Gaussian(2.0, 3.0)
 
     def test_bad_literals(self):
-        with pytest.raises(NonFinite):
+        with pytest.raises(SpecInvalid):
             parse_distribution({"kind": "nope"})
-        with pytest.raises(NonFinite):
+        with pytest.raises(SpecInvalid):
             parse_distribution({"no_kind": 1})
+        with pytest.raises(SpecInvalid):
+            parse_distribution("[1, 2]")
 
 
 class TestValidation:

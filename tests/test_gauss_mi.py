@@ -1,6 +1,7 @@
 import json
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -10,9 +11,17 @@ from fadingdirt.bounds_norcsi import ChannelParams, inner_no_rcsi_with_k, k_star
 from fadingdirt.errors import (
     DiscreteUnsupported,
     InsufficientSamples,
+    QuadratureFailure,
     SingularCovariance,
 )
-from fadingdirt.fading import Discrete, Gaussian, geometric_fading, parse_distribution
+from fadingdirt.fading import (
+    Discrete,
+    Gaussian,
+    LogNormal,
+    geometric_fading,
+    normalize_unit_variance,
+    parse_distribution,
+)
 from fadingdirt.gauss_mi import (
     CostaAssignment,
     costa_inflation,
@@ -110,6 +119,18 @@ class TestMonteCarlo:
         with pytest.raises(SingularCovariance):
             mi_monte_carlo(ChannelParams(P=1, c=1), TWO_POINT,
                            CostaAssignment(a_target=1.0, split_delta=0.0), 10 ** 4, 0)
+
+    @pytest.mark.parametrize("law", [normalize_unit_variance(LogNormal(0.0, 0.25)),
+                                     LogNormal(0.0, 800.0)], ids=["unit", "sigma2-800"])
+    def test_grid_that_misses_the_mass_fails_before_sampling(self, law):
+        # 401 nodes spread over +-14 log-sigma carry 0.106 of the unit law's
+        # mass (its estimate fell 150 stderr below the Gaussian lower bound);
+        # at sigma2 = 800 the atoms near 1e170 overflowed the moments
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(QuadratureFailure, match="mass"):
+                mi_monte_carlo(ChannelParams(P=3, c=2), law, CostaAssignment(rcsi=False),
+                               10 ** 4, 0)
 
 
 # the seed-0 tabulated law of the benchmark: a two-hump density on 15 nodes

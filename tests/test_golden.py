@@ -1,13 +1,24 @@
 """Output bytes pinned by sha256: the full claim-verification report, every
-sweep preset, the continuous sweeps, and one `bounds` point per theorem and
-form.  A refactor of the bound, sweep or emission layers must leave these
-hashes unchanged."""
+sweep preset, the continuous sweeps (one on a log-normal law), one `bounds`
+point per theorem and form, the interval bound on each continuous shorthand
+law and the no-RCSI bound on a tabulated law.  A refactor of the bound,
+sweep or emission layers must leave these hashes unchanged."""
 
 import hashlib
 
 import pytest
 
 from fadingdirt.cli import main
+
+# unit-variance log-normal with log-variance 1/4
+_LOGNORMAL = '{"kind": "lognormal", "mu": 0.0, "sigma2": 0.25, "scale": 1.6559018331762287}'
+# unit-variance two-hump density on 9 nodes; its entropy quadrature takes the
+# 7 interior nodes as breakpoints
+_TABULATED = ('{"kind":"tabulated","grid":[[-2.1492304319951656,0.0],'
+              '[-1.6157335162516846,0.16066500702226996],[-1.0822366005082038,0.4284400187260533],'
+              '[-0.5487396847647231,0.21422000936302665],[-0.015242769021242313,0.16066500702226996],'
+              '[0.5182541467222385,0.3213300140445399],[1.0517510624657194,0.48199502106680997],'
+              '[1.5852479782092002,0.10711000468151333],[2.1187448939526807,0.0]]}')
 
 GOLDEN = {
     ("verify", "--preset", "all", "--grid", "full", "--format", "csv"):
@@ -40,6 +51,8 @@ GOLDEN = {
         "e4b70926a6e3c205a08046451b7f5d87456cc13534de8b5c2f6807fadaa949eb",
     ("sweep", "--theorem", "continuous", "--dist", "uniform", "--format", "json"):
         "7ebe2b44f2438b4a8b54a8a76bdc6257cf4b8b9a04a54fb8a5440324c233da36",
+    ("sweep", "--theorem", "continuous", "--dist", _LOGNORMAL, "--format", "csv"):
+        "821d01e277a226bc254eeb598a3aab9acf7654d21d3459c1228a2eb2fc9c5c6c",
 }
 
 _THREE_ATOMS = '{"kind":"discrete","atoms":[[-1.0,0.6],[0.5,0.3],[2.0,0.1]]}'
@@ -74,6 +87,17 @@ BOUNDS_GOLDEN = {
         ("--theorem", "continuous", "--P", "10", "--c", "8", "--dist", "gaussian",
          "--interval", "-1", "1"),
         "1c9f10fcad79c4b605f853ad5b4e67b9c0dff2d22c0c1b7f18f91ed14e78507d"),
+    "continuous-uniform": (
+        ("--theorem", "continuous", "--P", "10", "--c", "3", "--dist", "uniform",
+         "--interval", "-1", "1"),
+        "2c36feb33c4cfc78ab6a0e11bc7525f75dc49b8411360efdb014e4b6cba45067"),
+    "continuous-rayleigh": (
+        ("--theorem", "continuous", "--P", "10", "--c", "3", "--dist", "rayleigh",
+         "--interval", "-1", "1"),
+        "95b25628159d227e36299db3a5fe7c73d161b37b0d4087fd3ab83b43c3978aa6"),
+    "no-rcsi-tabulated": (
+        ("--theorem", "no-rcsi", "--P", "3", "--c", "2", "--dist", _TABULATED),
+        "66096b34e0d32df4c87b6e9dcea909112d42e6fae13af83b4d960648d4f47190"),
 }
 
 

@@ -39,8 +39,8 @@ def _found(match, allowed):
             if not allowed(path.name, owner)]
 
 
-# the quadrature routines; scipy is a test oracle everywhere else
-SCIPY_HOSTS = {"entropy_bits_quadrature", "continuous_interval_params", "inner_continuous"}
+# the one integrator, `fading.integrate`; scipy is a test oracle everywhere else
+SCIPY_HOSTS = {"integrate"}
 
 
 def _scipy_import(node):
@@ -52,7 +52,8 @@ def _scipy_import(node):
 def test_scipy_imported_only_by_quadrature():
     """A scipy import anywhere else would put its ~0.5 s import back into
     the start-up of commands that never integrate."""
-    assert _found(_scipy_import, lambda name, owner: owner in SCIPY_HOSTS) == []
+    assert _found(_scipy_import,
+                  lambda name, owner: name == "fading.py" and owner in SCIPY_HOSTS) == []
 
 
 SEEDING = {"default_rng", "SeedSequence"}
