@@ -62,7 +62,8 @@ def _build_parser():
     s.add_argument("--P-grid", default=None, help="comma-separated P values")
     s.add_argument("--c2-grid", default=None, help="comma-separated c^2 values")
     s.add_argument("--Q-grid", default=None, help="comma-separated Q values")
-    s.add_argument("--delta", type=float, default=math.pi / 2)
+    s.add_argument("--delta", type=float, default=None,
+                   help="phase half-angle in radians (default pi/2)")
     add_output(s)
 
     v = sub.add_parser("verify", help="check the gap claims on canonical grids")
@@ -93,11 +94,12 @@ def _build_parser():
                         help="GPInstance JSON file")
     source.add_argument("--example", default=None, choices=["binary-nonoise"],
                         help="build a canonical instance instead of loading one")
-    g.add_argument("--atoms", default="[[-1,0.5],[1,0.5]]",
-                   help="fading atoms JSON for --example")
-    g.add_argument("--no-rcsi", action="store_true",
+    g.add_argument("--atoms", default=None,
+                   help="fading atoms JSON for --example (default [[-1,0.5],[1,0.5]])")
+    g.add_argument("--no-rcsi", action="store_true", default=None,
                    help="average the fading into the kernel for --example")
-    g.add_argument("--aux-size", type=int, default=4)
+    g.add_argument("--aux-size", type=int, default=None,
+                   help="auxiliary alphabet size for --example (default 4)")
     g.add_argument("--restarts", type=int, default=32)
     g.add_argument("--seed", type=int, default=0)
     g.add_argument("--tol", type=float, default=1e-10)
@@ -235,9 +237,33 @@ _COMMANDS = {
 }
 
 
-def main(argv=None) -> int:
+# flags that a mode does not read, with their values when omitted
+_UNREAD_BY = {
+    ("sweep", "preset"): {"dist": None, "P_grid": None, "c2_grid": None, "Q_grid": None,
+                          "delta": math.pi / 2},
+    ("gp", "instance"): {"atoms": "[[-1,0.5],[1,0.5]]", "no_rcsi": False, "aux_size": 4},
+}
+
+
+def _parse(argv):
+    """Parsed flags; a flag that the chosen mode would ignore is a parse
+    error (exit 2), and an omitted one takes its default."""
     parser = _build_parser()
     args = parser.parse_args(argv)
+    for (command, mode), defaults in _UNREAD_BY.items():
+        if args.command != command:
+            continue
+        for dest, default in defaults.items():
+            if getattr(args, dest) is None:
+                setattr(args, dest, default)
+            elif getattr(args, mode) is not None:
+                parser.error(f"argument --{dest.replace('_', '-')}: "
+                             f"not allowed with argument --{mode}")
+    return args
+
+
+def main(argv=None) -> int:
+    args = _parse(argv)
     try:
         return _COMMANDS[args.command](args)
     except ToolkitError as exc:

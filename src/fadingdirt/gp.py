@@ -31,7 +31,7 @@ from .fading import _frozen_array, seeded_rng
 _ROW_TOL = 1e-12
 _LOG_FLOOR = 1e-300
 _MAX_ITERS = 2000  # ascent steps per restart
-_CHUNK = 1024  # exhaustive grid points per `_objective` call: _CHUNK * |U| * |Y| floats
+_CHUNK = 1024  # grid points or restarts per `_objective` call: _CHUNK * |U| * |Y| floats
 
 
 @dataclass(frozen=True)
@@ -117,11 +117,11 @@ def _coerce_assignment(inst, p_u_given_s, x_of_us):
 
 
 def _joint(inst, p, x):
-    """The laws p(u,s) and p(u,y) induced by (p(u|s), x(u,s)); p may carry
-    leading batch axes, and so do the laws."""
+    """The laws p(u,s) and p(u,y) induced by (p(u|s), x(u,s)); p and x may
+    carry leading batch axes, and so do the laws."""
     p_su = p * inst.prior_array
-    Wp = inst.kernel_array[x, np.arange(len(inst.states)), :]  # (nu, ns, ny)
-    return p_su, np.einsum("...us,usy->...uy", p_su, Wp)
+    Wp = inst.kernel_array[x, np.arange(len(inst.states)), :]  # (..., nu, ns, ny)
+    return p_su, np.einsum("...us,...usy->...uy", p_su, Wp)
 
 
 def _mi(joint, ma, mb):
@@ -149,42 +149,59 @@ def optimize_alternating(inst: GPInstance, restarts: int = 32, seed: int = 0,
 
     The p-step is a softmax minorize-maximize update (monotone); the x-step
     greedily reselects each deterministic input against the current reverse
-    channel.  Best value over random restarts wins, lowest restart index on
-    ties, so the result depends only on (restarts, seed, tol).
+    channel.  Restart r starts from `seeded_rng(seed, r)`; the restarts
+    ascend together, `_CHUNK` at a time.  Best value over the restarts wins,
+    lowest restart index on ties, so the result depends only on
+    (restarts, seed, tol).
     """
     if restarts < 1 or not tol > 0:
         raise SpecInvalid("need restarts >= 1 and tol > 0")
-    W = inst.kernel_array
     nu, ns = inst.aux_size, len(inst.states)
     best_val, best_asg = -math.inf, None
-    for r in range(restarts):
-        rng = seeded_rng(seed, r)
-        p = rng.dirichlet(np.ones(nu), size=ns).T  # (nu, ns)
-        x = rng.integers(0, len(inst.inputs), size=(nu, ns))
-        p_su, p_uy = _joint(inst, p, x)
-        val = float(_objective(inst, p_su, p_uy))
-        for _ in range(_MAX_ITERS):
-            q = p_uy / np.maximum(p_uy.sum(axis=0), _LOG_FLOOR)
-            logq = np.log(np.maximum(q, _LOG_FLOOR))
-            # greedy x-step: per (u,s) pick the input maximizing E[log q(u|Y)]
-            scores = np.einsum("xsy,uy->usx", W, logq)
-            x = scores.argmax(axis=2)
-            # p-step: p(u|s) proportional to exp(E[log q(u|Y)]) at the new x
-            t = scores.max(axis=2)
-            t -= t.max(axis=0, keepdims=True)
-            p = np.exp(t)
-            p /= p.sum(axis=0, keepdims=True)
-            p_su, p_uy = _joint(inst, p, x)  # the one joint law of this step
-            new_val = float(_objective(inst, p_su, p_uy))
-            if new_val < val - 1e-9:
-                raise AscentNotMonotone(f"restart {r}: step lowered {val!r} to {new_val!r}")
-            if new_val - val < tol:
-                val = new_val
-                break
-            val = new_val
-        if val > best_val + 1e-15:
-            best_val, best_asg = val, (p, x)
+    for lo in range(0, restarts, _CHUNK):
+        rngs = [seeded_rng(seed, r) for r in range(lo, min(lo + _CHUNK, restarts))]
+        p = np.stack([rng.dirichlet(np.ones(nu), size=ns).T for rng in rngs])
+        x = np.stack([rng.integers(0, len(inst.inputs), size=(nu, ns)) for rng in rngs])
+        vals = _ascend(inst, p, x, tol, lo)
+        for i, val in enumerate(vals.tolist()):
+            if val > best_val + 1e-15:
+                best_val, best_asg = val, (p[i], x[i])
     return best_val, best_asg
+
+
+def _ascend(inst, p, x, tol, first):
+    """Ascend the restarts `first`, `first` + 1, ... from their starts
+    (p, x) of shape (R, |U|, |S|), in place, one step of every live restart
+    per `_objective` call; a restart stops once its step gains less than
+    `tol` or after `_MAX_ITERS` steps.  Returns the final values."""
+    W = inst.kernel_array
+    p_su, p_uy = _joint(inst, p, x)
+    vals = _objective(inst, p_su, p_uy)
+    live, lowered = np.arange(len(p)), []
+    for _ in range(_MAX_ITERS):
+        if not live.size:
+            break
+        q = p_uy / np.maximum(p_uy.sum(axis=-2, keepdims=True), _LOG_FLOOR)
+        logq = np.log(np.maximum(q, _LOG_FLOOR))
+        # greedy x-step: per (u,s) pick the input maximizing E[log q(u|Y)]
+        scores = np.einsum("xsy,ruy->rusx", W, logq)
+        x_new = scores.argmax(axis=-1)
+        # p-step: p(u|s) proportional to exp(E[log q(u|Y)]) at the new x
+        t = scores.max(axis=-1)
+        t -= t.max(axis=-2, keepdims=True)
+        p_new = np.exp(t)
+        p_new /= p_new.sum(axis=-2, keepdims=True)
+        p_su, p_uy = _joint(inst, p_new, x_new)  # the one joint law of this step
+        new, old = _objective(inst, p_su, p_uy), vals[live]
+        p[live], x[live], vals[live] = p_new, x_new, new
+        down = new < old - 1e-9
+        lowered.extend(zip(live[down].tolist(), old[down].tolist(), new[down].tolist()))
+        keep = ~down & ~(new - old < tol)
+        live, p_uy = live[keep], p_uy[keep]
+    if lowered:
+        r, old, new = min(lowered)
+        raise AscentNotMonotone(f"restart {first + r}: step lowered {old!r} to {new!r}")
+    return vals
 
 
 def optimize_exhaustive(inst: GPInstance, prob_grid: int = 11):

@@ -2,6 +2,7 @@ import itertools
 import json
 import math
 
+import numpy as np
 import pytest
 
 from fadingdirt import errors
@@ -196,6 +197,30 @@ class TestSweepVerify:
         assert exc.value.code == 2
         assert "not allowed with argument" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [
+        ("sweep", "--preset", "gaussian-smoke", "--dist", "two-point"),
+        ("sweep", "--preset", "gaussian-smoke", "--P-grid", "7"),
+        ("sweep", "--preset", "gaussian-smoke", "--c2-grid", "4"),
+        ("sweep", "--preset", "phase-binomial", "--Q-grid", "1"),
+        ("sweep", "--preset", "phase-binomial", "--delta", "0"),
+        ("gp", "--instance", "f.json", "--atoms", "[[1,1]]"),
+        ("gp", "--instance", "f.json", "--no-rcsi"),
+        ("gp", "--instance", "f.json", "--aux-size", "4"),
+    ], ids=lambda argv: f"{argv[1]}-{argv[3]}")
+    def test_flags_the_mode_ignores_rejected(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(list(argv))
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"argument {argv[3]}: not allowed with argument {argv[1]}" in err
+
+    def test_omitted_delta_is_a_right_angle(self, capsys):
+        base = ("sweep", "--theorem", "phase-binomial", "--P-grid", "1,10", "--Q-grid", "4")
+        _, omitted, _ = run_cli(capsys, *base)
+        _, given, _ = run_cli(capsys, *base, "--delta", repr(math.pi / 2))
+        _, other, _ = run_cli(capsys, *base, "--delta", "1.2")
+        assert omitted == given != other
+
     def test_zero_atom_without_dominant_atom_exit_3(self, capsys):
         dist = '{"kind":"discrete","atoms":[[-1,0.45],[0,0.1],[1,0.45]]}'
         code, out, err = run_cli(capsys, "sweep", "--theorem", "mass-half",
@@ -248,12 +273,30 @@ class TestMiGp:
     def test_gp_non_monotone_step_exit_3(self, capsys, monkeypatch):
         from fadingdirt import gp
         values = itertools.count(0.0, -1.0)  # every step loses a bit
-        monkeypatch.setattr(gp, "_objective", lambda inst, p_su, p_uy: next(values))
+        monkeypatch.setattr(gp, "_objective",
+                            lambda inst, p_su, p_uy: np.full(p_su.shape[:-2], next(values)))
         code, out, err = run_cli(capsys, "gp", "--example", "binary-nonoise",
                                  "--restarts", "1")
         assert code == 3
         assert out == ""
         assert "AscentNotMonotone" in err
+
+    def test_gp_one_restart_loses_value_exit_3(self, capsys, monkeypatch):
+        from fadingdirt import gp
+        calls = itertools.count()
+
+        def objective(inst, p_su, p_uy):  # restart 2 of 4 loses a bit at its first step
+            vals = np.zeros(p_su.shape[:-2])
+            if next(calls):
+                vals[2] = -1.0
+            return vals
+
+        monkeypatch.setattr(gp, "_objective", objective)
+        code, out, err = run_cli(capsys, "gp", "--example", "binary-nonoise",
+                                 "--restarts", "4")
+        assert code == 3
+        assert out == ""
+        assert err == "error: AscentNotMonotone: restart 2: step lowered 0.0 to -1.0\n"
 
     def test_gp_needs_source(self, capsys):
         code, _, err = run_cli(capsys, "gp")

@@ -7,12 +7,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fadingdirt.errors import (
+    AscentNotMonotone,
     DegenerateAtoms,
     InstanceTooLarge,
     MalformedAssignment,
     SpecInvalid,
 )
 from fadingdirt import gp
+from fadingdirt.fading import seeded_rng
 from fadingdirt.gp import (
     GPInstance,
     binary_nonoise_instance,
@@ -77,6 +79,41 @@ def blahut_arimoto(W, iters=3000):
     return float(np.sum(q[mask] * np.log2(q[mask] / (r[:, None] * py[None, :])[mask])))
 
 
+def serial_alternating(inst, restarts, seed, tol=1e-10):
+    """Reference ascent: the restarts one after another, each step on one
+    (p, x) pair.  Returns (value, (p, x), ascent steps of each restart)."""
+    W = inst.kernel_array
+    nu, ns = inst.aux_size, len(inst.states)
+    best_val, best_asg, steps = -math.inf, None, []
+    for r in range(restarts):
+        rng = seeded_rng(seed, r)
+        p = rng.dirichlet(np.ones(nu), size=ns).T  # (nu, ns)
+        x = rng.integers(0, len(inst.inputs), size=(nu, ns))
+        p_su, p_uy = gp._joint(inst, p, x)
+        val = float(gp._objective(inst, p_su, p_uy))
+        for k in range(gp._MAX_ITERS):
+            q = p_uy / np.maximum(p_uy.sum(axis=0), gp._LOG_FLOOR)
+            logq = np.log(np.maximum(q, gp._LOG_FLOOR))
+            scores = np.einsum("xsy,uy->usx", W, logq)
+            x = scores.argmax(axis=2)
+            t = scores.max(axis=2)
+            t -= t.max(axis=0, keepdims=True)
+            p = np.exp(t)
+            p /= p.sum(axis=0, keepdims=True)
+            p_su, p_uy = gp._joint(inst, p, x)
+            new_val = float(gp._objective(inst, p_su, p_uy))
+            if new_val < val - 1e-9:
+                raise AscentNotMonotone(f"restart {r}: step lowered {val!r} to {new_val!r}")
+            if new_val - val < tol:
+                val = new_val
+                break
+            val = new_val
+        steps.append(k + 1)
+        if val > best_val + 1e-15:
+            best_val, best_asg = val, (p, x)
+    return best_val, best_asg, steps
+
+
 BSC = GPInstance(states=(0,), prior=(1.0,), inputs=(0, 1), aux_size=2,
                  outputs=(0, 1), kernel=(((0.9, 0.1),), ((0.1, 0.9),)))
 
@@ -113,6 +150,27 @@ PARENT_AUX3_GRID11 = {
     "atoms3-norcsi": (ATOMS_3, False, 0.6666666666666665,
                       [[5, 0], [0, 5], [5, 5]], [[0, 0], [0, 1], [1, 0]]),
 }
+
+
+NOISELESS = GPInstance(states=(0,), prior=(1.0,), inputs=(0, 1), aux_size=2,
+                       outputs=(0, 1), kernel=(((1.0, 0.0),), ((0.0, 1.0),)))
+ATOMS_M112 = [(-1.0, 1 / 3), (1.0, 1 / 3), (2.0, 1 / 3)]
+# the instances on which the batched ascent must match the serial reference bit for bit
+ORACLE_INSTANCES = {
+    **{f"{name}-{'rcsi' if rcsi else 'norcsi'}-aux{aux}":
+       (lambda atoms=atoms, rcsi=rcsi, aux=aux: binary_nonoise_instance(atoms, rcsi, aux))
+       for name, atoms in (("pm1", ATOMS_2), ("m112", ATOMS_M112))
+       for rcsi in (True, False) for aux in (2, 3)},
+    "bsc": lambda: BSC,
+    "noiseless": lambda: NOISELESS,
+}
+
+
+def assert_same_result(got, want):
+    val, (p, x) = got
+    assert val == want[0]
+    np.testing.assert_array_equal(p, want[1][0])
+    np.testing.assert_array_equal(x, want[1][1])
 
 
 def assert_optimum(result, grid, value, steps, x):
@@ -200,9 +258,7 @@ class TestAlternating:
         assert val == pytest.approx(ref, abs=1e-6)
 
     def test_noiseless_channel(self):
-        det = GPInstance(states=(0,), prior=(1.0,), inputs=(0, 1), aux_size=2,
-                         outputs=(0, 1), kernel=(((1.0, 0.0),), ((0.0, 1.0),)))
-        val, _ = optimize_alternating(det, restarts=4, seed=0)
+        val, _ = optimize_alternating(NOISELESS, restarts=4, seed=0)
         assert val == pytest.approx(1.0, abs=1e-9)
 
     def test_deterministic_given_seed(self):
@@ -221,6 +277,50 @@ class TestAlternating:
         a, _ = optimize_alternating(BSC, restarts=8, seed=2)
         b, _ = optimize_alternating(flipped, restarts=8, seed=2)
         assert a == pytest.approx(b, abs=1e-8)
+
+    @pytest.mark.parametrize("name", list(ORACLE_INSTANCES))
+    def test_matches_serial_reference(self, name):
+        inst = ORACLE_INSTANCES[name]()
+        for seed in range(4):
+            want = serial_alternating(inst, 8, seed)
+            assert_same_result(optimize_alternating(inst, restarts=8, seed=seed), want)
+
+    def test_chunk_size_does_not_change_result(self, monkeypatch):
+        for inst in (aux3(ATOMS_M112, False), binary_nonoise_instance(ATOMS_2), BSC):
+            want = serial_alternating(inst, 16, 3)
+            for chunk in (1, 7, gp._CHUNK):
+                monkeypatch.setattr(gp, "_CHUNK", chunk)
+                assert_same_result(optimize_alternating(inst, restarts=16, seed=3), want)
+
+    def test_one_objective_call_per_step_per_block(self, monkeypatch):
+        inst = aux3(ATOMS_M112, False)
+        *_, steps = serial_alternating(inst, 8, 1)
+        assert len(set(steps)) > 1  # restarts stop at different steps
+        batches = []
+        objective = gp._objective
+
+        def counted(inst, p_su, p_uy):
+            batches.append(len(p_su))
+            return objective(inst, p_su, p_uy)
+
+        monkeypatch.setattr(gp, "_objective", counted)
+        for chunk in (3, gp._CHUNK):
+            monkeypatch.setattr(gp, "_CHUNK", chunk)
+            batches.clear()
+            optimize_alternating(inst, restarts=8, seed=1)
+            blocks = [steps[lo:lo + chunk] for lo in range(0, 8, chunk)]
+            # the initial call of each block, then one call per step of its longest restart
+            assert len(batches) == sum(1 + max(block) for block in blocks)
+            # each restart is scored once at its start and once per step it takes
+            assert sum(batches) == sum(1 + k for k in steps)
+        assert len(batches) < sum(1 + k for k in steps)  # fewer calls than the serial loop
+
+    def test_lowest_failing_restart_is_named(self, monkeypatch):
+        # restart 3 loses value at the first step, restart 1 at the second
+        script = iter([[0.0] * 4, [1.0, 1.0, 1.0, -1.0], [1.0, 0.0, 1.0]])
+        monkeypatch.setattr(gp, "_objective", lambda inst, p_su, p_uy: np.array(next(script)))
+        with pytest.raises(AscentNotMonotone, match=r"^restart 1: step lowered 1\.0 to 0\.0$"):
+            optimize_alternating(BSC, restarts=4, seed=0)
 
     def test_rejects_bad_args(self):
         with pytest.raises(SpecInvalid):
