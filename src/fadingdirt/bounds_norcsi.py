@@ -12,7 +12,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .errors import DegenerateDenominator, IdentityViolated, InvalidAlpha, UnknownFamily, ZeroGain
+from .errors import (DegenerateDenominator, IdentityViolated, InvalidAlpha, NonFinite,
+                     UnknownFamily, ZeroGain)
 from .fading import EULER_GAMMA, LN2, TWO_PI_E
 
 _C_MIN = 1e-9
@@ -43,6 +44,10 @@ class RateBound:
     theorem: str
     branch: str
     assumptions_ok: dict = field(default_factory=dict)
+
+    def __post_init__(self):
+        if not math.isfinite(self.bits):
+            raise NonFinite(f"{self.theorem} ({self.branch}) is {self.bits!r} bits, not finite")
 
     def to_json(self):
         return {

@@ -23,9 +23,9 @@ from .errors import (
     DeltaOutOfRange,
     IntervalMassTooSmall,
     NoDominantAtom,
+    NonFinite,
     NotUniform,
     RootNotFound,
-    SpecInvalid,
     ZeroAtomCollision,
     ZeroGain,
 )
@@ -115,6 +115,10 @@ def _spread_terms(others, a_prime, name):
     G' (weighted by the atom masses) and of G-tilde (summed as they are)."""
     if any(abs(v) < 1e-12 for v in others):
         raise ZeroAtomCollision(f"atom at a = 0 makes {name} diverge")
+    # checked in Python floats, which overflow to inf without a numpy warning
+    scales = [a_prime, *(float(v) for v in others), *(float(v) - a_prime for v in others)]
+    if not all(math.isfinite(x * x) for x in scales):
+        raise NonFinite(f"the squares of the atoms and their gaps overflow in {name}")
     return [math.log2((v - a_prime) ** 2 / (v * v) + 1.0) for v in others]
 
 
@@ -130,19 +134,6 @@ def gap_params_at(dist: Discrete, i: int) -> MassHalfParams:
     return MassHalfParams(a_prime=a_p, P_prime=P_p, G=G, G_prime=G_prime)
 
 
-def _theorem_branches(P, c2, mass, rest, G, large_gain):
-    """Treat-as-noise, moderate- and large-gain branches of the theorem-form
-    outer bound, for a dominant mass (P' or P(I)) and its constant G."""
-    return [
-        (0.5 * math.log2(1 + P) + 1.0, "treat-as-noise", rest <= mass * c2),
-        (mass / 2 * math.log2(1 + P) + rest / 2 * math.log2(P * c2) + 1 - G / 2
-         if P * c2 > 0 else math.inf,
-         "moderate-gain", P * c2 > 0 and mass * c2 <= rest * (P + 1)),
-        (mass / 2 * math.log2(1 + P) + large_gain - G / 2, "large-gain",
-         mass * c2 > rest * (P + 1)),
-    ]
-
-
 def _min_branch(theorem, branches, assumptions):
     valid = [(v, tag) for v, tag, ok in branches if ok]
     if not valid:
@@ -151,21 +142,16 @@ def _min_branch(theorem, branches, assumptions):
     return RateBound(bits=float(bits), theorem=theorem, branch=tag, assumptions_ok=assumptions)
 
 
-def outer_mass_half(params: ChannelParams, mp: MassHalfParams, form: str = "appendix") -> RateBound:
+def outer_mass_half(params: ChannelParams, mp: MassHalfParams) -> RateBound:
     P, c = params.P, params.c
     c2 = c * c
     Pp, Pb, G = mp.P_prime, 1.0 - mp.P_prime, mp.G
-    if form == "appendix":
-        branches = [
-            (0.5 * math.log2(P + c2 + 1) - Pb / 2 * math.log2(c2) - G / 2 + 1 if c2 > 0 else math.inf,
-             "pre-optimized", c2 > 0 and Pp * c2 <= Pb * (P + 1)),
-            (Pp / 2 * math.log2(1 + P) + 1.5 - G / 2,
-             "large-gain", Pp * c2 > Pb * (P + 1)),
-        ]
-    elif form == "theorem":
-        branches = _theorem_branches(P, c2, Pp, Pb, G, large_gain=1.5)
-    else:
-        raise SpecInvalid(f"unknown form {form!r}")
+    branches = [
+        (0.5 * math.log2(P + c2 + 1) - Pb / 2 * math.log2(c2) - G / 2 + 1 if c2 > 0 else math.inf,
+         "pre-optimized", c2 > 0 and Pp * c2 <= Pb * (P + 1)),
+        (Pp / 2 * math.log2(1 + P) + 1.5 - G / 2,
+         "large-gain", Pp * c2 > Pb * (P + 1)),
+    ]
     return _min_branch("mass-half-outer", branches,
                        {"dominant_mass": Pp >= 0.5, "mu_A_zero": params.mu_A == 0.0})
 
@@ -261,8 +247,7 @@ def strong_params(support: Discrete, alpha_sf: float) -> StrongFadingParams:
     return StrongFadingParams(M=len(vals), alpha_sf=alpha_sf, G_tilde=g_tilde)
 
 
-def outer_strong(params: ChannelParams, sp: StrongFadingParams, condition_ok: bool,
-                 form: str = "appendix") -> RateBound:
+def outer_strong(params: ChannelParams, sp: StrongFadingParams, condition_ok: bool) -> RateBound:
     if not condition_ok:
         raise ConditionNotVerified("spacing condition not verified for this support")
     if abs(params.c) < _C_MIN:
@@ -270,24 +255,12 @@ def outer_strong(params: ChannelParams, sp: StrongFadingParams, condition_ok: bo
     P, M, al = params.P, sp.M, sp.alpha_sf
     k2 = params.c ** 2 * (1.0 + params.mu_A ** 2)
     w = (M - 1) / (2.0 * M)
-    if form == "appendix":
-        branches = [
-            (0.5 * math.log2(P + k2 + 1) - w * math.log2(k2) - w * math.log2(al) + 0.5,
-             "pre-optimized", k2 / M <= (M - 1) / M * (P + 1)),
-            (1 / (2.0 * M) * math.log2(1 + P) - w * math.log2(al) + 1.5,
-             "large-gain", k2 / M > (M - 1) / M * (P + 1)),
-        ]
-    elif form == "theorem":
-        c2 = params.c ** 2
-        branches = [
-            (0.5 * math.log2(1 + P / (c2 + 1)) + 1.0, "treat-as-noise", (M - 1) / M <= c2 / M),
-            (1 / (2.0 * M) * math.log2(1 + P) + w * math.log2(c2) + 1 + math.log2(al) / 2,
-             "moderate-gain", c2 / M <= (M - 1) / M * (P + 1)),
-            (1 / (2.0 * M) * math.log2(1 + P) + 1 + math.log2(al) / 2,
-             "large-gain", c2 / M > (M - 1) / M * (P + 1)),
-        ]
-    else:
-        raise SpecInvalid(f"unknown form {form!r}")
+    branches = [
+        (0.5 * math.log2(P + k2 + 1) - w * math.log2(k2) - w * math.log2(al) + 0.5,
+         "pre-optimized", k2 / M <= (M - 1) / M * (P + 1)),
+        (1 / (2.0 * M) * math.log2(1 + P) - w * math.log2(al) + 1.5,
+         "large-gain", k2 / M > (M - 1) / M * (P + 1)),
+    ]
     return _min_branch("strong-outer", branches,
                        {"condition": condition_ok, "uniform": True})
 
@@ -356,10 +329,19 @@ def continuous_interval_params(dist: FadingDistribution, interval) -> Continuous
 
 
 def outer_continuous(params: ChannelParams, cp: ContinuousOuterParams) -> RateBound:
+    """Treat-as-noise, moderate- and large-gain branches for the interval
+    mass P(I) and its constant G-tilde."""
     if abs(params.c) < _C_MIN:
         raise ZeroGain("continuous outer bound needs c != 0")
-    branches = _theorem_branches(params.P, params.c ** 2, cp.prob_I, 1.0 - cp.prob_I,
-                                 cp.G_tilde_cont, large_gain=1.0)
+    P, c2 = params.P, params.c ** 2
+    mass, rest, G = cp.prob_I, 1.0 - cp.prob_I, cp.G_tilde_cont
+    branches = [
+        (0.5 * math.log2(1 + P) + 1.0, "treat-as-noise", rest <= mass * c2),
+        (mass / 2 * math.log2(1 + P) + rest / 2 * math.log2(P * c2) + 1 - G / 2
+         if P * c2 > 0 else math.inf,
+         "moderate-gain", P * c2 > 0 and mass * c2 <= rest * (P + 1)),
+        (mass / 2 * math.log2(1 + P) + 1.0 - G / 2, "large-gain", mass * c2 > rest * (P + 1)),
+    ]
     return _min_branch("continuous-outer", branches, {"prob_I_half": cp.prob_I >= 0.5})
 
 

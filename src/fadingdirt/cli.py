@@ -50,8 +50,6 @@ def _build_parser():
                    help="fading law: shorthand name or JSON literal")
     b.add_argument("--interval", type=float, nargs=2, metavar=("A", "B"),
                    help="interval I for the continuous theorem")
-    b.add_argument("--form", default="appendix", choices=["appendix", "theorem"],
-                   help="piecewise form for mass-half/strong outer bounds")
 
     s = sub.add_parser("sweep", help="run a parameter sweep")
     mode = s.add_mutually_exclusive_group()
@@ -140,13 +138,13 @@ def _cmd_bounds(args):
     elif args.theorem == "mass-half":
         mp = br.mass_half_params(dist)
         inner = br.inner_mass_half(params, dist, mp)
-        outer = br.outer_mass_half(params, mp, form=args.form)
+        outer = br.outer_mass_half(params, mp)
     elif args.theorem == "strong":
         alpha_sf = args.c ** 2 / (args.c ** 2 + 1.0)
         ok = br.strong_condition_check(dist, args.c, alpha_sf)
         sp = br.strong_params(dist, alpha_sf)
         inner = br.inner_strong(params, dist)
-        outer = br.outer_strong(params, sp, condition_ok=ok, form=args.form)
+        outer = br.outer_strong(params, sp, condition_ok=ok)
     elif args.theorem == "phase-binomial":
         outer = br.outer_phase_binomial(params, args.delta)
         inner = br.inner_phase_binomial(params)

@@ -197,6 +197,10 @@ def mi_monte_carlo(params: ChannelParams, dist: FadingDistribution,
     var_u = P1 + k * k
 
     av, aw = _mixture_atoms(dist)
+    # Python floats overflow to inf without a numpy warning, before any draw
+    top = float(np.max(np.abs(av)))
+    if not math.isfinite(P + c * c * top * top + 1.0):
+        raise NonFinite(f"the variance P + c^2 a^2 + 1 overflows at the atom |a| = {top!r}")
 
     def moments(a):
         """Posterior mean coefficient and variance of Y given U at fading a."""

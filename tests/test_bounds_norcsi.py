@@ -7,6 +7,7 @@ import pytest
 from fadingdirt import bounds_norcsi
 from fadingdirt.bounds_norcsi import (
     ChannelParams,
+    RateBound,
     gap_no_rcsi,
     inner_no_rcsi,
     inner_no_rcsi_with_k,
@@ -18,6 +19,7 @@ from fadingdirt.errors import (
     DegenerateDenominator,
     IdentityViolated,
     InvalidAlpha,
+    NonFinite,
     UnknownFamily,
     ZeroGain,
 )
@@ -120,6 +122,11 @@ class TestInner:
     def test_degenerate_denominator(self):
         with pytest.raises(DegenerateDenominator):
             inner_no_rcsi_with_k(ChannelParams(P=0, c=0, mu_A=0.0), 0.0)
+
+    @pytest.mark.parametrize("bits", [math.nan, math.inf, -math.inf])
+    def test_non_finite_bound_rejected(self, bits):
+        with pytest.raises(NonFinite):
+            RateBound(bits=bits, theorem="no-rcsi-inner", branch="costa-mean")
 
     def test_params_validation(self):
         with pytest.raises(DegenerateDenominator):

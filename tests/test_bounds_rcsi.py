@@ -3,6 +3,8 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from fadingdirt.bounds_norcsi import ChannelParams
 from fadingdirt.bounds_rcsi import (
@@ -25,7 +27,6 @@ from fadingdirt.errors import (
     NoDominantAtom,
     NotUniform,
     QuadratureFailure,
-    SpecInvalid,
     ZeroAtomCollision,
     ZeroGain,
 )
@@ -36,6 +37,7 @@ from fadingdirt.fading import (
     TabulatedDensity,
     Uniform,
     geometric_fading,
+    normalize_unit_variance,
     parse_distribution,
     strong_support,
 )
@@ -112,11 +114,10 @@ class TestOuterMassHalf:
         got = outer_mass_half(ChannelParams(P=15, c=8), mp_)
         assert got.bits == pytest.approx(0.5 * math.log2(16) + 1.5, abs=1e-12)
 
-    @pytest.mark.parametrize("form", ["appendix", "theorem"])
-    def test_frozen_two_point_value(self, form):
+    def test_frozen_two_point_value(self):
         # branch 3 arithmetic: (1/2)(1/2)log2(16) + 3/2 - G/2 with G = 1
         mp_ = mass_half_params(TWO_POINT)
-        got = outer_mass_half(ChannelParams(P=15, c=8), mp_, form=form)
+        got = outer_mass_half(ChannelParams(P=15, c=8), mp_)
         assert got.bits == pytest.approx(2.0, abs=1e-12)
         assert got.branch == "large-gain"
 
@@ -133,10 +134,9 @@ class TestOuterMassHalf:
         with pytest.raises(ZeroGain):
             outer_mass_half(ChannelParams(P=15, c=0), mp_)
 
-    @pytest.mark.parametrize("form", ["appendix", "theorem"])
-    def test_nondecreasing_in_p(self, form):
+    def test_nondecreasing_in_p(self):
         mp_ = mass_half_params(TWO_POINT)
-        vals = [outer_mass_half(ChannelParams(P=float(P), c=2), mp_, form=form).bits
+        vals = [outer_mass_half(ChannelParams(P=float(P), c=2), mp_).bits
                 for P in np.logspace(-1, 3, 10)]
         assert all(vals[i + 1] >= vals[i] - 1e-12 for i in range(len(vals) - 1))
 
@@ -173,6 +173,32 @@ class TestInnerMassHalf:
         assert got.bits == pytest.approx(max(candidates), abs=1e-9)
 
 
+@st.composite
+def dominant_atom_laws(draw):
+    """Unit-variance discrete laws of 2 to 6 atoms, none at 0, with one atom
+    of mass in [1/2, 0.99)."""
+    ivals = draw(st.lists(st.integers(-500, 500), min_size=2, max_size=6, unique=True))
+    top = draw(st.floats(0.5, 0.99, exclude_max=True))
+    weights = draw(st.lists(st.floats(0.01, 1.0), min_size=len(ivals) - 1,
+                            max_size=len(ivals) - 1))
+    i = draw(st.integers(0, len(ivals) - 1))
+    rest = [(1.0 - top) * w / sum(weights) for w in weights]
+    probs = rest[:i] + [top] + rest[i:]
+    law = normalize_unit_variance(Discrete(tuple(sorted(zip(ivals, probs)))))
+    assume(np.min(np.abs(law.values)) > 1e-6)
+    return law
+
+
+@settings(max_examples=300, deadline=None)
+@given(dominant_atom_laws(), st.floats(-3.0, 6.0), st.floats(-2.0, 3.0))
+def test_mass_half_inner_below_ceiling_and_outer(law, log_p, log_c):
+    params = ChannelParams(P=10.0 ** log_p, c=10.0 ** log_c)
+    mp_ = mass_half_params(law)
+    inner = inner_mass_half(params, law, mp_).bits
+    assert 0.0 <= inner <= 0.5 * math.log2(1.0 + params.P)
+    assert inner <= outer_mass_half(params, mp_).bits
+
+
 class TestStrongCondition:
     @pytest.mark.parametrize("M", [3, 4, 5])
     @pytest.mark.parametrize("c", [2.0, 4.0, 8.0])
@@ -192,16 +218,6 @@ class TestStrongCondition:
     def test_not_uniform(self):
         with pytest.raises(NotUniform):
             strong_condition_check(Discrete(((-1.0, 0.7), (1.0, 0.3))), 2.0, 0.8)
-
-
-@pytest.mark.parametrize("outer", [
-    lambda form: outer_mass_half(ChannelParams(P=1, c=2), mass_half_params(TWO_POINT), form=form),
-    lambda form: outer_strong(ChannelParams(P=1, c=2), strong_params(strong_support(3, 2.0), 0.8),
-                              condition_ok=True, form=form),
-], ids=["mass-half", "strong"])
-def test_unknown_form(outer):
-    with pytest.raises(SpecInvalid):
-        outer("printed")
 
 
 class TestOuterStrong:
@@ -232,13 +248,6 @@ class TestOuterStrong:
         want = float(mpmath.log(P + k2 + 1, 2) / 2 - w * mpmath.log(k2, 2)
                      - w * mpmath.log(alm, 2) + mpmath.mpf("0.5"))
         assert got.bits == pytest.approx(want, abs=1e-12)
-
-    def test_theorem_form_available(self):
-        d = strong_support(3, 4.0)
-        sp = strong_params(d, 16.0 / 17.0)
-        a = outer_strong(ChannelParams(P=10, c=4), sp, condition_ok=True)
-        t = outer_strong(ChannelParams(P=10, c=4), sp, condition_ok=True, form="theorem")
-        assert math.isfinite(a.bits) and math.isfinite(t.bits)
 
     def test_m2_coincides_with_mass_half_preoptimized_branch(self):
         # equivalent slack alpha = 1 makes the M=2 pre-optimized branches equal

@@ -44,6 +44,14 @@ class TestBounds:
         assert exc.value.code == 2
         capsys.readouterr()
 
+    @pytest.mark.parametrize("form", ["appendix", "theorem"])
+    def test_form_flag_is_gone(self, capsys, form):
+        with pytest.raises(SystemExit) as exc:
+            main(["bounds", "--theorem", "mass-half", "--P", "3", "--dist", "two-point",
+                  "--form", form])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --form" in capsys.readouterr().err
+
 
 _STRONG3 = json.dumps(strong_support(3, 2.0).to_json())
 _ONE_ATOM = '{"kind":"discrete","atoms":[[0,1]]}'
@@ -51,6 +59,9 @@ _ONE_ATOM = '{"kind":"discrete","atoms":[[0,1]]}'
 # on the 401-node grid of the no-RCSI mixture, the second also under `quad`
 _UNIT_LOGNORMAL = '{"kind":"lognormal","mu":0.0,"sigma2":0.25,"scale":1.6559018331762287}'
 _WIDE_LOGNORMAL = '{"kind":"lognormal","sigma2":1}'
+# atoms whose squares overflow the closed forms
+_HUGE_DOMINANT = '{"kind":"discrete","atoms":[[-1e170,0.6],[1e170,0.4]]}'
+_HUGE_EVEN = '{"kind":"discrete","atoms":[[-1e170,0.5],[1e170,0.5]]}'
 
 # outside input the theorems cannot take: malformed literals and files, and
 # laws of the wrong kind
@@ -87,7 +98,12 @@ _BAD_INPUT = {
     "mi-norcsi-overflow": ["mi", "--P", "3", "--no-rcsi", "--n", "10000",
                            "--dist", '{"kind":"lognormal","sigma2":800}'],
     "mi-norcsi-nonfinite": ["mi", "--P", "3", "--no-rcsi", "--n", "10000",
-                            "--dist", '{"kind":"discrete","atoms":[[-1e170,0.5],[1e170,0.5]]}'],
+                            "--dist", _HUGE_EVEN],
+    "bounds-mass-half-nonfinite": ["bounds", "--theorem", "mass-half", "--P", "10", "--c", "2",
+                                   "--dist", _HUGE_DOMINANT],
+    "bounds-strong-nonfinite": ["bounds", "--theorem", "strong", "--P", "10", "--c", "2",
+                                "--dist", _HUGE_EVEN],
+    "sweep-mass-half-nonfinite": ["sweep", "--theorem", "mass-half", "--dist", _HUGE_DOMINANT],
     "mi-norcsi-lognormal": ["mi", "--P", "3", "--c", "2", "--no-rcsi", "--n", "10000",
                             "--dist", _UNIT_LOGNORMAL],
     "unknown-kind": ["bounds", "--theorem", "no-rcsi", "--P", "1", "--dist", '{"kind":"nope"}'],
@@ -113,6 +129,9 @@ _EXPECTED_KIND = {
     "sweep-strong-one-atom": "NotUniform",
     "mi-norcsi-overflow": "QuadratureFailure",
     "mi-norcsi-nonfinite": "NonFinite",
+    "bounds-mass-half-nonfinite": "NonFinite",
+    "bounds-strong-nonfinite": "NonFinite",
+    "sweep-mass-half-nonfinite": "NonFinite",
     "mi-norcsi-lognormal": "QuadratureFailure",
     "unknown-kind": "SpecInvalid",
     "not-an-object": "SpecInvalid",
@@ -307,7 +326,7 @@ class TestMiGp:
 class TestHelp:
     @pytest.mark.parametrize("cmd,flags", [
         ("bounds", ["--theorem", "--P", "--c", "--mu-A", "--Q", "--delta",
-                    "--dist", "--interval", "--form"]),
+                    "--dist", "--interval"]),
         ("sweep", ["--preset", "--theorem", "--dist", "--P-grid", "--c2-grid",
                    "--Q-grid", "--delta", "--format", "--out"]),
         ("verify", ["--preset", "--grid", "--format", "--out"]),

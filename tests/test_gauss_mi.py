@@ -11,6 +11,7 @@ from fadingdirt.bounds_norcsi import ChannelParams, inner_no_rcsi_with_k, k_star
 from fadingdirt.errors import (
     DiscreteUnsupported,
     InsufficientSamples,
+    NonFinite,
     QuadratureFailure,
     SingularCovariance,
 )
@@ -130,6 +131,17 @@ class TestMonteCarlo:
             warnings.simplefilter("error")
             with pytest.raises(QuadratureFailure, match="mass"):
                 mi_monte_carlo(ChannelParams(P=3, c=2), law, CostaAssignment(rcsi=False),
+                               10 ** 4, 0)
+
+    @pytest.mark.parametrize("rcsi", [True, False], ids=["rcsi", "norcsi"])
+    def test_overflowing_atoms_fail_before_sampling(self, monkeypatch, rcsi):
+        # c^2 a^2 overflows at atoms of +-1e170: the moments would warn
+        law = Discrete(((-1e170, 0.5), (1e170, 0.5)))
+        monkeypatch.setattr(Discrete, "_draw", lambda *_: pytest.fail("sampled"))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFinite, match="overflows"):
+                mi_monte_carlo(ChannelParams(P=3, c=2), law, CostaAssignment(rcsi=rcsi),
                                10 ** 4, 0)
 
 

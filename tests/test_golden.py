@@ -1,7 +1,7 @@
 """Output bytes pinned by sha256: the full claim-verification report, every
 sweep preset, the continuous sweeps (one on a log-normal law), one `bounds`
-point per theorem and form, the interval bound on each continuous shorthand
-law and the no-RCSI bound on a tabulated law.  A refactor of the bound,
+point per theorem, the interval bound on each continuous shorthand law and
+the no-RCSI bound on a tabulated law.  A refactor of the bound,
 sweep or emission layers must leave these hashes unchanged."""
 
 import hashlib
@@ -65,21 +65,11 @@ BOUNDS_GOLDEN = {
         ("--theorem", "no-rcsi", "--P", "3", "--c", "2", "--dist", "uniform"),
         "a9958fd2038dcb181f1f06df8538a0a41415b205dc68b70343584e518454c1ed"),
     "mass-half-appendix": (
-        ("--theorem", "mass-half", "--P", "15", "--c", "8", "--dist", _THREE_ATOMS,
-         "--form", "appendix"),
+        ("--theorem", "mass-half", "--P", "15", "--c", "8", "--dist", _THREE_ATOMS),
         "2e1ec3786131ad313fc3ce72a3a7364ca2f088c48dc961fc17f7945903e40512"),
-    "mass-half-theorem": (
-        ("--theorem", "mass-half", "--P", "10", "--c", "1.5", "--dist", _THREE_ATOMS,
-         "--form", "theorem"),
-        "d8d8576a251b72d0905769de49d5b637375dab988ef424292e3e26cf87ac0c7b"),
     "strong-appendix": (
-        ("--theorem", "strong", "--P", "10", "--c", "2", "--dist", _STRONG4,
-         "--form", "appendix"),
+        ("--theorem", "strong", "--P", "10", "--c", "2", "--dist", _STRONG4),
         "af39eeef51fc3b1d1b75f02c1512907d9bce98f7dd54e318dbc8818b14f9f4e5"),
-    "strong-theorem": (
-        ("--theorem", "strong", "--P", "100", "--c", "2", "--dist", _STRONG4,
-         "--form", "theorem"),
-        "784382c14760ff5aa8c18117a3f93f5c1919168a4c0edebccea650b7f18d9d37"),
     "phase-binomial": (
         ("--theorem", "phase-binomial", "--P", "10", "--Q", "4", "--delta", "1.2"),
         "6303bc3a3f480f6ede16e68bdfaf3cf9fe2e5015445e75854e5fd08ab9a74a46"),
