@@ -58,6 +58,16 @@ class RateBound:
         }
 
 
+def finite_square(x: float, name: str) -> float:
+    """x ** 2, raising NonFinite where the square leaves the float range, in
+    which a float power raises OverflowError.  `x * x` is not a substitute:
+    it rounds some squares differently from `x ** 2`."""
+    try:
+        return x ** 2
+    except OverflowError:
+        raise NonFinite(f"{name} = {x!r} squared overflows") from None
+
+
 def _check_alpha(alpha_ep):
     if not (0.0 < alpha_ep <= 1.0) or not math.isfinite(alpha_ep):
         raise InvalidAlpha(f"alpha_ep must be in (0,1], got {alpha_ep!r}")
@@ -101,7 +111,7 @@ def inner_no_rcsi(params: ChannelParams) -> RateBound:
 
 def k_star(params: ChannelParams) -> float:
     """Optimal inflation coefficient P c mu_A / (P + 1 + c^2)."""
-    return params.P * params.c * params.mu_A / (params.P + 1.0 + params.c ** 2)
+    return params.P * params.c * params.mu_A / (params.P + 1.0 + finite_square(params.c, "c"))
 
 
 def inner_no_rcsi_with_k(params: ChannelParams, k: float) -> RateBound:

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds_norcsi import _C_MIN, ChannelParams, RateBound
+from .bounds_norcsi import _C_MIN, ChannelParams, RateBound, finite_square
 from .errors import (
     ConditionNotVerified,
     DeltaOutOfRange,
@@ -74,9 +74,10 @@ def outer_phase_binomial(params: ChannelParams, Delta: float) -> RateBound:
         bits = 0.75 * math.log2(P + 1) + 2.0
         branch = "strong-interference"
     else:
+        root_sum2 = finite_square(math.sqrt(P) + math.sqrt(c2), "sqrt(P) + sqrt(c2)")
         bits = (
             0.5 * math.log2(P + 1)
-            + 0.5 * math.log2(1.0 + (math.sqrt(P) + math.sqrt(c2)) ** 2)
+            + 0.5 * math.log2(1.0 + root_sum2)
             - 0.25 * math.log2(2.0 * c2)
             + 2.0
         )
@@ -175,6 +176,13 @@ def _inner_strategies(params: ChannelParams, values, probs, a_prime):
     """(treat-as-noise, full-power Costa, power-split) rates in bits."""
     P, c = params.P, params.c
     c2 = c * c
+    # at P > 0 every numerator and denominator of _costa_atom_sum is at most
+    # (1 + P)(1 + P + c^2 s^2), s the largest |a| or |a - a'| over the sorted
+    # atoms; checked in Python floats, which overflow without a numpy warning
+    lo, hi = float(values[0]), float(values[-1])
+    s = max(-lo, hi, hi - a_prime, a_prime - lo)
+    if P > 0 and not math.isfinite((1 + P) * (1 + P + c2 * s * s)):
+        raise NonFinite(f"the Costa rates at P = {P!r}, c = {c!r} overflow on this law")
     ea2 = float(np.dot(values ** 2, probs))
     i_p = probs[np.nonzero(values == a_prime)[0][0]]
     treat = 0.5 * math.log2(1 + P / (1 + c2 * ea2))
@@ -253,7 +261,7 @@ def outer_strong(params: ChannelParams, sp: StrongFadingParams, condition_ok: bo
     if abs(params.c) < _C_MIN:
         raise ZeroGain("strong-fading outer bound needs c != 0")
     P, M, al = params.P, sp.M, sp.alpha_sf
-    k2 = params.c ** 2 * (1.0 + params.mu_A ** 2)
+    k2 = finite_square(params.c, "c") * (1.0 + finite_square(params.mu_A, "mu_A"))
     w = (M - 1) / (2.0 * M)
     branches = [
         (0.5 * math.log2(P + k2 + 1) - w * math.log2(k2) - w * math.log2(al) + 0.5,
@@ -314,7 +322,7 @@ def continuous_interval_params(dist: FadingDistribution, interval) -> Continuous
         lo, hi = xs[i], xs[i + 1]
         for _ in range(100):
             mid = 0.5 * (lo + hi)
-            fm = float(dist.pdf(mid)) - target
+            fm = dist.density(mid) - target
             if fs[i] * fm <= 0:
                 hi = mid
             else:
@@ -333,7 +341,7 @@ def outer_continuous(params: ChannelParams, cp: ContinuousOuterParams) -> RateBo
     mass P(I) and its constant G-tilde."""
     if abs(params.c) < _C_MIN:
         raise ZeroGain("continuous outer bound needs c != 0")
-    P, c2 = params.P, params.c ** 2
+    P, c2 = params.P, finite_square(params.c, "c")
     mass, rest, G = cp.prob_I, 1.0 - cp.prob_I, cp.G_tilde_cont
     branches = [
         (0.5 * math.log2(1 + P) + 1.0, "treat-as-noise", rest <= mass * c2),
@@ -347,7 +355,7 @@ def outer_continuous(params: ChannelParams, cp: ContinuousOuterParams) -> RateBo
 
 def inner_continuous(params: ChannelParams, dist: FadingDistribution, a_prime: float) -> RateBound:
     """Costa precoding against c*a'*S under continuous fading, by quadrature."""
-    P, c2 = params.P, params.c ** 2
+    P, c2 = params.P, finite_square(params.c, "c")
     lo, hi = dist.support()
     loss = integrate(dist, lambda x, p: p * math.log2(
         P * c2 / (P + c2 * x * x + 1) * (x - a_prime) ** 2 + 1.0), lo, hi, 1e-8)[0]

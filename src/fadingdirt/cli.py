@@ -140,7 +140,8 @@ def _cmd_bounds(args):
         inner = br.inner_mass_half(params, dist, mp)
         outer = br.outer_mass_half(params, mp)
     elif args.theorem == "strong":
-        alpha_sf = args.c ** 2 / (args.c ** 2 + 1.0)
+        c2 = bn.finite_square(args.c, "c")
+        alpha_sf = c2 / (c2 + 1.0)
         ok = br.strong_condition_check(dist, args.c, alpha_sf)
         sp = br.strong_params(dist, alpha_sf)
         inner = br.inner_strong(params, dist)

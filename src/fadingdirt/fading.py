@@ -3,7 +3,8 @@
 All laws are univariate.  Discrete laws carry an explicit atom list; the
 continuous families (Gaussian, uniform, Rayleigh, log-normal, tabulated
 density) expose a pdf and closed-form or quadrature entropy.  Every law is
-immutable after construction; samplers take an explicit seed.
+immutable after construction, apart from the memo of density values that
+quadrature fills; samplers take an explicit seed.
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -76,6 +78,24 @@ class FadingDistribution:
 
     def pdf(self, x):
         raise NotImplementedError("no density for this law")
+
+    @cached_property
+    def _density_memo(self) -> dict:
+        return {}
+
+    def density(self, x: float) -> float:
+        """p(x) as a float, evaluated once per distinct node x of this law.
+
+        Quadratures over one support revisit most of their nodes (the
+        inner-bound integrals of a sweep share them), and a converged
+        bisection repeats its midpoint.  The memo lives on the instance: it
+        goes with the law, and two equal laws keep separate memos.
+        """
+        memo = self._density_memo
+        p = memo.get(x)
+        if p is None:
+            p = memo[x] = float(self.pdf(x))
+        return p
 
     def support(self):
         """(lo, hi) interval carrying essentially all probability mass."""
@@ -418,12 +438,13 @@ def normalize_unit_variance(dist: FadingDistribution) -> FadingDistribution:
 def integrate(dist: FadingDistribution, f, lo: float, hi: float, epsabs: float,
               epsrel: float = 1.49e-8, points=()):
     """(value, abserr) of the integral of f(x, p(x)) over [lo, hi] with
-    breakpoints `points`, p the law's density; f is not called where p <= 0.
-    The one scipy import; `quad` is looked up at each call, for profilers."""
+    breakpoints `points`, p the law's density read through `density`; f is
+    not called where p <= 0.  The one scipy import; `quad` is looked up at
+    each call, for profilers."""
     import scipy.integrate
 
     def integrand(x):
-        p = float(dist.pdf(x))
+        p = dist.density(x)
         return f(x, p) if p > 0 else 0.0
 
     return scipy.integrate.quad(integrand, lo, hi, limit=400 + len(points), epsabs=epsabs,

@@ -42,6 +42,7 @@ from fadingdirt.fading import (
     strong_support,
 )
 from fadingdirt.gauss_mi import CostaAssignment, costa_rate_exact
+from fadingdirt.harness import SweepSpec, run_sweep
 
 mpmath.mp.dps = 50
 
@@ -400,3 +401,65 @@ class TestContinuous:
         vals = [outer_continuous(ChannelParams(P=float(P), c=2), cp).bits
                 for P in np.logspace(-1, 3, 10)]
         assert all(vals[i + 1] >= vals[i] - 1e-12 for i in range(len(vals) - 1))
+
+
+# continuous laws for the density memo: the shorthands, the unit-variance
+# log-normal literal and a tabulated density with two interior kinks
+_MEMO_LAWS = {
+    "gaussian": lambda: parse_distribution("gaussian"),
+    "uniform": lambda: parse_distribution("uniform"),
+    "rayleigh": lambda: parse_distribution("rayleigh"),
+    "lognormal": lambda: parse_distribution(
+        '{"kind":"lognormal","mu":0.0,"sigma2":0.25,"scale":1.6559018331762287}'),
+    "tabulated": lambda: TabulatedDensity(
+        ((-1.5, 0.0), (-0.5, 0.625), (0.5, 0.375), (1.5, 0.0))),
+}
+
+
+class TestDensityMemo:
+    @pytest.mark.parametrize("name", list(_MEMO_LAWS))
+    def test_shared_law_sweep_equals_fresh_law_points(self, name):
+        # every point of a sweep reads the memo its earlier points filled;
+        # each point alone on a fresh law starts from an empty one
+        shared = run_sweep(SweepSpec("continuous", _MEMO_LAWS[name]()))
+        fresh = [row for P in SweepSpec.P_list for c2 in SweepSpec.c2_list
+                 for row in run_sweep(SweepSpec("continuous", _MEMO_LAWS[name](),
+                                                P_list=(P,), c2_list=(c2,)))]
+        assert len(shared) == 30
+        # repr: float fields compare exactly, and the nan claimed gap equals itself
+        assert [repr(r) for r in shared] == [repr(r) for r in fresh]
+
+    def test_density_evaluated_once_per_distinct_node(self, monkeypatch):
+        import scipy.integrate
+        pdf, quad = Gaussian.pdf, scipy.integrate.quad
+        pdf_nodes, quad_nodes = [], []
+
+        def counting_pdf(self, x):
+            if np.ndim(x) == 0:  # the a' scan also reads a 2001-point grid at once
+                pdf_nodes.append(float(x))
+            return pdf(self, x)
+
+        def counting_quad(f, *args, **kwargs):
+            return quad(lambda x: quad_nodes.append(x) or f(x), *args, **kwargs)
+
+        monkeypatch.setattr(Gaussian, "pdf", counting_pdf)
+        monkeypatch.setattr(scipy.integrate, "quad", counting_quad)
+        assert len(run_sweep(SweepSpec("continuous", Gaussian(0.0, 1.0)))) == 30
+        distinct = set(pdf_nodes)
+        assert len(pdf_nodes) == len(distinct)
+        assert set(quad_nodes) <= distinct
+        assert len(distinct - set(quad_nodes)) <= 100  # the a' bisection's midpoints
+        assert 10 * len(pdf_nodes) < len(quad_nodes)
+
+    def test_equal_laws_keep_separate_memos(self, monkeypatch):
+        pdf, calls = Gaussian.pdf, []
+        monkeypatch.setattr(Gaussian, "pdf", lambda self, x: calls.append(x) or pdf(self, x))
+        first, second = Gaussian(0.0, 1.0), Gaussian(0.0, 1.0)
+        assert first.density(0.5) == float(pdf(first, 0.5))
+        assert first.density(np.float64(0.5)) == first.density(0.5)
+        assert calls == [0.5]
+        assert second.density(0.5) == first.density(0.5)
+        assert calls == [0.5, 0.5]
+        # the memo is no field: equality and hashing still see only the law
+        assert first == second and hash(first) == hash(second)
+

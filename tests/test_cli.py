@@ -1,10 +1,15 @@
 import itertools
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import fadingdirt
 from fadingdirt import errors
 from fadingdirt.cli import main
 from fadingdirt.fading import strong_support
@@ -44,6 +49,14 @@ class TestBounds:
         assert exc.value.code == 2
         capsys.readouterr()
 
+    def test_no_rcsi_takes_a_gain_whose_square_overflows(self, capsys):
+        code, out, _ = run_cli(capsys, "bounds", "--theorem", "no-rcsi",
+                               "--P", "10", "--c", "1e200")
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["inner"]["bits"] == 0.0
+        assert payload["outer"]["bits"] == pytest.approx(0.5, abs=1e-12)
+
     @pytest.mark.parametrize("form", ["appendix", "theorem"])
     def test_form_flag_is_gone(self, capsys, form):
         with pytest.raises(SystemExit) as exc:
@@ -54,6 +67,7 @@ class TestBounds:
 
 
 _STRONG3 = json.dumps(strong_support(3, 2.0).to_json())
+_STRONG4 = json.dumps(strong_support(4, 2.0).to_json())
 _ONE_ATOM = '{"kind":"discrete","atoms":[[0,1]]}'
 # log-normal laws whose mass a quadrature over the support misses: the first
 # on the 401-node grid of the no-RCSI mixture, the second also under `quad`
@@ -162,6 +176,38 @@ def test_bad_input_exit_3(capsys, tmp_path, name):
     kind = err.split(":")[1].strip()
     assert issubclass(getattr(errors, kind), errors.ToolkitError), err
     assert kind == _EXPECTED_KIND.get(name, kind), err
+
+
+# gains, means and powers whose squares leave the float range
+_OVERFLOW = {
+    "continuous-gain": ["bounds", "--theorem", "continuous", "--P", "10", "--c", "1e200",
+                        "--dist", "gaussian"],
+    "strong-gain": ["bounds", "--theorem", "strong", "--P", "10", "--c", "1e200",
+                    "--dist", _STRONG4],
+    "strong-mean": ["bounds", "--theorem", "strong", "--P", "10", "--c", "2", "--mu-A", "1e200",
+                    "--dist", _STRONG4],
+    "phase-binomial-power": ["bounds", "--theorem", "phase-binomial", "--P", "1e308",
+                             "--Q", "1e308", "--delta", "1.5"],
+    "mass-half-gain": ["bounds", "--theorem", "mass-half", "--P", "10", "--c", "1e200",
+                       "--dist", "two-point"],
+    "mi-norcsi-gain": ["mi", "--no-rcsi", "--P", "3", "--c", "1e200", "--dist", "gaussian",
+                       "--n", "10000"],
+}
+
+
+@pytest.mark.parametrize("name", list(_OVERFLOW))
+def test_overflow_exits_3_with_only_the_error_line(name):
+    # a fresh interpreter that shows warnings: a traceback or a numpy warning
+    # ahead of the error would reach stderr, where in process they raise
+    src = str(Path(fadingdirt.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-W", "default", "-m", "fadingdirt", *_OVERFLOW[name]],
+                          capture_output=True, env=env, timeout=120)
+    assert proc.returncode == 3, proc.stderr
+    assert proc.stdout == b""
+    lines = proc.stderr.decode().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: NonFinite: "), lines
 
 
 class TestSweepVerify:

@@ -72,3 +72,20 @@ def test_generators_built_only_by_seeded_rng():
     built anywhere else could skip the check or collide with another stream."""
     assert _found(_seeding_use,
                   lambda name, owner: (name, owner) == ("fading.py", "seeded_rng")) == []
+
+
+def _scalar_density_read(node):
+    """`float(<law>.pdf(...))`: one density value as a float."""
+    return (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id == "float" and len(node.args) == 1
+            and isinstance(node.args[0], ast.Call)
+            and isinstance(node.args[0].func, ast.Attribute)
+            and node.args[0].func.attr == "pdf")
+
+
+def test_scalar_density_read_only_through_the_memo():
+    """`FadingDistribution.density` evaluates each node once per law; a
+    scalar pdf read anywhere else would pay numpy's per-call cost again at
+    every quadrature node it revisits."""
+    assert _found(_scalar_density_read,
+                  lambda name, owner: (name, owner) == ("fading.py", "density")) == []
