@@ -59,9 +59,9 @@ class RateBound:
 
 
 def finite_square(x: float, name: str) -> float:
-    """x ** 2, raising NonFinite where the square leaves the float range, in
-    which a float power raises OverflowError.  `x * x` is not a substitute:
-    it rounds some squares differently from `x ** 2`."""
+    """x ** 2, or NonFinite where the square leaves the float range (a float
+    power raises OverflowError there).  Not `x * x`, which rounds some
+    squares differently."""
     try:
         return x ** 2
     except OverflowError:
