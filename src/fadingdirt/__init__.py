@@ -6,7 +6,6 @@ from .bounds_norcsi import (
     RateBound,
     gap_no_rcsi,
     inner_no_rcsi,
-    inner_no_rcsi_with_k,
     k_star,
     lemma_gap_catalog,
     outer_no_rcsi,

@@ -21,19 +21,16 @@ _C_MIN = 1e-9
 
 @dataclass(frozen=True)
 class ChannelParams:
-    """Scalar channel configuration (P, c, mu_A, Q); the state mean is 0."""
+    """Scalar channel configuration (P, c); the state mean is 0.  The fading
+    mean is the law's own, and the phase theorem's state power is c^2."""
 
     P: float
     c: float
-    mu_A: float = 0.0
-    Q: float = 1.0  # state variance; used by the phase-fading theorem only
 
     def __post_init__(self):
         if self.P < 0:
             raise DegenerateDenominator(f"P must be >= 0, got {self.P!r}")
-        if self.Q < 0:
-            raise DegenerateDenominator(f"Q must be >= 0, got {self.Q!r}")
-        for name in ("P", "c", "mu_A", "Q"):
+        for name in ("P", "c"):
             if not math.isfinite(getattr(self, name)):
                 raise DegenerateDenominator(f"{name} must be finite")
 
@@ -109,20 +106,10 @@ def inner_no_rcsi(params: ChannelParams) -> RateBound:
     return RateBound(bits=bits, theorem="no-rcsi-inner", branch="costa-mean", assumptions_ok={})
 
 
-def k_star(params: ChannelParams) -> float:
-    """Optimal inflation coefficient P c mu_A / (P + 1 + c^2)."""
-    return params.P * params.c * params.mu_A / (params.P + 1.0 + finite_square(params.c, "c"))
-
-
-def inner_no_rcsi_with_k(params: ChannelParams, k: float) -> RateBound:
-    """Achievable rate of the U = X + kS assignment at arbitrary inflation k."""
-    P, c, mu = params.P, params.c, params.mu_A
-    big = P + c * c * (1.0 + mu * mu) + 1.0
-    denom = P + k * k - (P + k * c * mu) ** 2 / big
-    if denom <= 0:
-        raise DegenerateDenominator(f"denominator {denom!r} not positive")
-    bits = max(0.0, 0.5 * math.log2(P / denom)) if P > 0 else 0.0
-    return RateBound(bits=bits, theorem="no-rcsi-inner", branch="costa-k", assumptions_ok={})
+def k_star(params: ChannelParams, mu_A: float) -> float:
+    """Optimal inflation coefficient P c mu_A / (P + 1 + c^2) for a fading
+    law of mean mu_A."""
+    return params.P * params.c * mu_A / (params.P + 1.0 + finite_square(params.c, "c"))
 
 
 def gap_no_rcsi(alpha_ep: float) -> float:

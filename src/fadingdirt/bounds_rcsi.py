@@ -19,7 +19,6 @@ import numpy as np
 
 from .bounds_norcsi import _C_MIN, ChannelParams, RateBound, finite_square
 from .errors import (
-    ConditionNotVerified,
     DeltaOutOfRange,
     IntervalMassTooSmall,
     NoDominantAtom,
@@ -38,13 +37,16 @@ class MassHalfParams:
     P_prime: float  # mass of the dominant atom, >= 1/2
     G: float        # bits
     G_prime: float  # bits
+    mu_A: float     # mean of the law
 
 
 @dataclass(frozen=True)
 class StrongFadingParams:
     M: int
     alpha_sf: float
-    G_tilde: float  # bits
+    G_tilde: float       # bits
+    mu_A: float          # mean of the support
+    condition_ok: bool   # the spacing condition at this gain
 
 
 @dataclass(frozen=True)
@@ -58,15 +60,14 @@ class ContinuousOuterParams:
 # phase fading (circularly binomial) recap
 # ---------------------------------------------------------------------------
 
-def outer_phase_binomial(params: ChannelParams, Delta: float) -> RateBound:
+def outer_phase_binomial(P: float, Q: float, Delta: float) -> RateBound:
     """Piecewise outer bound for phase fading exp(+-j Delta) on a state of
-    variance Q, with effective gain c_eff = sin(Delta) sqrt(Q)."""
+    power Q = c^2, with effective gain c_eff = sin(Delta) sqrt(Q)."""
     if not (math.pi / 4 <= Delta <= math.pi / 2):
         raise DeltaOutOfRange(f"Delta must be in [pi/4, pi/2], got {Delta!r}")
-    if params.Q <= 0:
+    if Q <= 0:
         raise ZeroGain("Q must be positive")
-    P = params.P
-    c2 = math.sin(Delta) ** 2 * params.Q
+    c2 = math.sin(Delta) ** 2 * Q
     if c2 <= 1.0:
         bits = math.log2(P + 1) + 2.0
         branch = "weak-interference"
@@ -86,9 +87,9 @@ def outer_phase_binomial(params: ChannelParams, Delta: float) -> RateBound:
                      assumptions_ok={"delta_in_range": True})
 
 
-def inner_phase_binomial(params: ChannelParams) -> RateBound:
-    """Treat the faded dirt, of variance Q, as noise on the phase-fading channel."""
-    return RateBound(bits=0.5 * math.log2(1.0 + params.P / (1.0 + params.Q)),
+def inner_phase_binomial(P: float, Q: float) -> RateBound:
+    """Treat the faded dirt, of power Q = c^2, as noise on the phase-fading channel."""
+    return RateBound(bits=0.5 * math.log2(1.0 + P / (1.0 + Q)),
                      theorem="phase-binomial-inner", branch="treat-as-noise")
 
 
@@ -132,7 +133,7 @@ def gap_params_at(dist: Discrete, i: int) -> MassHalfParams:
     terms = _spread_terms([v for v, _ in rest], a_p, "the G' term")
     G = float(sum(p * math.log2((v - a_p) ** 2) for v, p in rest))
     G_prime = float(sum(p * t for (_, p), t in zip(rest, terms)))
-    return MassHalfParams(a_prime=a_p, P_prime=P_p, G=G, G_prime=G_prime)
+    return MassHalfParams(a_prime=a_p, P_prime=P_p, G=G, G_prime=G_prime, mu_A=dist.mean)
 
 
 def _min_branch(theorem, branches, assumptions):
@@ -153,8 +154,10 @@ def outer_mass_half(params: ChannelParams, mp: MassHalfParams) -> RateBound:
         (Pp / 2 * math.log2(1 + P) + 1.5 - G / 2,
          "large-gain", Pp * c2 > Pb * (P + 1)),
     ]
+    # zero within 1e-12: geometric_fading(0.55)'s truncated tail leaves a mean of -9.6e-13
+    mean_zero = abs(mp.mu_A) <= 1e-12
     return _min_branch("mass-half-outer", branches,
-                       {"dominant_mass": Pp >= 0.5, "mu_A_zero": params.mu_A == 0.0})
+                       {"dominant_mass": Pp >= 0.5, "mu_A_zero": mean_zero})
 
 
 def _costa_atom_sum(values, probs, a_prime, p_prime_mass, c, power):
@@ -236,8 +239,6 @@ def strong_condition_check(support: Discrete, c: float, alpha_sf: float) -> bool
     _check_equiprobable(support.probs)
     if len(support.values) < 2:
         raise NotUniform("strong-fading support needs at least 2 atoms")
-    if alpha_sf < 0:
-        return False
     gaps = np.diff(support.values)
     k = alpha_sf * c * c - 1.0
     for m in range(2, len(gaps)):
@@ -246,22 +247,27 @@ def strong_condition_check(support: Discrete, c: float, alpha_sf: float) -> bool
     return True
 
 
-def strong_params(support: Discrete, alpha_sf: float) -> StrongFadingParams:
-    """The support size and the G-tilde constant, with a' the atom nearest 0."""
+def strong_params(support: Discrete, c: float, c2: float) -> StrongFadingParams:
+    """The strong-fading constants at gain c: alpha_sf = c2/(c2 + 1) from the
+    c^2 the caller holds (a sweep's grid value, not sqrt(c2)**2), the spacing
+    condition on c*c as written, the support size and mean, and G-tilde with
+    a' the atom nearest 0."""
+    alpha_sf = c2 / (c2 + 1.0)
+    ok = strong_condition_check(support, c, alpha_sf)
     vals = support.values
     a_prime = float(min(vals, key=abs))
     rest = [v for v in vals if v != a_prime]
     g_tilde = float(sum(_spread_terms(rest, a_prime, "G-tilde")))
-    return StrongFadingParams(M=len(vals), alpha_sf=alpha_sf, G_tilde=g_tilde)
+    return StrongFadingParams(M=len(vals), alpha_sf=alpha_sf, G_tilde=g_tilde,
+                              mu_A=support.mean, condition_ok=ok)
 
 
-def outer_strong(params: ChannelParams, sp: StrongFadingParams, condition_ok: bool) -> RateBound:
-    if not condition_ok:
-        raise ConditionNotVerified("spacing condition not verified for this support")
+def outer_strong(params: ChannelParams, sp: StrongFadingParams) -> RateBound:
+    """Pre-optimized and large-gain branches with k^2 = c^2 (1 + E[A]^2)."""
     if abs(params.c) < _C_MIN:
         raise ZeroGain("strong-fading outer bound needs c != 0")
     P, M, al = params.P, sp.M, sp.alpha_sf
-    k2 = finite_square(params.c, "c") * (1.0 + finite_square(params.mu_A, "mu_A"))
+    k2 = finite_square(params.c, "c") * (1.0 + sp.mu_A ** 2)
     w = (M - 1) / (2.0 * M)
     branches = [
         (0.5 * math.log2(P + k2 + 1) - w * math.log2(k2) - w * math.log2(al) + 0.5,
@@ -270,7 +276,7 @@ def outer_strong(params: ChannelParams, sp: StrongFadingParams, condition_ok: bo
          "large-gain", k2 / M > (M - 1) / M * (P + 1)),
     ]
     return _min_branch("strong-outer", branches,
-                       {"condition": condition_ok, "uniform": True})
+                       {"condition": sp.condition_ok, "uniform": True})
 
 
 def inner_strong(params: ChannelParams, support: Discrete) -> RateBound:
@@ -357,6 +363,10 @@ def inner_continuous(params: ChannelParams, dist: FadingDistribution, a_prime: f
     """Costa precoding against c*a'*S under continuous fading, by quadrature."""
     P, c2 = params.P, finite_square(params.c, "c")
     lo, hi = dist.support()
+    # checked in Python floats before quad, which would turn an inf into nan
+    s = max(abs(lo), abs(hi))
+    if not (math.isfinite(P * c2) and math.isfinite(c2 * s * s)):
+        raise NonFinite(f"the Costa loss at P = {P!r}, c^2 = {c2!r} overflows on this law")
     loss = integrate(dist, lambda x, p: p * math.log2(
         P * c2 / (P + c2 * x * x + 1) * (x - a_prime) ** 2 + 1.0), lo, hi, 1e-8)[0]
     bits = max(0.0, 0.5 * math.log2(1 + P) - 0.5 * loss)

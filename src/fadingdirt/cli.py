@@ -15,7 +15,7 @@ import sys
 
 from . import bounds_norcsi as bn
 from . import bounds_rcsi as br
-from .errors import FileInaccessible, SpecInvalid, ToolkitError, malformed
+from .errors import ConditionNotVerified, FileInaccessible, SpecInvalid, ToolkitError, malformed
 from .fading import entropy_power_alpha, parse_distribution
 from .gauss_mi import CostaAssignment, mi_monte_carlo
 from .gp import GPInstance, binary_nonoise_instance, optimize_alternating
@@ -41,9 +41,8 @@ def _build_parser():
     b = sub.add_parser("bounds", help="evaluate one (P, c) point")
     b.add_argument("--theorem", required=True, choices=THEOREMS)
     b.add_argument("--P", type=float, required=True, help="input power")
-    b.add_argument("--c", type=float, default=1.0, help="interference gain")
-    b.add_argument("--mu-A", type=float, default=0.0, help="fading mean")
-    b.add_argument("--Q", type=float, default=1.0, help="state variance (phase theorem)")
+    b.add_argument("--c", type=float, default=1.0,
+                   help="interference gain; the phase theorem's state power is its square")
     b.add_argument("--delta", type=float, default=math.pi / 2,
                    help="phase half-angle in radians (phase theorem)")
     b.add_argument("--dist", default="gaussian",
@@ -58,8 +57,8 @@ def _build_parser():
     mode.add_argument("--theorem", default=None, choices=THEOREMS)
     s.add_argument("--dist", default=None, help="fading law for --theorem sweeps")
     s.add_argument("--P-grid", default=None, help="comma-separated P values")
-    s.add_argument("--c2-grid", default=None, help="comma-separated c^2 values")
-    s.add_argument("--Q-grid", default=None, help="comma-separated Q values")
+    s.add_argument("--c2-grid", default=None,
+                   help="comma-separated c^2 values (state powers Q for the phase theorem)")
     s.add_argument("--delta", type=float, default=None,
                    help="phase half-angle in radians (default pi/2)")
     add_output(s)
@@ -74,7 +73,6 @@ def _build_parser():
     m = sub.add_parser("mi", help="Monte Carlo mutual information estimate")
     m.add_argument("--P", type=float, required=True)
     m.add_argument("--c", type=float, default=1.0)
-    m.add_argument("--mu-A", type=float, default=0.0)
     m.add_argument("--dist", default="two-point")
     m.add_argument("--a-target", type=float, default=0.0,
                    help="fading value the Costa codeword precodes against")
@@ -131,7 +129,7 @@ def _print_json(obj):
 
 def _cmd_bounds(args):
     dist = parse_distribution(args.dist)
-    params = bn.ChannelParams(P=args.P, c=args.c, mu_A=args.mu_A, Q=args.Q)
+    params = bn.ChannelParams(P=args.P, c=args.c)
     if args.theorem == "no-rcsi":
         alpha = entropy_power_alpha(dist)
         inner, outer = bn.inner_no_rcsi(params), bn.outer_no_rcsi(params, alpha)
@@ -140,15 +138,15 @@ def _cmd_bounds(args):
         inner = br.inner_mass_half(params, dist, mp)
         outer = br.outer_mass_half(params, mp)
     elif args.theorem == "strong":
-        c2 = bn.finite_square(args.c, "c")
-        alpha_sf = c2 / (c2 + 1.0)
-        ok = br.strong_condition_check(dist, args.c, alpha_sf)
-        sp = br.strong_params(dist, alpha_sf)
+        sp = br.strong_params(dist, args.c, bn.finite_square(args.c, "c"))
+        if not sp.condition_ok:
+            raise ConditionNotVerified("spacing condition not verified for this support")
         inner = br.inner_strong(params, dist)
-        outer = br.outer_strong(params, sp, condition_ok=ok)
+        outer = br.outer_strong(params, sp)
     elif args.theorem == "phase-binomial":
-        outer = br.outer_phase_binomial(params, args.delta)
-        inner = br.inner_phase_binomial(params)
+        Q = bn.finite_square(args.c, "c")
+        outer = br.outer_phase_binomial(args.P, Q, args.delta)
+        inner = br.inner_phase_binomial(args.P, Q)
     else:
         interval = tuple(args.interval) if args.interval else dist.support()
         cp = br.continuous_interval_params(dist, interval)
@@ -169,7 +167,6 @@ def _cmd_sweep(args):
             dist=args.dist,
             P_list=_grid(args.P_grid, SweepSpec.P_list),
             c2_list=_grid(args.c2_grid, SweepSpec.c2_list),
-            Q_list=_grid(args.Q_grid, (1.0,)),
             Delta=args.delta,
         )]
     rows = []
@@ -193,7 +190,7 @@ def _cmd_verify(args):
 
 def _cmd_mi(args):
     dist = parse_distribution(args.dist)
-    params = bn.ChannelParams(P=args.P, c=args.c, mu_A=args.mu_A)
+    params = bn.ChannelParams(P=args.P, c=args.c)
     asg = CostaAssignment(a_target=args.a_target, inflation_k=args.k,
                           split_delta=args.split, rcsi=not args.no_rcsi)
     est, se = mi_monte_carlo(params, dist, asg, args.n, args.seed)
@@ -238,7 +235,7 @@ _COMMANDS = {
 
 # flags that a mode does not read, with their values when omitted
 _UNREAD_BY = {
-    ("sweep", "preset"): {"dist": None, "P_grid": None, "c2_grid": None, "Q_grid": None,
+    ("sweep", "preset"): {"dist": None, "P_grid": None, "c2_grid": None,
                           "delta": math.pi / 2},
     ("gp", "instance"): {"atoms": "[[-1,0.5],[1,0.5]]", "no_rcsi": False, "aux_size": 4},
 }

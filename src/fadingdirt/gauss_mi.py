@@ -59,14 +59,14 @@ def costa_inflation(P1: float, c: float, a_target: float) -> float:
     return P1 / (P1 + 1.0) * c * a_target
 
 
-def _resolve(params: ChannelParams, asg: CostaAssignment):
+def _resolve(params: ChannelParams, dist: FadingDistribution, asg: CostaAssignment):
     P1 = asg.split_delta * params.P
     P2 = params.P - P1
     if asg.inflation_k is None:
         if asg.rcsi:
             k = costa_inflation(P1, params.c, asg.a_target)
         else:
-            k = k_star(replace(params, P=P1))
+            k = k_star(replace(params, P=P1), dist.mean)
     else:
         k = asg.inflation_k
     return P1, P2, k
@@ -77,7 +77,7 @@ def costa_rate_exact(params: ChannelParams, dist: FadingDistribution,
     """Exact achievable rate (bits) of the assignment by covariance algebra."""
     if asg.rcsi and not dist.is_discrete:
         raise DiscreteUnsupported("exact per-realization rate needs finite fading atoms")
-    P1, P2, k = _resolve(params, asg)
+    P1, P2, k = _resolve(params, dist, asg)
     c = params.c
     ea2 = dist.var + dist.mean ** 2
 
@@ -189,7 +189,7 @@ def mi_monte_carlo(params: ChannelParams, dist: FadingDistribution,
     if n < 10 ** 4:
         raise InsufficientSamples(f"need n >= 1e4, got {n!r}")
     rngs = [seeded_rng(seed, j) for j in range(_N_STREAMS)]
-    P1, P2, k = _resolve(params, asg)
+    P1, P2, k = _resolve(params, dist, asg)
     if P1 < _VAR_MIN:
         raise SingularCovariance("Monte Carlo estimator needs power on the Costa codeword")
     c = params.c

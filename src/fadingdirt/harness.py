@@ -48,16 +48,14 @@ class SweepSpec:
     theorem: str
     dist: object = None          # FadingDistribution, JSON literal, or shorthand
     P_list: tuple = CANONICAL_P
-    c2_list: tuple = CANONICAL_C2
-    Q_list: tuple = (1.0,)       # phase-fading theorem only
-    Delta: float = math.pi / 2   # phase-fading theorem only
+    c2_list: tuple = CANONICAL_C2  # the state power Q for the phase-fading theorem
+    Delta: float = math.pi / 2     # phase-fading theorem only
     dist_id: str = None
 
     def __post_init__(self):
         if self.theorem not in THEOREMS:
             raise SpecInvalid(f"unknown theorem {self.theorem!r}; choose from {THEOREMS}")
-        for name, grid in (("P_list", self.P_list), ("c2_list", self.c2_list),
-                           ("Q_list", self.Q_list)):
+        for name, grid in (("P_list", self.P_list), ("c2_list", self.c2_list)):
             if len(grid) == 0:
                 raise SpecInvalid(f"{name} is empty")
             if any(not math.isfinite(v) for v in grid):
@@ -147,15 +145,13 @@ def _strong_points(dist):
 
     def point(params, c2):
         if c2 not in by_c2:
-            alpha_sf = c2 / (c2 + 1.0)
-            by_c2[c2] = (br.strong_condition_check(dist, params.c, alpha_sf),
-                         br.strong_params(dist, alpha_sf))
-        ok, sp = by_c2[c2]
+            by_c2[c2] = br.strong_params(dist, params.c, c2)
+        sp = by_c2[c2]
         inner = br.inner_strong(params, dist)
         # ZeroGain at c = 0 before the claim's log2(alpha_sf) can fail
-        outer = br.outer_strong(params, sp, condition_ok=True)
+        outer = br.outer_strong(params, sp)
         claimed = max(math.log2(sp.alpha_sf) / 2.0 - sp.G_tilde + 3.0, 1.0)
-        return inner, outer, claimed, ok
+        return inner, outer, claimed, sp.condition_ok
     return point
 
 
@@ -171,9 +167,8 @@ def _continuous_points(dist):
 
 def _point_phase(spec, P, Q):
     c_eff2 = math.sin(spec.Delta) ** 2 * Q
-    params = bn.ChannelParams(P=P, c=0.0, Q=Q)
-    outer = br.outer_phase_binomial(params, spec.Delta)
-    inner = br.inner_phase_binomial(params)
+    outer = br.outer_phase_binomial(P, Q, spec.Delta)
+    inner = br.inner_phase_binomial(P, Q)
     return _report("phase-binomial", inner, outer, P, c_eff2, 0.0,
                    f"phase{spec.Delta:.4g}", 3.0, True)
 
@@ -196,14 +191,14 @@ def run_sweep(spec: SweepSpec):
     The constants that depend only on the law are computed once per sweep.
     """
     if spec.theorem == "phase-binomial":
-        return [_point_phase(spec, P, Q) for P in spec.P_list for Q in spec.Q_list]
+        return [_point_phase(spec, P, c2) for P in spec.P_list for c2 in spec.c2_list]
     dist = spec.resolved_dist()
     dist_id, mu = spec.dist_id or dist.label(), dist.mean
     point = _LAW_POINTS[spec.theorem](dist)
     rows = []
     for P in spec.P_list:
         for c2 in spec.c2_list:
-            params = bn.ChannelParams(P=P, c=math.sqrt(c2), mu_A=mu)
+            params = bn.ChannelParams(P=P, c=math.sqrt(c2))
             inner, outer, claimed, ok = point(params, c2)
             rows.append(_report(spec.theorem, inner, outer, P, c2, mu, dist_id, claimed, ok))
     return rows
@@ -243,7 +238,7 @@ def _preset_specs(theorem: str, preset: str):
                           c2_list=(c * c,), dist_id=f"strongM{M}")
                 for M in Ms for c in (2.0, 4.0, 8.0)]
     if theorem == "phase-binomial":
-        return [SweepSpec("phase-binomial", P_list=P, Q_list=(0.25, 1.0, 4.0, 16.0),
+        return [SweepSpec("phase-binomial", P_list=P, c2_list=(0.25, 1.0, 4.0, 16.0),
                           Delta=d) for d in ((math.pi / 2,) if preset == "smoke"
                                              else (math.pi / 4, math.pi / 2))]
     raise SpecInvalid(f"unknown preset {theorem!r}")

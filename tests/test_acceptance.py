@@ -6,6 +6,7 @@ the lines inline.
 """
 
 import math
+from dataclasses import replace
 
 import mpmath
 import numpy as np
@@ -207,8 +208,8 @@ def test_acceptance_6_strong_fading_construction():
     # piecewise outer bounds agree branch by branch
     mp = mass_half_params(TWO_POINT)
     for P, c, alpha in ((15.0, 2.0, 1.0), (1.0, 8.0, 4.0)):
-        sp = strong_params(TWO_POINT, alpha)
-        a = outer_strong(ChannelParams(P=P, c=c), sp, condition_ok=True).bits
+        sp = replace(strong_params(TWO_POINT, c, c * c), alpha_sf=alpha)
+        a = outer_strong(ChannelParams(P=P, c=c), sp).bits
         b = outer_mass_half(ChannelParams(P=P, c=c), mp).bits
         ok &= abs(a - b) <= 1e-9
     _report(6, "strong-fading support construction and two-atom degeneration",
@@ -218,8 +219,8 @@ def test_acceptance_6_strong_fading_construction():
 def test_acceptance_7_piecewise_evaluators():
     """Hand-computed branch values and monotonicity in transmit power."""
     ok = True
-    weak = outer_phase_binomial(ChannelParams(P=3.0, c=1.0, Q=0.25), math.pi / 2)
-    strong = outer_phase_binomial(ChannelParams(P=3.0, c=1.0, Q=16.0), math.pi / 2)
+    weak = outer_phase_binomial(3.0, 0.25, math.pi / 2)
+    strong = outer_phase_binomial(3.0, 16.0, math.pi / 2)
     ok &= weak.bits == 4.0 and strong.bits == 3.5
 
     def grid(lo, hi):
@@ -229,7 +230,7 @@ def test_acceptance_7_piecewise_evaluators():
         return all(vals[i + 1] >= vals[i] - 1e-12 for i in range(len(vals) - 1))
 
     mp = mass_half_params(TWO_POINT)
-    sp = strong_params(strong_support(3, 2.0), 4.0 / 5.0)
+    sp = strong_params(strong_support(3, 2.0), 2.0, 4.0)
     gauss_cp = continuous_interval_params(Gaussian(0.0, 1.0), (-1.5, 1.5))
     families = {
         "no-rcsi": [outer_no_rcsi(ChannelParams(P=P, c=2.0), 1.0).bits
@@ -238,12 +239,10 @@ def test_acceptance_7_piecewise_evaluators():
                                for P in grid(0.1, 1000.0)],
         # stay inside the pre-optimized branch regime; the piecewise strong
         # bound is discontinuous (hence non-monotone) across the branch switch
-        "strong": [outer_strong(ChannelParams(P=P, c=2.0), sp,
-                                condition_ok=True).bits
+        "strong": [outer_strong(ChannelParams(P=P, c=2.0), sp).bits
                    for P in grid(2.0, 1000.0)],
         "phase-binomial": [
-            outer_phase_binomial(ChannelParams(P=P, c=1.0, Q=1.0),
-                                 math.pi / 2).bits
+            outer_phase_binomial(P, 1.0, math.pi / 2).bits
             for P in grid(0.1, 1000.0)],
         "continuous": [
             outer_continuous(ChannelParams(P=P, c=2.0), gauss_cp).bits

@@ -10,7 +10,6 @@ from fadingdirt.bounds_norcsi import (
     RateBound,
     gap_no_rcsi,
     inner_no_rcsi,
-    inner_no_rcsi_with_k,
     k_star,
     lemma_gap_catalog,
     outer_no_rcsi,
@@ -23,7 +22,8 @@ from fadingdirt.errors import (
     UnknownFamily,
     ZeroGain,
 )
-from fadingdirt.fading import TWO_PI_E
+from fadingdirt.fading import TWO_PI_E, Gaussian
+from fadingdirt.gauss_mi import CostaAssignment, costa_rate_exact
 
 mpmath.mp.dps = 50
 
@@ -88,6 +88,15 @@ class TestOuter:
         assert all(vals[i + 1] >= vals[i] - 1e-12 for i in range(len(vals) - 1))
 
 
+# unit-variance fading of mean 1, so that the inflation k matters
+_MEAN_ONE = Gaussian(1.0, 1.0)
+
+
+def _rate_at_k(params, k):
+    """No-RCSI Costa rate of U = X + kS against the mean fading, at inflation k."""
+    return costa_rate_exact(params, _MEAN_ONE, CostaAssignment(inflation_k=k, rcsi=False))
+
+
 class TestInner:
     def test_awgn_degenerate(self):
         assert inner_no_rcsi(ChannelParams(P=3, c=0)).bits == pytest.approx(1.0, abs=1e-12)
@@ -100,28 +109,23 @@ class TestInner:
         assert inner_no_rcsi(ChannelParams(P=0, c=5)).bits == 0.0
 
     def test_k_star_zero_mean(self):
-        assert k_star(ChannelParams(P=3, c=1, mu_A=0.0)) == 0.0
+        assert k_star(ChannelParams(P=3, c=1), 0.0) == 0.0
 
     def test_with_k_zero_simplifies(self):
-        p = ChannelParams(P=3, c=1, mu_A=1.0)
-        got = inner_no_rcsi_with_k(p, 0.0).bits
+        got = _rate_at_k(ChannelParams(P=3, c=1), 0.0)
         want = 0.5 * math.log2(1 + 3 / (1 * (1 + 1) + 1))
         assert got == pytest.approx(want, abs=1e-12)
 
     def test_k_star_optimal_on_grid(self):
-        p = ChannelParams(P=3, c=1, mu_A=1.0)
-        ks = k_star(p)
-        best = inner_no_rcsi_with_k(p, ks).bits
+        p = ChannelParams(P=3, c=1)
+        ks = k_star(p, _MEAN_ONE.mean)
+        best = _rate_at_k(p, ks)
         for k in np.linspace(ks - 0.5, ks + 0.5, 21):
-            assert best >= inner_no_rcsi_with_k(p, float(k)).bits - 1e-12
+            assert best >= _rate_at_k(p, float(k)) - 1e-12
 
     def test_k_star_beats_plain_inner(self):
-        p = ChannelParams(P=3, c=1, mu_A=1.0)
-        assert inner_no_rcsi_with_k(p, k_star(p)).bits >= inner_no_rcsi(p).bits - 1e-12
-
-    def test_degenerate_denominator(self):
-        with pytest.raises(DegenerateDenominator):
-            inner_no_rcsi_with_k(ChannelParams(P=0, c=0, mu_A=0.0), 0.0)
+        p = ChannelParams(P=3, c=1)
+        assert _rate_at_k(p, k_star(p, _MEAN_ONE.mean)) >= inner_no_rcsi(p).bits - 1e-12
 
     @pytest.mark.parametrize("bits", [math.nan, math.inf, -math.inf])
     def test_non_finite_bound_rejected(self, bits):

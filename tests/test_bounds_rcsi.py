@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import mpmath
 import numpy as np
@@ -21,7 +22,6 @@ from fadingdirt.bounds_rcsi import (
     strong_params,
 )
 from fadingdirt.errors import (
-    ConditionNotVerified,
     DeltaOutOfRange,
     IntervalMassTooSmall,
     NoDominantAtom,
@@ -51,17 +51,17 @@ TWO_POINT = Discrete(((-1.0, 0.5), (1.0, 0.5)))
 
 class TestPhaseBinomial:
     def test_branch_weak(self):
-        got = outer_phase_binomial(ChannelParams(P=3, c=0, Q=0.25), math.pi / 2)
+        got = outer_phase_binomial(3, 0.25, math.pi / 2)
         assert got.bits == 4.0
         assert got.branch == "weak-interference"
 
     def test_branch_strong(self):
-        got = outer_phase_binomial(ChannelParams(P=3, c=0, Q=16.0), math.pi / 2)
+        got = outer_phase_binomial(3, 16.0, math.pi / 2)
         assert got.bits == 3.5
         assert got.branch == "strong-interference"
 
     def test_branch_middle_high_precision(self):
-        got = outer_phase_binomial(ChannelParams(P=8, c=0, Q=4.0), math.pi / 2)
+        got = outer_phase_binomial(8, 4.0, math.pi / 2)
         P, c2 = mpmath.mpf(8), mpmath.mpf(4)
         want = float(
             mpmath.log(P + 1, 2) / 2
@@ -73,7 +73,7 @@ class TestPhaseBinomial:
     def test_delta_out_of_range(self):
         for d in (0.0, math.pi / 8, math.pi):
             with pytest.raises(DeltaOutOfRange):
-                outer_phase_binomial(ChannelParams(P=1, c=0, Q=1), d)
+                outer_phase_binomial(1, 1, d)
 
 
 class TestMassHalfParams:
@@ -140,6 +140,15 @@ class TestOuterMassHalf:
         vals = [outer_mass_half(ChannelParams(P=float(P), c=2), mp_).bits
                 for P in np.logspace(-1, 3, 10)]
         assert all(vals[i + 1] >= vals[i] - 1e-12 for i in range(len(vals) - 1))
+
+    @pytest.mark.parametrize("law,zero", [
+        (TWO_POINT, True),
+        (geometric_fading(0.55), True),  # its truncated tail leaves a mean of -9.6e-13
+        (Discrete(((-1.0, 0.6), (0.5, 0.3), (2.0, 0.1))), False),  # mean -0.25
+    ], ids=["two-point", "geometric", "three-atom"])
+    def test_mu_a_zero_reads_the_law_mean(self, law, zero):
+        got = outer_mass_half(ChannelParams(P=15, c=8), mass_half_params(law))
+        assert got.assumptions_ok["mu_A_zero"] is zero
 
 
 class TestInnerMassHalf:
@@ -220,20 +229,24 @@ class TestStrongCondition:
         with pytest.raises(NotUniform):
             strong_condition_check(Discrete(((-1.0, 0.7), (1.0, 0.3))), 2.0, 0.8)
 
+    @pytest.mark.parametrize("c", [2.0, 8.0])
+    def test_params_carry_the_condition_and_the_mean(self, c):
+        base = strong_support(4, 2.0)
+        shifted = Discrete(tuple((float(v) + 1.0, 0.25) for v in base.values))
+        sp = strong_params(shifted, c, c * c)
+        assert sp.alpha_sf == c * c / (c * c + 1.0)
+        assert sp.condition_ok is strong_condition_check(shifted, c, sp.alpha_sf)
+        assert sp.condition_ok is (c == 2.0)
+        assert sp.mu_A == pytest.approx(1.0, abs=1e-12)
+
 
 class TestOuterStrong:
-    def test_requires_condition(self):
-        d = strong_support(3, 2.0)
-        sp = strong_params(d, 0.8)
-        with pytest.raises(ConditionNotVerified):
-            outer_strong(ChannelParams(P=10, c=2), sp, condition_ok=False)
-
     def test_large_gain_branch_arithmetic(self):
         # k2/M > (M-1)/M (P+1): M=3, c=30, P=1
         d = strong_support(3, 30.0)
         al = 0.9
-        sp = strong_params(d, al)
-        got = outer_strong(ChannelParams(P=1, c=30), sp, condition_ok=True)
+        sp = replace(strong_params(d, 30.0, 900.0), alpha_sf=al)
+        got = outer_strong(ChannelParams(P=1, c=30), sp)
         want = (1 / 6) * math.log2(2.0) - (2 / 6) * math.log2(al) + 1.5
         assert got.bits == pytest.approx(want, abs=1e-12)
         assert got.branch == "large-gain"
@@ -242,8 +255,9 @@ class TestOuterStrong:
         c = 10.0
         al = c * c / (c * c + 1.0)
         d = strong_support(4, c)
-        sp = strong_params(d, al)
-        got = outer_strong(ChannelParams(P=100, c=c), sp, condition_ok=True)
+        sp = strong_params(d, c, c * c)
+        assert sp.alpha_sf == al
+        got = outer_strong(ChannelParams(P=100, c=c), sp)
         P, k2, alm = mpmath.mpf(100), mpmath.mpf(100), mpmath.mpf(100) / 101
         w = mpmath.mpf(3) / 8
         want = float(mpmath.log(P + k2 + 1, 2) / 2 - w * mpmath.log(k2, 2)
@@ -253,26 +267,26 @@ class TestOuterStrong:
     def test_m2_coincides_with_mass_half_preoptimized_branch(self):
         # equivalent slack alpha = 1 makes the M=2 pre-optimized branches equal
         mp_ = mass_half_params(TWO_POINT)
-        sp = strong_params(TWO_POINT, 1.0)
-        a = outer_strong(ChannelParams(P=15, c=2), sp, condition_ok=True)
+        sp = replace(strong_params(TWO_POINT, 2.0, 4.0), alpha_sf=1.0)
+        a = outer_strong(ChannelParams(P=15, c=2), sp)
         b = outer_mass_half(ChannelParams(P=15, c=2), mp_)
         assert a.bits == pytest.approx(b.bits, abs=1e-9)
 
     def test_m2_coincides_with_mass_half_large_gain_branch(self):
         # equivalent slack alpha = Delta_1^2 = 4 for the large-gain branch
         mp_ = mass_half_params(TWO_POINT)
-        sp = strong_params(TWO_POINT, 4.0)
-        a = outer_strong(ChannelParams(P=1, c=8), sp, condition_ok=True)
+        sp = replace(strong_params(TWO_POINT, 8.0, 64.0), alpha_sf=4.0)
+        a = outer_strong(ChannelParams(P=1, c=8), sp)
         b = outer_mass_half(ChannelParams(P=1, c=8), mp_)
         assert a.bits == pytest.approx(b.bits, abs=1e-9)
 
     def test_nondecreasing_in_p(self):
         c = 2.0
         d = strong_support(3, c)
-        sp = strong_params(d, c * c / (c * c + 1.0))
+        sp = strong_params(d, c, c * c)
         # stay inside the pre-optimized branch regime (P >= k2/(M-1) - 1);
         # across the regime switch the piecewise theorem is not monotone
-        vals = [outer_strong(ChannelParams(P=float(P), c=c), sp, condition_ok=True).bits
+        vals = [outer_strong(ChannelParams(P=float(P), c=c), sp).bits
                 for P in np.logspace(math.log10(2.0), 3, 10)]
         assert all(vals[i + 1] >= vals[i] - 1e-12 for i in range(len(vals) - 1))
 

@@ -69,6 +69,9 @@ class TestBounds:
 _STRONG3 = json.dumps(strong_support(3, 2.0).to_json())
 _STRONG4 = json.dumps(strong_support(4, 2.0).to_json())
 _ONE_ATOM = '{"kind":"discrete","atoms":[[0,1]]}'
+# strong_support(4, 2) moved to mean 1; its spacing condition fails at c = 8
+_STRONG4_SHIFTED = json.dumps({"kind": "discrete", "atoms": [
+    [v + 1.0, 0.25] for v in strong_support(4, 2.0).values.tolist()]})
 # log-normal laws whose mass a quadrature over the support misses: the first
 # on the 401-node grid of the no-RCSI mixture, the second also under `quad`
 _UNIT_LOGNORMAL = '{"kind":"lognormal","mu":0.0,"sigma2":0.25,"scale":1.6559018331762287}'
@@ -109,6 +112,8 @@ _BAD_INPUT = {
     "bounds-strong-one-atom": ["bounds", "--theorem", "strong", "--P", "1", "--c", "2",
                                "--dist", _ONE_ATOM],
     "sweep-strong-one-atom": ["sweep", "--theorem", "strong", "--dist", _ONE_ATOM],
+    "bounds-strong-condition": ["bounds", "--theorem", "strong", "--P", "10", "--c", "8",
+                                "--dist", _STRONG4_SHIFTED],
     "mi-norcsi-overflow": ["mi", "--P", "3", "--no-rcsi", "--n", "10000",
                            "--dist", '{"kind":"lognormal","sigma2":800}'],
     "mi-norcsi-nonfinite": ["mi", "--P", "3", "--no-rcsi", "--n", "10000",
@@ -141,6 +146,7 @@ _EXPECTED_KIND = {
     "sweep-strong-zero-c2": "ZeroGain",
     "bounds-strong-one-atom": "NotUniform",
     "sweep-strong-one-atom": "NotUniform",
+    "bounds-strong-condition": "ConditionNotVerified",
     "mi-norcsi-overflow": "QuadratureFailure",
     "mi-norcsi-nonfinite": "NonFinite",
     "bounds-mass-half-nonfinite": "NonFinite",
@@ -178,16 +184,46 @@ def test_bad_input_exit_3(capsys, tmp_path, name):
     assert kind == _EXPECTED_KIND.get(name, kind), err
 
 
-# gains, means and powers whose squares leave the float range
+# laws of non-zero mean: the golden three-atom law (mean -0.25), the shifted
+# strong support (mean 1) and a Gaussian of mean 0.5
+_THREE_ATOMS = '{"kind":"discrete","atoms":[[-1.0,0.6],[0.5,0.3],[2.0,0.1]]}'
+_GAUSSIAN_SHIFTED = '{"kind":"gaussian","mean":0.5,"var":1}'
+_LAW_OF = {"no-rcsi": _GAUSSIAN_SHIFTED, "mass-half": _THREE_ATOMS,
+           "strong": _STRONG4_SHIFTED, "continuous": _GAUSSIAN_SHIFTED}
+
+
+@pytest.mark.parametrize("c", [0.5, 2.0, 8.0])
+@pytest.mark.parametrize("theorem", list(_LAW_OF))
+def test_bounds_agrees_with_the_sweep_row(capsys, theorem, c):
+    # both take the fading mean from the law; c has an exact square
+    law = _LAW_OF[theorem]
+    code, out, err = run_cli(capsys, "bounds", "--theorem", theorem, "--P", "10",
+                             "--c", repr(c), "--dist", law)
+    _, swept, _ = run_cli(capsys, "sweep", "--theorem", theorem, "--dist", law,
+                          "--P-grid", "10", "--c2-grid", repr(c * c), "--format", "json")
+    (row,) = json.loads(swept)
+    if code == 3:  # the strong support fails its spacing condition at c = 8
+        assert "ConditionNotVerified" in err and row["assumptions_ok"] is False
+        return
+    assert code == 0
+    payload = json.loads(out)
+    assert "%.12g" % payload["inner"]["bits"] == row["inner_bits"]
+    assert "%.12g" % payload["outer"]["bits"] == row["outer_bits"]
+
+
+# gains and powers whose squares or products leave the float range
 _OVERFLOW = {
     "continuous-gain": ["bounds", "--theorem", "continuous", "--P", "10", "--c", "1e200",
                         "--dist", "gaussian"],
+    # c^2 is finite but P c^2 is not, which quad would turn into a silent 0 bits
+    "continuous-power-gain": ["bounds", "--theorem", "continuous", "--P", "10", "--c", "1e154",
+                              "--dist", "gaussian"],
+    "continuous-sweep-power-gain": ["sweep", "--theorem", "continuous", "--dist", "gaussian",
+                                    "--P-grid", "10", "--c2-grid", "1e308"],
     "strong-gain": ["bounds", "--theorem", "strong", "--P", "10", "--c", "1e200",
                     "--dist", _STRONG4],
-    "strong-mean": ["bounds", "--theorem", "strong", "--P", "10", "--c", "2", "--mu-A", "1e200",
-                    "--dist", _STRONG4],
     "phase-binomial-power": ["bounds", "--theorem", "phase-binomial", "--P", "1e308",
-                             "--Q", "1e308", "--delta", "1.5"],
+                             "--c", "1e154", "--delta", "1.5"],
     "mass-half-gain": ["bounds", "--theorem", "mass-half", "--P", "10", "--c", "1e200",
                        "--dist", "two-point"],
     "mi-norcsi-gain": ["mi", "--no-rcsi", "--P", "3", "--c", "1e200", "--dist", "gaussian",
@@ -244,7 +280,13 @@ class TestSweepVerify:
         ("sweep", "--preset", "gaussian-smoke", "--threads", "2"),
         ("sweep", "--preset", "gaussian-smoke", "--seed", "0"),
         ("verify", "--preset", "gaussian-smoke", "--threads", "2"),
-    ], ids=["sweep-threads", "sweep-seed", "verify-threads"])
+        # the fading mean is the law's, and the phase theorem's Q is c^2
+        ("bounds", "--theorem", "strong", "--P", "10", "--dist", "two-point", "--mu-A", "1"),
+        ("bounds", "--theorem", "phase-binomial", "--P", "10", "--Q", "4"),
+        ("sweep", "--theorem", "phase-binomial", "--Q-grid", "4"),
+        ("mi", "--P", "3", "--no-rcsi", "--mu-A", "0.5"),
+    ], ids=["sweep-threads", "sweep-seed", "verify-threads", "bounds-mu-A", "bounds-Q",
+            "sweep-Q-grid", "mi-mu-A"])
     def test_removed_flags_rejected(self, capsys, argv):
         with pytest.raises(SystemExit) as exc:
             main(list(argv))
@@ -266,7 +308,6 @@ class TestSweepVerify:
         ("sweep", "--preset", "gaussian-smoke", "--dist", "two-point"),
         ("sweep", "--preset", "gaussian-smoke", "--P-grid", "7"),
         ("sweep", "--preset", "gaussian-smoke", "--c2-grid", "4"),
-        ("sweep", "--preset", "phase-binomial", "--Q-grid", "1"),
         ("sweep", "--preset", "phase-binomial", "--delta", "0"),
         ("gp", "--instance", "f.json", "--atoms", "[[1,1]]"),
         ("gp", "--instance", "f.json", "--no-rcsi"),
@@ -280,7 +321,7 @@ class TestSweepVerify:
         assert f"argument {argv[3]}: not allowed with argument {argv[1]}" in err
 
     def test_omitted_delta_is_a_right_angle(self, capsys):
-        base = ("sweep", "--theorem", "phase-binomial", "--P-grid", "1,10", "--Q-grid", "4")
+        base = ("sweep", "--theorem", "phase-binomial", "--P-grid", "1,10", "--c2-grid", "4")
         _, omitted, _ = run_cli(capsys, *base)
         _, given, _ = run_cli(capsys, *base, "--delta", repr(math.pi / 2))
         _, other, _ = run_cli(capsys, *base, "--delta", "1.2")
@@ -371,12 +412,12 @@ class TestMiGp:
 
 class TestHelp:
     @pytest.mark.parametrize("cmd,flags", [
-        ("bounds", ["--theorem", "--P", "--c", "--mu-A", "--Q", "--delta",
+        ("bounds", ["--theorem", "--P", "--c", "--delta",
                     "--dist", "--interval"]),
         ("sweep", ["--preset", "--theorem", "--dist", "--P-grid", "--c2-grid",
-                   "--Q-grid", "--delta", "--format", "--out"]),
+                   "--delta", "--format", "--out"]),
         ("verify", ["--preset", "--grid", "--format", "--out"]),
-        ("mi", ["--P", "--c", "--mu-A", "--dist", "--a-target", "--k",
+        ("mi", ["--P", "--c", "--dist", "--a-target", "--k",
                 "--split", "--no-rcsi", "--n", "--seed"]),
         ("gp", ["--instance", "--example", "--atoms", "--no-rcsi",
                 "--aux-size", "--restarts", "--seed", "--tol"]),

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from fadingdirt import gauss_mi
-from fadingdirt.bounds_norcsi import ChannelParams, inner_no_rcsi_with_k, k_star
+from fadingdirt.bounds_norcsi import ChannelParams, k_star
 from fadingdirt.errors import (
     DiscreteUnsupported,
     InsufficientSamples,
@@ -59,11 +59,23 @@ class TestCostaExact:
         assert got == pytest.approx(0.5 * math.log2(1 + 15 / (1 + 4)), abs=1e-9)
 
     def test_gme_route_matches_closed_form(self):
-        params = ChannelParams(P=3, c=1, mu_A=1.0)
-        ks = k_star(params)
-        got = costa_rate_exact(params, Gaussian(1.0, 1.0),
+        # 1/2 log2(P / (P + k^2 - (P + k c mu)^2 / (P + c^2 (1 + mu^2) + 1)))
+        # for a unit-variance law of mean mu
+        P, c, mu = 3.0, 1.0, 1.0
+        params = ChannelParams(P=P, c=c)
+        ks = k_star(params, mu)
+        got = costa_rate_exact(params, Gaussian(mu, 1.0),
                                CostaAssignment(inflation_k=ks, rcsi=False))
-        assert got == pytest.approx(inner_no_rcsi_with_k(params, ks).bits, abs=1e-12)
+        big = P + c * c * (1.0 + mu * mu) + 1.0
+        want = 0.5 * math.log2(P / (P + ks * ks - (P + ks * c * mu) ** 2 / big))
+        assert got == pytest.approx(want, abs=1e-12)
+
+    def test_default_no_rcsi_inflation_takes_the_law_mean(self):
+        params, law = ChannelParams(P=3, c=1), Gaussian(1.0, 1.0)
+        got = costa_rate_exact(params, law, CostaAssignment(rcsi=False))
+        assert k_star(params, law.mean) != 0.0
+        assert got == costa_rate_exact(
+            params, law, CostaAssignment(inflation_k=k_star(params, law.mean), rcsi=False))
 
     def test_default_inflation(self):
         assert costa_inflation(15.0, 8.0, -1.0) == pytest.approx(
@@ -92,11 +104,10 @@ class TestMonteCarlo:
         assert abs(est - costa_rate_exact(params, TWO_POINT, asg)) < 3 * se
 
     def test_no_rcsi_exceeds_gaussian_lower_bound(self):
-        params = ChannelParams(P=3, c=1, mu_A=1.0)
-        ks = k_star(params)
-        asg = CostaAssignment(inflation_k=ks, rcsi=False)
-        est, se = mi_monte_carlo(params, Gaussian(1.0, 1.0), asg, 10 ** 5, 11)
-        assert est >= inner_no_rcsi_with_k(params, ks).bits - 3 * se
+        params, law = ChannelParams(P=3, c=1), Gaussian(1.0, 1.0)
+        asg = CostaAssignment(rcsi=False)
+        est, se = mi_monte_carlo(params, law, asg, 10 ** 5, 11)
+        assert est >= costa_rate_exact(params, law, asg) - 3 * se
 
     def test_deterministic_given_seed(self):
         params = ChannelParams(P=15, c=8)
@@ -156,8 +167,9 @@ TABULATED_0 = json.dumps({"kind": "tabulated", "grid": [
     [1.4486840745117675, 0.18471656464147257], [1.744869703145943, 0.0413566225530956],
     [2.041055331780118, 0.008973207748853072]]})
 
-# (estimate, stderr) at P=3, c=2, mu_A=0.5, half the power on the Costa
-# codeword, no RCSI, n=1e4, seed 0, recorded with scipy's logsumexp
+# (estimate, stderr) at P=3, c=2, half the power on the Costa codeword, no
+# RCSI, n=1e4, seed 0, at the inflation k* of a fading mean of 0.5, recorded
+# with scipy's logsumexp
 RECORDED = {
     "gaussian": (0.13186002676665584, 0.007469686309860457),
     "rayleigh": (0.13668935568632606, 0.007282967380406324),
@@ -203,7 +215,7 @@ class TestMixtureKernel:
             np.testing.assert_allclose(got, logsumexp(terms, axis=1), rtol=1e-12, atol=1e-12)
 
     def test_chunk_size_does_not_change_estimate(self, monkeypatch):
-        params = ChannelParams(P=3, c=2, mu_A=0.5)
+        params = ChannelParams(P=3, c=2)
         asg = CostaAssignment(split_delta=0.5, rcsi=False)
         want = mi_monte_carlo(params, Gaussian(0.0, 1.0), asg, 10 ** 4, 2)
         for chunk in (1, 7):
@@ -222,6 +234,8 @@ class TestMixtureKernel:
 
     @pytest.mark.parametrize("name", sorted(RECORDED))
     def test_reproduces_recorded_estimates(self, name):
-        got = mi_monte_carlo(ChannelParams(P=3, c=2, mu_A=0.5), _law(name),
-                             CostaAssignment(split_delta=0.5, rcsi=False), 10 ** 4, 0)
+        k = k_star(ChannelParams(P=1.5, c=2), 0.5)  # P1 = 1.5 on the Costa codeword
+        got = mi_monte_carlo(ChannelParams(P=3, c=2), _law(name),
+                             CostaAssignment(inflation_k=k, split_delta=0.5, rcsi=False),
+                             10 ** 4, 0)
         assert got == pytest.approx(RECORDED[name], rel=0, abs=1e-12)

@@ -64,14 +64,15 @@ BOUNDS_GOLDEN = {
     "no-rcsi": (
         ("--theorem", "no-rcsi", "--P", "3", "--c", "2", "--dist", "uniform"),
         "a9958fd2038dcb181f1f06df8538a0a41415b205dc68b70343584e518454c1ed"),
+    # the law's mean is -0.25, so the outer bound's mu_A_zero reads false
     "mass-half-appendix": (
         ("--theorem", "mass-half", "--P", "15", "--c", "8", "--dist", _THREE_ATOMS),
-        "2e1ec3786131ad313fc3ce72a3a7364ca2f088c48dc961fc17f7945903e40512"),
+        "2f86f8ca60c0dfaa084d283600d9f3b2cec3f5c81f23cf893cb86e031313af98"),
     "strong-appendix": (
         ("--theorem", "strong", "--P", "10", "--c", "2", "--dist", _STRONG4),
         "af39eeef51fc3b1d1b75f02c1512907d9bce98f7dd54e318dbc8818b14f9f4e5"),
     "phase-binomial": (
-        ("--theorem", "phase-binomial", "--P", "10", "--Q", "4", "--delta", "1.2"),
+        ("--theorem", "phase-binomial", "--P", "10", "--c", "2", "--delta", "1.2"),
         "6303bc3a3f480f6ede16e68bdfaf3cf9fe2e5015445e75854e5fd08ab9a74a46"),
     "continuous": (
         ("--theorem", "continuous", "--P", "10", "--c", "8", "--dist", "gaussian",

@@ -56,12 +56,20 @@ class TestRunSweep:
         assert all(not r.assumptions_ok for r in rows)
 
     def test_phase_branches_populated(self):
-        spec = SweepSpec("phase-binomial", P_list=(3.0,), Q_list=(0.25, 16.0))
+        spec = SweepSpec("phase-binomial", P_list=(3.0,), c2_list=(0.25, 16.0))
         rows = run_sweep(spec)
         assert rows[0].outer_bits == 4.0
         assert rows[1].outer_bits == 3.5
         assert {r.branch_outer for r in rows} == {
             "weak-interference", "strong-interference"}
+
+    def test_no_rcsi_without_dirt_falls_back_to_awgn(self):
+        spec = SweepSpec("no-rcsi", dist="gaussian", P_list=(3.0, 15.0), c2_list=(0.0,))
+        for r in run_sweep(spec):
+            assert r.outer_bits == 0.5 * math.log2(1 + r.P)
+            assert r.inner_bits == r.outer_bits
+            assert r.branch_outer == "awgn-fallback"
+            assert r.assumptions_ok is False
 
     def test_law_constants_computed_once_per_sweep(self, monkeypatch):
         calls = []
