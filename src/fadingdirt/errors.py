@@ -25,6 +25,11 @@ class QuadratureFailure(ToolkitError):
     pass
 
 
+class QuadratureWarning(UserWarning):
+    """QUADPACK returned a nonzero code: the integral is computed, but its
+    error estimate may miss the requested tolerance."""
+
+
 class DiscreteUnsupported(ToolkitError):
     pass
 

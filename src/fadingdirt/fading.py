@@ -9,8 +9,13 @@ quadrature fills; samplers take an explicit seed.
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 import json
 import math
+import os
+import sys
+import warnings
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -25,6 +30,7 @@ from .errors import (
     NonFinite,
     NotUnitVariance,
     QuadratureFailure,
+    QuadratureWarning,
     SpecInvalid,
     ZeroVariance,
     malformed,
@@ -435,20 +441,76 @@ def normalize_unit_variance(dist: FadingDistribution) -> FadingDistribution:
     return dist._affine(scale, -m * scale)
 
 
+# what QUADPACK's nonzero return codes of qagse and qagpe mean; 6 is
+# invalid input, raised rather than warned
+_QUADPACK_CODES = {
+    1: "subdivision limit reached",
+    2: "roundoff error detected",
+    3: "extremely bad integrand behaviour",
+    4: "extrapolation did not converge",
+    5: "integral probably divergent or slowly convergent",
+}
+
+
+def _quadpack():
+    """QUADPACK's compiled extension from the installed scipy, loaded alone
+    once per process under its own name, so that a later `import
+    scipy.integrate` reuses it; importing the package would also load its
+    optimize, sparse and special modules.  The only place the package names
+    scipy."""
+    name = "scipy.integrate._quadpack"
+    module = sys.modules.get(name)
+    if module is not None:
+        return module
+    spec = importlib.util.find_spec("scipy")
+    roots = spec.submodule_search_locations if spec else None
+    for root in roots or ():
+        for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+            path = os.path.join(root, "integrate", "_quadpack" + suffix)
+            if os.path.isfile(path):
+                loader = importlib.machinery.ExtensionFileLoader(name, path)
+                module = importlib.util.module_from_spec(
+                    importlib.util.spec_from_file_location(name, path, loader=loader))
+                try:
+                    loader.exec_module(module)
+                except ImportError as exc:
+                    raise QuadratureFailure(f"cannot load {path}: {exc}") from exc
+                sys.modules[name] = module
+                return module
+    raise QuadratureFailure(f"QUADPACK extension {name} not found in the installed scipy")
+
+
 def integrate(dist: FadingDistribution, f, lo: float, hi: float, epsabs: float,
               epsrel: float = 1.49e-8, points=()):
-    """(value, abserr) of the integral of f(x, p(x)) over [lo, hi] with
-    breakpoints `points`, p the law's density read through `density`; f is
-    not called where p <= 0.  The one scipy import; `quad` is looked up at
-    each call, for profilers."""
-    import scipy.integrate
+    """(value, abserr) of the integral of f(x, p(x)) over the finite
+    interval [lo, hi], lo <= hi, with breakpoints `points`, p the law's
+    density read through `density`; f is not called where p <= 0.
 
+    QUADPACK's qagse, or qagpe with the breakpoints inside (lo, hi), both
+    with a limit of 400 + len(points) subintervals, called as `quad` calls
+    them, so the results are `quad`'s bit for bit.  A nonzero return code
+    is reported as a QuadratureWarning with the value still returned;
+    invalid input (code 6) raises QuadratureFailure."""
     def integrand(x):
         p = dist.density(x)
         return f(x, p) if p > 0 else 0.0
 
-    return scipy.integrate.quad(integrand, lo, hi, limit=400 + len(points), epsabs=epsabs,
-                                epsrel=epsrel, points=points if len(points) else None)
+    quadpack, limit = _quadpack(), 400 + len(points)
+    if len(points):
+        # the distinct interior breakpoints, then two slots qagpe fills with the ends
+        inner = np.unique(points)
+        inner = np.concatenate((inner[(lo < inner) & (inner < hi)], (0.0, 0.0)))
+        value, abserr, ier = quadpack._qagpe(integrand, lo, hi, inner, (), 0, epsabs, epsrel, limit)
+    else:
+        value, abserr, ier = quadpack._qagse(integrand, lo, hi, (), 0, epsabs, epsrel, limit)
+    if ier == 6:
+        raise QuadratureFailure(f"QUADPACK rejected its input (code 6): epsabs {epsabs!r}, "
+                                f"epsrel {epsrel!r}, limit {limit}")
+    if ier:
+        warnings.warn(f"QUADPACK code {ier} ({_QUADPACK_CODES[ier]}) on "
+                      f"[{lo!r}, {hi!r}]: error estimate {abserr!r}, epsabs {epsabs!r}",
+                      QuadratureWarning, stacklevel=2)
+    return value, abserr
 
 
 def check_mass(mass: float):

@@ -27,6 +27,7 @@ from fadingdirt.errors import (
     NoDominantAtom,
     NotUniform,
     QuadratureFailure,
+    QuadratureWarning,
     ZeroAtomCollision,
     ZeroGain,
 )
@@ -36,6 +37,7 @@ from fadingdirt.fading import (
     LogNormal,
     TabulatedDensity,
     Uniform,
+    _quadpack,
     geometric_fading,
     normalize_unit_variance,
     parse_distribution,
@@ -43,6 +45,8 @@ from fadingdirt.fading import (
 )
 from fadingdirt.gauss_mi import CostaAssignment, costa_rate_exact
 from fadingdirt.harness import SweepSpec, run_sweep
+
+from laws import TABULATED_0
 
 mpmath.mp.dps = 50
 
@@ -378,6 +382,18 @@ class TestContinuous:
         with pytest.raises(QuadratureFailure, match="mass"):
             continuous_interval_params(law, interval or law.support())
 
+    def test_roundoff_on_the_seeded_tabulated_law_warns(self):
+        # the bound integrals do not pass the kinks, so QUADPACK stops at code 2
+        # far above epsabs: the warning names the code, the estimate and epsabs
+        law = parse_distribution(TABULATED_0)
+        with pytest.warns(QuadratureWarning, match=r"code 2 \(roundoff error detected\)"
+                                                  r".*error estimate 1\.0\d*e-06, epsabs 1e-10"):
+            cp = continuous_interval_params(law, (-1.0, 1.0))
+        with pytest.warns(QuadratureWarning, match=r"code 2 .*error estimate 1\.5\d*e-05, "
+                                                  r"epsabs 1e-08"):
+            inner = inner_continuous(ChannelParams(P=1000.0, c=100.0), law, cp.a_prime)
+        assert cp.prob_I >= 0.5 and 0.0 <= inner.bits <= 0.5 * math.log2(1001.0)
+
     def test_interval_mass_too_small(self):
         with pytest.raises(IntervalMassTooSmall):
             continuous_interval_params(Gaussian(0.0, 1.0), (0.0, 0.1))
@@ -444,8 +460,7 @@ class TestDensityMemo:
         assert [repr(r) for r in shared] == [repr(r) for r in fresh]
 
     def test_density_evaluated_once_per_distinct_node(self, monkeypatch):
-        import scipy.integrate
-        pdf, quad = Gaussian.pdf, scipy.integrate.quad
+        pdf, quadpack = Gaussian.pdf, _quadpack()
         pdf_nodes, quad_nodes = [], []
 
         def counting_pdf(self, x):
@@ -453,11 +468,12 @@ class TestDensityMemo:
                 pdf_nodes.append(float(x))
             return pdf(self, x)
 
-        def counting_quad(f, *args, **kwargs):
-            return quad(lambda x: quad_nodes.append(x) or f(x), *args, **kwargs)
+        def counting(routine):
+            return lambda f, *args: routine(lambda x: quad_nodes.append(x) or f(x), *args)
 
         monkeypatch.setattr(Gaussian, "pdf", counting_pdf)
-        monkeypatch.setattr(scipy.integrate, "quad", counting_quad)
+        for name in ("_qagse", "_qagpe"):
+            monkeypatch.setattr(quadpack, name, counting(getattr(quadpack, name)))
         assert len(run_sweep(SweepSpec("continuous", Gaussian(0.0, 1.0)))) == 30
         distinct = set(pdf_nodes)
         assert len(pdf_nodes) == len(distinct)

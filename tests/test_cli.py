@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -13,6 +14,8 @@ import fadingdirt
 from fadingdirt import errors
 from fadingdirt.cli import main
 from fadingdirt.fading import strong_support
+
+from laws import TABULATED_0
 
 
 def run_cli(capsys, *argv):
@@ -231,19 +234,37 @@ _OVERFLOW = {
 }
 
 
-@pytest.mark.parametrize("name", list(_OVERFLOW))
-def test_overflow_exits_3_with_only_the_error_line(name):
-    # a fresh interpreter that shows warnings: a traceback or a numpy warning
-    # ahead of the error would reach stderr, where in process they raise
+def run_fresh_cli(*argv):
+    """The command in a fresh interpreter that shows warnings: a traceback
+    or a warning reaches stderr, where in process they raise."""
     src = str(Path(fadingdirt.__file__).resolve().parent.parent)
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, "-W", "default", "-m", "fadingdirt", *_OVERFLOW[name]],
+    return subprocess.run([sys.executable, "-W", "default", "-m", "fadingdirt", *argv],
                           capture_output=True, env=env, timeout=120)
+
+
+@pytest.mark.parametrize("name", list(_OVERFLOW))
+def test_overflow_exits_3_with_only_the_error_line(name):
+    proc = run_fresh_cli(*_OVERFLOW[name])
     assert proc.returncode == 3, proc.stderr
     assert proc.stdout == b""
     lines = proc.stderr.decode().splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: NonFinite: "), lines
+
+
+def test_quadpack_code_warns_and_exits_0(capsys):
+    # the seeded tabulated law, whose kinks the bound integrals do not pass
+    argv = ["bounds", "--theorem", "continuous", "--P", "10", "--c", "3",
+            "--dist", TABULATED_0, "--interval", "-1", "1"]
+    proc = run_fresh_cli(*argv)
+    assert proc.returncode == 0, proc.stderr
+    assert "QuadratureWarning: QUADPACK code 2" in proc.stderr.decode()
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", errors.QuadratureWarning)
+        code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert proc.stdout.decode() == out
 
 
 class TestSweepVerify:

@@ -1,5 +1,6 @@
-"""The closed-form commands and every `mi` estimate never load scipy: only
-quadrature pays for its import."""
+"""The closed-form commands and every `mi` estimate never load scipy, and
+quadrature loads only QUADPACK's extension, never the `scipy.integrate`
+package with its optimize, sparse and special modules."""
 
 import json
 import os
@@ -70,8 +71,22 @@ def test_mixture_estimate_never_loads_scipy(name):
     assert report == {"rc": 0, "scipy": []}
 
 
+# what QUADPACK's extension itself loads on its first call: scipy's
+# callback-type module, with the `scipy` package around it
+CALLBACK_PROBE = """
+import json, sys
+import numpy, scipy._lib._ccallback
+print(json.dumps(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))))
+"""
+
+
 def test_quadrature_command_loads_scipy():
-    report = run_fresh(["bounds", "--theorem", "continuous", "--P", "10", "--c", "3",
-                        "--interval", "-1", "1"])
-    assert report["rc"] == 0
-    assert "scipy.integrate" in report["scipy"]
+    proc = subprocess.run([sys.executable, "-c", CALLBACK_PROBE], capture_output=True,
+                          timeout=120, check=True)
+    callback_modules = set(json.loads(proc.stdout.decode().strip().splitlines()[-1]))
+    for argv in (["bounds", "--theorem", "continuous", "--P", "10", "--c", "3",
+                  "--interval", "-1", "1"],
+                 ["sweep", "--theorem", "continuous", "--dist", "rayleigh"]):
+        report = run_fresh(argv)
+        assert report["rc"] == 0
+        assert set(report["scipy"]) - callback_modules == {"scipy.integrate._quadpack"}

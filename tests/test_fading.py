@@ -1,5 +1,8 @@
+import importlib.machinery
 import json
 import math
+import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -16,6 +19,7 @@ from fadingdirt.errors import (
     NonFinite,
     NotUnitVariance,
     QuadratureFailure,
+    QuadratureWarning,
     SpecInvalid,
     ZeroVariance,
 )
@@ -27,6 +31,7 @@ from fadingdirt.fading import (
     Rayleigh,
     TabulatedDensity,
     Uniform,
+    _quadpack,
     binomial_fading,
     entropy_bits_quadrature,
     entropy_power_alpha,
@@ -38,6 +43,8 @@ from fadingdirt.fading import (
     strong_support,
     unit_rayleigh,
 )
+
+from laws import TABULATED_0
 
 TWO_POINT = Discrete(((-1.0, 0.5), (1.0, 0.5)))
 
@@ -127,6 +134,39 @@ class TestTabulatedEntropy:
         assert payload["inner"]["bits"] <= payload["outer"]["bits"]
 
 
+# laws for the quad oracle: the five continuous families, then the seeded
+# tabulated law with its kinks as breakpoints, so qagpe runs as well as qagse
+_ORACLE_LAWS = {
+    "gaussian": ("gaussian", False),
+    "uniform": ("uniform", False),
+    "rayleigh": ("rayleigh", False),
+    "lognormal": ('{"kind":"lognormal","mu":0.0,"sigma2":0.25,"scale":1.6559018331762287}',
+                  False),
+    "tabulated": ('{"kind":"tabulated","grid":[[-1.5,0],[-0.5,0.625],[0.5,0.375],[1.5,0]]}',
+                  False),
+    "tabulated0-kinks": (TABULATED_0, True),
+}
+
+# the mass, the entropy and a Costa-like loss
+_ORACLE_INTEGRANDS = (
+    lambda x, p: p,
+    lambda x, p: -p * math.log2(p),
+    lambda x, p: p * math.log2(10.0 * x * x / (x * x + 1.0) + 1.0),
+)
+
+
+def _quad(law, f, lo, hi, epsabs, epsrel, points):
+    """The integral of f(x, p(x)) through `scipy.integrate.quad`, the oracle."""
+    import scipy.integrate
+
+    def integrand(x):
+        p = law.density(x)
+        return f(x, p) if p > 0 else 0.0
+
+    return scipy.integrate.quad(integrand, lo, hi, limit=400 + len(points), epsabs=epsabs,
+                                epsrel=epsrel, points=points if len(points) else None)
+
+
 class TestIntegrate:
     def test_density_weighted_integral(self):
         value, err = integrate(Gaussian(0.0, 1.0), lambda x, p: p * x * x, -12.0, 12.0, 1e-12)
@@ -141,13 +181,53 @@ class TestIntegrate:
         assert seen and all(0.0 <= x <= 1.0 for x in seen)
 
     def test_quad_looked_up_at_each_call(self, monkeypatch):
-        # a profiler counts quadratures by replacing scipy.integrate.quad
-        import scipy.integrate
-        quad, calls = scipy.integrate.quad, []
-        monkeypatch.setattr(scipy.integrate, "quad",
-                            lambda *a, **k: calls.append(a[1:3]) or quad(*a, **k))
+        # a profiler counts quadratures by replacing the loaded QUADPACK routines
+        qagse, calls = _quadpack()._qagse, []
+        monkeypatch.setattr(_quadpack(), "_qagse",
+                            lambda *a: calls.append(a[1:3]) or qagse(*a))
         entropy_bits_quadrature(Uniform(-1.0, 1.0))
         assert calls == [(-1.0, 1.0), (-1.0, 1.0)]  # the entropy, then the mass
+
+    @pytest.mark.parametrize("name", list(_ORACLE_LAWS))
+    def test_bit_identical_to_quad(self, name):
+        spec, with_kinks = _ORACLE_LAWS[name]
+        law = parse_distribution(spec)
+        points, (lo, hi) = law.kinks() if with_kinks else (), law.support()
+        for f in _ORACLE_INTEGRANDS:
+            for epsabs in (1e-7, 1e-8, 1e-10):
+                for epsrel in (1.49e-8, 1e-10):
+                    got = integrate(law, f, lo, hi, epsabs, epsrel, points)
+                    assert got == _quad(law, f, lo, hi, epsabs, epsrel, points)
+
+    def test_roundoff_code_warns_with_quads_result(self):
+        # the seeded tabulated law without its kinks: QUADPACK stops at code 2
+        law = parse_distribution(TABULATED_0)
+        with pytest.warns(QuadratureWarning, match=r"code 2 \(roundoff error detected\)"
+                                                  r".*error estimate 1\.0\d*e-06, epsabs 1e-10"):
+            got = integrate(law, lambda x, p: p, *law.support(), 1e-10)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # quad's own IntegrationWarning
+            assert got == _quad(law, lambda x, p: p, *law.support(), 1e-10, 1.49e-8, ())
+
+    def test_invalid_input_raises(self):
+        with pytest.raises(QuadratureFailure, match="code 6"):
+            integrate(Gaussian(0.0, 1.0), lambda x, p: p, -1.0, 1.0, 0.0, epsrel=0.0)
+
+    def test_missing_extension_exits_3(self, capsys, monkeypatch):
+        monkeypatch.delitem(sys.modules, _quadpack().__name__)
+        monkeypatch.setattr(importlib.machinery, "EXTENSION_SUFFIXES", [".missing"])
+        code = main(["bounds", "--theorem", "continuous", "--P", "10", "--c", "3"])
+        assert code == 3
+        assert "QuadratureFailure: QUADPACK extension" in capsys.readouterr().err
+
+    def test_unloadable_extension_is_typed(self, monkeypatch):
+        def broken(self, module):
+            raise ImportError("undefined symbol")
+
+        monkeypatch.delitem(sys.modules, _quadpack().__name__)
+        monkeypatch.setattr(importlib.machinery.ExtensionFileLoader, "exec_module", broken)
+        with pytest.raises(QuadratureFailure, match="cannot load .*undefined symbol"):
+            integrate(Gaussian(0.0, 1.0), lambda x, p: p, -1.0, 1.0, 1e-8)
 
 
 class TestEntropyPower:

@@ -1,4 +1,3 @@
-import json
 import math
 import tracemalloc
 import warnings
@@ -29,6 +28,8 @@ from fadingdirt.gauss_mi import (
     costa_rate_exact,
     mi_monte_carlo,
 )
+
+from laws import TABULATED_0
 
 TWO_POINT = Discrete(((-1.0, 0.5), (1.0, 0.5)))
 
@@ -155,17 +156,6 @@ class TestMonteCarlo:
                 mi_monte_carlo(ChannelParams(P=3, c=2), law, CostaAssignment(rcsi=rcsi),
                                10 ** 4, 0)
 
-
-# the seed-0 tabulated law of the benchmark: a two-hump density on 15 nodes
-TABULATED_0 = json.dumps({"kind": "tabulated", "grid": [
-    [-2.1055434690983366, 0.009209573742099623], [-1.8093578404641613, 0.038369915353129405],
-    [-1.513172211829986, 0.16516843471921422], [-1.2169865831958104, 0.41605593572561383],
-    [-0.9208009545616351, 0.5208097591623791], [-0.6246153259274596, 0.3496158959171474],
-    [-0.3284296972932845, 0.11371733897452929], [-0.03224406865910903, 0.04255573500342634],
-    [0.2639415599750662, 0.1241469664377311], [0.5601271886092419, 0.37692835969320015],
-    [0.8563128172434171, 0.5605930410708775], [1.1524984458775922, 0.43313508484603896],
-    [1.4486840745117675, 0.18471656464147257], [1.744869703145943, 0.0413566225530956],
-    [2.041055331780118, 0.008973207748853072]]})
 
 # (estimate, stderr) at P=3, c=2, half the power on the Costa codeword, no
 # RCSI, n=1e4, seed 0, at the inflation k* of a fading mean of 0.5, recorded
