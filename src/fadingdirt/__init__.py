@@ -7,7 +7,6 @@ from .bounds_norcsi import (
     gap_no_rcsi,
     inner_no_rcsi,
     k_star,
-    lemma_gap_catalog,
     outer_no_rcsi,
 )
 from .bounds_rcsi import (

@@ -12,9 +12,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .errors import (DegenerateDenominator, IdentityViolated, InvalidAlpha, NonFinite,
-                     UnknownFamily, ZeroGain)
-from .fading import EULER_GAMMA, LN2, TWO_PI_E
+from .errors import DegenerateDenominator, IdentityViolated, InvalidAlpha, NonFinite, ZeroGain
+from .fading import LN2
 
 _C_MIN = 1e-9
 
@@ -117,21 +116,3 @@ def gap_no_rcsi(alpha_ep: float) -> float:
     _check_alpha(alpha_ep)
     return -0.5 * math.log2(alpha_ep) + 0.5
 
-
-def lemma_gap_catalog(family: str, mu: float = 0.0, sigma2: float = 1.0) -> float:
-    """Printed gap constants for the canonical fading families.
-
-    Values are quoted as printed (the Rayleigh and log-normal lines mix log
-    bases in the source; the quoted numbers are the ones the <= claims refer
-    to).
-    """
-    fam = family.lower()
-    if fam == "gaussian":
-        return 0.5
-    if fam == "uniform":
-        return 0.5 * math.log2(TWO_PI_E / 12.0) + 0.5
-    if fam == "rayleigh":
-        return EULER_GAMMA + 1.0 + 0.5  # the "-1/2 log(1)" term is 0
-    if fam == "lognormal":
-        return math.log(math.exp(sigma2) - 1.0) + mu + sigma2 + 0.5
-    raise UnknownFamily(f"unknown family {family!r}")

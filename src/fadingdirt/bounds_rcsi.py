@@ -224,8 +224,8 @@ def _check_equiprobable(probs):
         raise NotUniform("support must be equiprobable")
 
 
-def strong_condition_check(support: Discrete, c: float, alpha_sf: float) -> bool:
-    """Spacing condition of the strong-fading theorem.
+def strong_condition_check(support: Discrete, c2: float, alpha_sf: float) -> bool:
+    """Spacing condition of the strong-fading theorem at gain c, c2 = c^2.
 
     Checks the homogeneous part of the printed condition: for every gap
     beyond the second, gap_{i+1}^2 >= (alpha c^2 - 1) * sum of the squared
@@ -240,20 +240,20 @@ def strong_condition_check(support: Discrete, c: float, alpha_sf: float) -> bool
     if len(support.values) < 2:
         raise NotUniform("strong-fading support needs at least 2 atoms")
     gaps = np.diff(support.values)
-    k = alpha_sf * c * c - 1.0
+    k = alpha_sf * c2 - 1.0
     for m in range(2, len(gaps)):
         if gaps[m] ** 2 < k * float(np.sum(gaps[:m - 1] ** 2)):
             return False
     return True
 
 
-def strong_params(support: Discrete, c: float, c2: float) -> StrongFadingParams:
-    """The strong-fading constants at gain c: alpha_sf = c2/(c2 + 1) from the
-    c^2 the caller holds (a sweep's grid value, not sqrt(c2)**2), the spacing
-    condition on c*c as written, the support size and mean, and G-tilde with
-    a' the atom nearest 0."""
+def strong_params(support: Discrete, c2: float) -> StrongFadingParams:
+    """The strong-fading constants at gain c, c2 = c^2 as the caller holds it
+    (a sweep's grid value, not sqrt(c2)**2): alpha_sf = c2/(c2 + 1), the
+    spacing condition, the support size and mean, and G-tilde with a' the
+    atom nearest 0."""
     alpha_sf = c2 / (c2 + 1.0)
-    ok = strong_condition_check(support, c, alpha_sf)
+    ok = strong_condition_check(support, c2, alpha_sf)
     vals = support.values
     a_prime = float(min(vals, key=abs))
     rest = [v for v in vals if v != a_prime]

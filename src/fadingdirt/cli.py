@@ -12,6 +12,7 @@ import argparse
 import json
 import math
 import sys
+import warnings
 
 from . import bounds_norcsi as bn
 from . import bounds_rcsi as br
@@ -19,7 +20,7 @@ from .errors import ConditionNotVerified, FileInaccessible, SpecInvalid, Toolkit
 from .fading import entropy_power_alpha, parse_distribution
 from .gauss_mi import CostaAssignment, mi_monte_carlo
 from .gp import GPInstance, binary_nonoise_instance, optimize_alternating
-from .harness import CLAIMED, THEOREMS, SweepSpec, _preset_specs, emit, run_sweep, verify_claims
+from .harness import CLAIMED, THEOREMS, SweepSpec, emit, run_sweep, verify_claims
 
 _EXIT_PRECONDITION = 3
 
@@ -43,19 +44,16 @@ def _build_parser():
     b.add_argument("--P", type=float, required=True, help="input power")
     b.add_argument("--c", type=float, default=1.0,
                    help="interference gain; the phase theorem's state power is its square")
-    b.add_argument("--delta", type=float, default=math.pi / 2,
-                   help="phase half-angle in radians (phase theorem)")
-    b.add_argument("--dist", default="gaussian",
-                   help="fading law: shorthand name or JSON literal")
+    b.add_argument("--delta", type=float, default=None,
+                   help="phase half-angle in radians (phase theorem; default pi/2)")
+    b.add_argument("--dist", default=None,
+                   help="fading law: shorthand name or JSON literal (default gaussian)")
     b.add_argument("--interval", type=float, nargs=2, metavar=("A", "B"),
                    help="interval I for the continuous theorem")
 
     s = sub.add_parser("sweep", help="run a parameter sweep")
-    mode = s.add_mutually_exclusive_group()
-    mode.add_argument("--preset", default=None,
-                      help="named sweep preset (e.g. gaussian-smoke, mass-half)")
-    mode.add_argument("--theorem", default=None, choices=THEOREMS)
-    s.add_argument("--dist", default=None, help="fading law for --theorem sweeps")
+    s.add_argument("--theorem", required=True, choices=THEOREMS)
+    s.add_argument("--dist", default=None, help="fading law")
     s.add_argument("--P-grid", default=None, help="comma-separated P values")
     s.add_argument("--c2-grid", default=None,
                    help="comma-separated c^2 values (state powers Q for the phase theorem)")
@@ -74,12 +72,12 @@ def _build_parser():
     m.add_argument("--P", type=float, required=True)
     m.add_argument("--c", type=float, default=1.0)
     m.add_argument("--dist", default="two-point")
-    m.add_argument("--a-target", type=float, default=0.0,
-                   help="fading value the Costa codeword precodes against")
+    m.add_argument("--a-target", type=float, default=None,
+                   help="fading value the Costa codeword precodes against (default 0)")
     m.add_argument("--k", type=float, default=None, help="inflation override")
     m.add_argument("--split", type=float, default=1.0,
                    help="fraction of P on the Costa codeword")
-    m.add_argument("--no-rcsi", action="store_true",
+    m.add_argument("--no-rcsi", action="store_true", default=None,
                    help="fading unknown at the receiver (mixture MI)")
     m.add_argument("--n", type=int, default=100000, help="sample count (>= 1e4)")
     m.add_argument("--seed", type=int, default=0)
@@ -138,7 +136,7 @@ def _cmd_bounds(args):
         inner = br.inner_mass_half(params, dist, mp)
         outer = br.outer_mass_half(params, mp)
     elif args.theorem == "strong":
-        sp = br.strong_params(dist, args.c, bn.finite_square(args.c, "c"))
+        sp = br.strong_params(dist, bn.finite_square(args.c, "c"))
         if not sp.condition_ok:
             raise ConditionNotVerified("spacing condition not verified for this support")
         inner = br.inner_strong(params, dist)
@@ -157,22 +155,14 @@ def _cmd_bounds(args):
 
 
 def _cmd_sweep(args):
-    if args.preset:
-        specs = _preset_specs(args.preset, "full")
-    else:
-        if not args.theorem:
-            raise SpecInvalid("sweep needs --preset or --theorem")
-        specs = [SweepSpec(
-            theorem=args.theorem,
-            dist=args.dist,
-            P_list=_grid(args.P_grid, SweepSpec.P_list),
-            c2_list=_grid(args.c2_grid, SweepSpec.c2_list),
-            Delta=args.delta,
-        )]
-    rows = []
-    for spec in specs:
-        rows.extend(run_sweep(spec))
-    _write(emit(rows, args.format), args.out)
+    spec = SweepSpec(
+        theorem=args.theorem,
+        dist=args.dist,
+        P_list=_grid(args.P_grid, SweepSpec.P_list),
+        c2_list=_grid(args.c2_grid, SweepSpec.c2_list),
+        Delta=args.delta,
+    )
+    _write(emit(run_sweep(spec), args.format), args.out)
     return 0
 
 
@@ -233,12 +223,25 @@ _COMMANDS = {
 }
 
 
-# flags that a mode does not read, with their values when omitted
+_LAW_THEOREMS = ("no-rcsi", "mass-half", "strong", "continuous")
+
+# flags that a mode does not read, with their values when omitted; a mode is
+# a flag that is given (values None) or that takes one of the listed values
 _UNREAD_BY = {
-    ("sweep", "preset"): {"dist": None, "P_grid": None, "c2_grid": None,
-                          "delta": math.pi / 2},
-    ("gp", "instance"): {"atoms": "[[-1,0.5],[1,0.5]]", "no_rcsi": False, "aux_size": 4},
+    ("bounds", "theorem", _LAW_THEOREMS): {"delta": math.pi / 2},
+    ("bounds", "theorem", ("phase-binomial",)): {"dist": "gaussian"},
+    ("bounds", "theorem", ("no-rcsi", "mass-half", "strong", "phase-binomial")):
+        {"interval": None},
+    ("sweep", "theorem", _LAW_THEOREMS): {"delta": math.pi / 2},
+    ("sweep", "theorem", ("phase-binomial",)): {"dist": None},
+    ("mi", "no_rcsi", None): {"a_target": 0.0},
+    ("mi", "k", None): {"a_target": 0.0},
+    ("gp", "instance", None): {"atoms": "[[-1,0.5],[1,0.5]]", "no_rcsi": False, "aux_size": 4},
 }
+
+
+def _flag(dest):
+    return "--" + dest.replace("_", "-")
 
 
 def _parse(argv):
@@ -246,25 +249,36 @@ def _parse(argv):
     error (exit 2), and an omitted one takes its default."""
     parser = _build_parser()
     args = parser.parse_args(argv)
-    for (command, mode), defaults in _UNREAD_BY.items():
-        if args.command != command:
+    given = {dest for dest, value in vars(args).items() if value is not None}
+    for (command, mode, values), defaults in _UNREAD_BY.items():
+        if command != args.command:
             continue
+        chosen = getattr(args, mode)
+        named = _flag(mode) if values is None else f"{_flag(mode)} {chosen}"
         for dest, default in defaults.items():
-            if getattr(args, dest) is None:
+            if dest not in given:
                 setattr(args, dest, default)
-            elif getattr(args, mode) is not None:
-                parser.error(f"argument --{dest.replace('_', '-')}: "
-                             f"not allowed with argument --{mode}")
+            elif mode in given and (values is None or chosen in values):
+                parser.error(f"argument {_flag(dest)}: not allowed with argument {named}")
     return args
+
+
+def _format_warning(message, category, filename, lineno, line=None):
+    return f"warning: {category.__name__}: {message}\n"
 
 
 def main(argv=None) -> int:
     args = _parse(argv)
+    # one line per warning, like the error line; the warning itself still
+    # goes through showwarning, so filters and catch_warnings see it
+    formatwarning, warnings.formatwarning = warnings.formatwarning, _format_warning
     try:
         return _COMMANDS[args.command](args)
     except ToolkitError as exc:
         sys.stderr.write(f"error: {type(exc).__name__}: {exc}\n")
         return _EXIT_PRECONDITION
+    finally:
+        warnings.formatwarning = formatwarning
 
 
 if __name__ == "__main__":

@@ -56,10 +56,6 @@ class InvalidAlpha(ToolkitError):
     pass
 
 
-class UnknownFamily(ToolkitError):
-    pass
-
-
 class IdentityViolated(ToolkitError):
     pass
 

@@ -145,7 +145,7 @@ def _strong_points(dist):
 
     def point(params, c2):
         if c2 not in by_c2:
-            by_c2[c2] = br.strong_params(dist, params.c, c2)
+            by_c2[c2] = br.strong_params(dist, c2)
         sp = by_c2[c2]
         inner = br.inner_strong(params, dist)
         # ZeroGain at c = 0 before the claim's log2(alpha_sf) can fail

@@ -16,7 +16,6 @@ from fadingdirt.bounds_norcsi import (
     ChannelParams,
     gap_no_rcsi,
     inner_no_rcsi,
-    lemma_gap_catalog,
     outer_no_rcsi,
 )
 from fadingdirt.bounds_rcsi import (
@@ -36,9 +35,11 @@ from fadingdirt.fading import (
     TWO_PI_E,
     Discrete,
     Gaussian,
+    LogNormal,
     Uniform,
     entropy_bits_quadrature,
     entropy_power_alpha,
+    normalize_unit_variance,
     strong_support,
     unit_rayleigh,
 )
@@ -85,10 +86,14 @@ def test_acceptance_1_gap_identity():
 
 
 def test_acceptance_2_gap_catalog():
-    """Catalog constants honor their quoted ceilings; log-normal diverges."""
-    g_uniform = lemma_gap_catalog("uniform")
-    g_rayleigh = lemma_gap_catalog("rayleigh")
-    lns = [lemma_gap_catalog("lognormal", 0.0, s2) for s2 in (1.0, 4.0, 9.0)]
+    """The gaps of the canonical families honor the printed ceilings;
+    log-normal diverges."""
+    def gap(dist):
+        return gap_no_rcsi(entropy_power_alpha(normalize_unit_variance(dist)))
+
+    g_uniform = gap(Uniform(0.0, 1.0))
+    g_rayleigh = gap(unit_rayleigh())
+    lns = [gap(LogNormal(0.0, s2)) for s2 in (1.0, 4.0, 9.0)]
     ok = (abs(g_uniform - (0.5 * math.log2(TWO_PI_E / 12.0) + 0.5)) < 1e-12
           and g_uniform <= 1.0
           and g_rayleigh <= 2.08
@@ -202,13 +207,13 @@ def test_acceptance_6_strong_fading_construction():
             d = strong_support(M, c)
             worst_var = max(worst_var, abs(d.var - 1.0))
             ok &= abs(d.var - 1.0) <= 1e-9
-            ok &= strong_condition_check(d, c, c * c / (c * c + 1.0))
+            ok &= strong_condition_check(d, c * c, c * c / (c * c + 1.0))
     # M = 2: both theorems describe the same two-point channel; with matching
     # slack terms (alpha = 1 pre-optimized, alpha = gap^2 large-gain) the
     # piecewise outer bounds agree branch by branch
     mp = mass_half_params(TWO_POINT)
     for P, c, alpha in ((15.0, 2.0, 1.0), (1.0, 8.0, 4.0)):
-        sp = replace(strong_params(TWO_POINT, c, c * c), alpha_sf=alpha)
+        sp = replace(strong_params(TWO_POINT, c * c), alpha_sf=alpha)
         a = outer_strong(ChannelParams(P=P, c=c), sp).bits
         b = outer_mass_half(ChannelParams(P=P, c=c), mp).bits
         ok &= abs(a - b) <= 1e-9
@@ -230,7 +235,7 @@ def test_acceptance_7_piecewise_evaluators():
         return all(vals[i + 1] >= vals[i] - 1e-12 for i in range(len(vals) - 1))
 
     mp = mass_half_params(TWO_POINT)
-    sp = strong_params(strong_support(3, 2.0), 2.0, 4.0)
+    sp = strong_params(strong_support(3, 2.0), 4.0)
     gauss_cp = continuous_interval_params(Gaussian(0.0, 1.0), (-1.5, 1.5))
     families = {
         "no-rcsi": [outer_no_rcsi(ChannelParams(P=P, c=2.0), 1.0).bits

@@ -11,7 +11,6 @@ from fadingdirt.bounds_norcsi import (
     gap_no_rcsi,
     inner_no_rcsi,
     k_star,
-    lemma_gap_catalog,
     outer_no_rcsi,
 )
 from fadingdirt.errors import (
@@ -19,10 +18,17 @@ from fadingdirt.errors import (
     IdentityViolated,
     InvalidAlpha,
     NonFinite,
-    UnknownFamily,
     ZeroGain,
 )
-from fadingdirt.fading import TWO_PI_E, Gaussian
+from fadingdirt.fading import (
+    TWO_PI_E,
+    Gaussian,
+    LogNormal,
+    Uniform,
+    entropy_power_alpha,
+    normalize_unit_variance,
+    unit_rayleigh,
+)
 from fadingdirt.gauss_mi import CostaAssignment, costa_rate_exact
 
 mpmath.mp.dps = 50
@@ -169,22 +175,29 @@ class TestGap:
             gap_no_rcsi(0.0)
 
 
+def law_gap(dist):
+    """The claimed no-RCSI gap of a law, as `verify` computes it."""
+    return gap_no_rcsi(entropy_power_alpha(normalize_unit_variance(dist)))
+
+
 class TestCatalog:
+    """The gaps of the canonical fading families against the constants the
+    source paper prints for them."""
+
     def test_gaussian(self):
-        assert lemma_gap_catalog("gaussian") == 0.5
+        assert law_gap(Gaussian(0.0, 1.0)) == 0.5
 
     def test_uniform_le_one(self):
-        g = lemma_gap_catalog("uniform")
+        g = law_gap(Uniform(0.0, 1.0))
         assert g == pytest.approx(0.5 * math.log2(TWO_PI_E / 12) + 0.5, abs=1e-12)
         assert g <= 1.0
 
     def test_rayleigh_le_printed_bound(self):
-        assert lemma_gap_catalog("rayleigh") <= 2.08
+        # the printed constant, gamma + 3/2 = 2.077, mixes log bases
+        assert law_gap(unit_rayleigh()) == pytest.approx(0.5779, abs=1e-4)
+        assert law_gap(unit_rayleigh()) <= 2.08
 
     def test_lognormal_monotone(self):
-        vals = [lemma_gap_catalog("lognormal", 0.0, s2) for s2 in (1.0, 4.0, 9.0)]
+        vals = [law_gap(LogNormal(0.0, s2)) for s2 in (1.0, 4.0, 9.0)]
+        assert vals == pytest.approx([1.6118, 5.2574, 11.8992], abs=1e-4)
         assert vals[0] < vals[1] < vals[2]
-
-    def test_unknown_family(self):
-        with pytest.raises(UnknownFamily):
-            lemma_gap_catalog("cauchy")

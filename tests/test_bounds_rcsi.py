@@ -218,28 +218,28 @@ class TestStrongCondition:
     @pytest.mark.parametrize("c", [2.0, 4.0, 8.0])
     def test_construction_passes(self, M, c):
         d = strong_support(M, c)
-        assert strong_condition_check(d, c, c * c / (c * c + 1.0))
+        assert strong_condition_check(d, c * c, c * c / (c * c + 1.0))
 
     def test_equally_spaced_fails_at_large_gain(self):
         vals = np.linspace(-1, 1, 5)
         vals = (vals - vals.mean()) / vals.std()
         d = Discrete(tuple((float(v), 0.2) for v in vals))
-        assert not strong_condition_check(d, 20.0, 400.0 / 401.0)
+        assert not strong_condition_check(d, 400.0, 400.0 / 401.0)
 
     def test_m2_vacuous(self):
-        assert strong_condition_check(TWO_POINT, 100.0, 0.99)
+        assert strong_condition_check(TWO_POINT, 1e4, 0.99)
 
     def test_not_uniform(self):
         with pytest.raises(NotUniform):
-            strong_condition_check(Discrete(((-1.0, 0.7), (1.0, 0.3))), 2.0, 0.8)
+            strong_condition_check(Discrete(((-1.0, 0.7), (1.0, 0.3))), 4.0, 0.8)
 
     @pytest.mark.parametrize("c", [2.0, 8.0])
     def test_params_carry_the_condition_and_the_mean(self, c):
         base = strong_support(4, 2.0)
         shifted = Discrete(tuple((float(v) + 1.0, 0.25) for v in base.values))
-        sp = strong_params(shifted, c, c * c)
+        sp = strong_params(shifted, c * c)
         assert sp.alpha_sf == c * c / (c * c + 1.0)
-        assert sp.condition_ok is strong_condition_check(shifted, c, sp.alpha_sf)
+        assert sp.condition_ok is strong_condition_check(shifted, c * c, sp.alpha_sf)
         assert sp.condition_ok is (c == 2.0)
         assert sp.mu_A == pytest.approx(1.0, abs=1e-12)
 
@@ -249,7 +249,7 @@ class TestOuterStrong:
         # k2/M > (M-1)/M (P+1): M=3, c=30, P=1
         d = strong_support(3, 30.0)
         al = 0.9
-        sp = replace(strong_params(d, 30.0, 900.0), alpha_sf=al)
+        sp = replace(strong_params(d, 900.0), alpha_sf=al)
         got = outer_strong(ChannelParams(P=1, c=30), sp)
         want = (1 / 6) * math.log2(2.0) - (2 / 6) * math.log2(al) + 1.5
         assert got.bits == pytest.approx(want, abs=1e-12)
@@ -259,7 +259,7 @@ class TestOuterStrong:
         c = 10.0
         al = c * c / (c * c + 1.0)
         d = strong_support(4, c)
-        sp = strong_params(d, c, c * c)
+        sp = strong_params(d, c * c)
         assert sp.alpha_sf == al
         got = outer_strong(ChannelParams(P=100, c=c), sp)
         P, k2, alm = mpmath.mpf(100), mpmath.mpf(100), mpmath.mpf(100) / 101
@@ -271,7 +271,7 @@ class TestOuterStrong:
     def test_m2_coincides_with_mass_half_preoptimized_branch(self):
         # equivalent slack alpha = 1 makes the M=2 pre-optimized branches equal
         mp_ = mass_half_params(TWO_POINT)
-        sp = replace(strong_params(TWO_POINT, 2.0, 4.0), alpha_sf=1.0)
+        sp = replace(strong_params(TWO_POINT, 4.0), alpha_sf=1.0)
         a = outer_strong(ChannelParams(P=15, c=2), sp)
         b = outer_mass_half(ChannelParams(P=15, c=2), mp_)
         assert a.bits == pytest.approx(b.bits, abs=1e-9)
@@ -279,7 +279,7 @@ class TestOuterStrong:
     def test_m2_coincides_with_mass_half_large_gain_branch(self):
         # equivalent slack alpha = Delta_1^2 = 4 for the large-gain branch
         mp_ = mass_half_params(TWO_POINT)
-        sp = replace(strong_params(TWO_POINT, 8.0, 64.0), alpha_sf=4.0)
+        sp = replace(strong_params(TWO_POINT, 64.0), alpha_sf=4.0)
         a = outer_strong(ChannelParams(P=1, c=8), sp)
         b = outer_mass_half(ChannelParams(P=1, c=8), mp_)
         assert a.bits == pytest.approx(b.bits, abs=1e-9)
@@ -287,7 +287,7 @@ class TestOuterStrong:
     def test_nondecreasing_in_p(self):
         c = 2.0
         d = strong_support(3, c)
-        sp = strong_params(d, c, c * c)
+        sp = strong_params(d, c * c)
         # stay inside the pre-optimized branch regime (P >= k2/(M-1) - 1);
         # across the regime switch the piecewise theorem is not monotone
         vals = [outer_strong(ChannelParams(P=float(P), c=c), sp).bits

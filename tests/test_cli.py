@@ -2,6 +2,7 @@ import itertools
 import json
 import math
 import os
+import shlex
 import subprocess
 import sys
 import warnings
@@ -260,17 +261,64 @@ def test_quadpack_code_warns_and_exits_0(capsys):
     proc = run_fresh_cli(*argv)
     assert proc.returncode == 0, proc.stderr
     assert "QuadratureWarning: QUADPACK code 2" in proc.stderr.decode()
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", errors.QuadratureWarning)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", errors.QuadratureWarning)
         code, out, _ = run_cli(capsys, *argv)
     assert code == 0
     assert proc.stdout.decode() == out
+    # one stderr line per warning, with no source line under it
+    assert caught
+    assert proc.stderr.decode().splitlines() == [
+        f"warning: QuadratureWarning: {w.message}" for w in caught]
+
+
+def _quick_start():
+    """The `fadingdirt` command lines of README's Quick start block."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = readme.split("## Quick start", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    return [shlex.split(line)[1:] for line in block.splitlines()
+            if line.startswith("fadingdirt ")]
+
+
+def test_readme_quick_start_runs(capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)  # where a relative --out lands
+    commands = _quick_start()
+    assert commands
+    for argv in commands:
+        assert main(argv) == 0, argv
+    capsys.readouterr()
+
+
+# a flag that the chosen mode would ignore: the command, the flag and the
+# mode the parse error names
+_IGNORED = {
+    "--instance---atoms": (("gp", "--instance", "f.json", "--atoms", "[[1,1]]"),
+                           "--atoms", "--instance"),
+    "--instance---no-rcsi": (("gp", "--instance", "f.json", "--no-rcsi"),
+                             "--no-rcsi", "--instance"),
+    "--instance---aux-size": (("gp", "--instance", "f.json", "--aux-size", "4"),
+                              "--aux-size", "--instance"),
+    "mi-no-rcsi---a-target": (("mi", "--P", "3", "--no-rcsi", "--a-target", "5"),
+                              "--a-target", "--no-rcsi"),
+    "mi-k---a-target": (("mi", "--P", "3", "--dist", "two-point", "--k", "1",
+                         "--a-target", "5"), "--a-target", "--k"),
+    "sweep-no-rcsi---delta": (("sweep", "--theorem", "no-rcsi", "--dist", "gaussian",
+                               "--delta", "1.0"), "--delta", "--theorem no-rcsi"),
+    "sweep-phase-binomial---dist": (("sweep", "--theorem", "phase-binomial",
+                                     "--dist", "uniform"), "--dist", "--theorem phase-binomial"),
+    "bounds-no-rcsi---interval": (("bounds", "--theorem", "no-rcsi", "--P", "3",
+                                   "--interval", "-1", "1"), "--interval", "--theorem no-rcsi"),
+    "bounds-no-rcsi---delta": (("bounds", "--theorem", "no-rcsi", "--P", "3",
+                                "--delta", "1.0"), "--delta", "--theorem no-rcsi"),
+    "bounds-phase-binomial---dist": (("bounds", "--theorem", "phase-binomial", "--P", "3",
+                                      "--dist", "uniform"), "--dist", "--theorem phase-binomial"),
+}
 
 
 class TestSweepVerify:
     def test_preset_csv_shape(self, capsys):
-        code, out, _ = run_cli(capsys, "sweep", "--preset", "gaussian-smoke",
-                               "--format", "csv")
+        code, out, _ = run_cli(capsys, "verify", "--preset", "gaussian-smoke",
+                               "--grid", "full", "--format", "csv")
         assert code == 0
         lines = out.strip().split("\n")
         assert len(lines) == 10
@@ -298,16 +346,19 @@ class TestSweepVerify:
         assert out1 == out2
 
     @pytest.mark.parametrize("argv", [
-        ("sweep", "--preset", "gaussian-smoke", "--threads", "2"),
-        ("sweep", "--preset", "gaussian-smoke", "--seed", "0"),
+        ("sweep", "--theorem", "no-rcsi", "--dist", "gaussian", "--threads", "2"),
+        ("sweep", "--theorem", "no-rcsi", "--dist", "gaussian", "--seed", "0"),
         ("verify", "--preset", "gaussian-smoke", "--threads", "2"),
         # the fading mean is the law's, and the phase theorem's Q is c^2
         ("bounds", "--theorem", "strong", "--P", "10", "--dist", "two-point", "--mu-A", "1"),
         ("bounds", "--theorem", "phase-binomial", "--P", "10", "--Q", "4"),
         ("sweep", "--theorem", "phase-binomial", "--Q-grid", "4"),
         ("mi", "--P", "3", "--no-rcsi", "--mu-A", "0.5"),
+        # `verify --preset X --grid full` writes the claim grids
+        ("sweep", "--preset", "strong"),
+        ("sweep", "--dist", "gaussian"),
     ], ids=["sweep-threads", "sweep-seed", "verify-threads", "bounds-mu-A", "bounds-Q",
-            "sweep-Q-grid", "mi-mu-A"])
+            "sweep-Q-grid", "mi-mu-A", "sweep-preset", "sweep-no-theorem"])
     def test_removed_flags_rejected(self, capsys, argv):
         with pytest.raises(SystemExit) as exc:
             main(list(argv))
@@ -315,31 +366,22 @@ class TestSweepVerify:
         capsys.readouterr()
 
     @pytest.mark.parametrize("argv", [
-        ("sweep", "--preset", "gaussian-smoke", "--theorem", "mass-half", "--dist", "two-point",
-         "--P-grid", "7"),
         ("gp", "--example", "binary-nonoise", "--instance", "f.json"),
-    ], ids=["sweep-preset-and-theorem", "gp-example-and-instance"])
+    ], ids=["gp-example-and-instance"])
     def test_conflicting_modes_rejected(self, capsys, argv):
         with pytest.raises(SystemExit) as exc:
             main(list(argv))
         assert exc.value.code == 2
         assert "not allowed with argument" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("argv", [
-        ("sweep", "--preset", "gaussian-smoke", "--dist", "two-point"),
-        ("sweep", "--preset", "gaussian-smoke", "--P-grid", "7"),
-        ("sweep", "--preset", "gaussian-smoke", "--c2-grid", "4"),
-        ("sweep", "--preset", "phase-binomial", "--delta", "0"),
-        ("gp", "--instance", "f.json", "--atoms", "[[1,1]]"),
-        ("gp", "--instance", "f.json", "--no-rcsi"),
-        ("gp", "--instance", "f.json", "--aux-size", "4"),
-    ], ids=lambda argv: f"{argv[1]}-{argv[3]}")
-    def test_flags_the_mode_ignores_rejected(self, capsys, argv):
+    @pytest.mark.parametrize("name", list(_IGNORED))
+    def test_flags_the_mode_ignores_rejected(self, capsys, name):
+        argv, flag, mode = _IGNORED[name]
         with pytest.raises(SystemExit) as exc:
             main(list(argv))
         assert exc.value.code == 2
         err = capsys.readouterr().err
-        assert f"argument {argv[3]}: not allowed with argument {argv[1]}" in err
+        assert f"argument {flag}: not allowed with argument {mode}" in err
 
     def test_omitted_delta_is_a_right_angle(self, capsys):
         base = ("sweep", "--theorem", "phase-binomial", "--P-grid", "1,10", "--c2-grid", "4")
@@ -358,7 +400,7 @@ class TestSweepVerify:
 
     def test_out_file(self, capsys, tmp_path):
         target = tmp_path / "report.csv"
-        code, out, _ = run_cli(capsys, "sweep", "--preset", "gaussian-smoke",
+        code, out, _ = run_cli(capsys, "sweep", "--theorem", "no-rcsi", "--dist", "gaussian",
                                "--out", str(target))
         assert code == 0
         assert out == ""
@@ -435,7 +477,7 @@ class TestHelp:
     @pytest.mark.parametrize("cmd,flags", [
         ("bounds", ["--theorem", "--P", "--c", "--delta",
                     "--dist", "--interval"]),
-        ("sweep", ["--preset", "--theorem", "--dist", "--P-grid", "--c2-grid",
+        ("sweep", ["--theorem", "--dist", "--P-grid", "--c2-grid",
                    "--delta", "--format", "--out"]),
         ("verify", ["--preset", "--grid", "--format", "--out"]),
         ("mi", ["--P", "--c", "--dist", "--a-target", "--k",
