@@ -101,15 +101,10 @@ def mass_half_params(dist: FadingDistribution) -> MassHalfParams:
     """Dominant atom and the two gap constants G, G' (bits)."""
     if not dist.is_discrete:
         raise NoDominantAtom("mass-half theorem needs a discrete law")
-    vals = dist.values
-    probs = dist.probs
-    pmax = probs.max()
+    pmax = dist.probs.max()
     if pmax < 0.5 - 1e-12:
         raise NoDominantAtom(f"largest atom mass {pmax!r} < 1/2")
-    # ties broken toward smaller |a|, then smaller a (deterministic)
-    cand = [i for i in range(len(vals)) if probs[i] >= pmax - 1e-12]
-    i_star = min(cand, key=lambda i: (abs(vals[i]), vals[i]))
-    return gap_params_at(dist, i_star)
+    return gap_params_at(dist)
 
 
 def _spread_terms(others, a_prime, name):
@@ -124,9 +119,13 @@ def _spread_terms(others, a_prime, name):
     return [math.log2((v - a_prime) ** 2 / (v * v) + 1.0) for v in others]
 
 
-def gap_params_at(dist: Discrete, i: int) -> MassHalfParams:
-    """The mass-half constants with atom i as a', whatever its mass."""
+def gap_params_at(dist: Discrete) -> MassHalfParams:
+    """The mass-half constants with the largest atom as a', whatever its
+    mass; ties go to the smaller |a|, then the smaller a."""
     vals, probs = dist.values, dist.probs
+    pmax = probs.max()
+    i = min((j for j in range(len(vals)) if probs[j] >= pmax - 1e-12),
+            key=lambda j: (abs(vals[j]), vals[j]))
     a_p = float(vals[i])
     P_p = float(probs[i])
     rest = [(v, p) for j, (v, p) in enumerate(zip(vals, probs)) if j != i]

@@ -462,21 +462,18 @@ def _quadpack():
     module = sys.modules.get(name)
     if module is not None:
         return module
-    spec = importlib.util.find_spec("scipy")
-    roots = spec.submodule_search_locations if spec else None
-    for root in roots or ():
-        for suffix in importlib.machinery.EXTENSION_SUFFIXES:
-            path = os.path.join(root, "integrate", "_quadpack" + suffix)
-            if os.path.isfile(path):
-                loader = importlib.machinery.ExtensionFileLoader(name, path)
-                module = importlib.util.module_from_spec(
-                    importlib.util.spec_from_file_location(name, path, loader=loader))
-                try:
-                    loader.exec_module(module)
-                except ImportError as exc:
-                    raise QuadratureFailure(f"cannot load {path}: {exc}") from exc
-                sys.modules[name] = module
-                return module
+    scipy = importlib.util.find_spec("scipy")
+    roots = scipy.submodule_search_locations if scipy else None
+    spec = importlib.machinery.PathFinder.find_spec(
+        name, [os.path.join(root, "integrate") for root in roots or ()])
+    if spec is not None:
+        try:
+            module = importlib.util.module_from_spec(spec)
+            spec.loader.exec_module(module)
+        except ImportError as exc:
+            raise QuadratureFailure(f"cannot load {spec.origin}: {exc}") from exc
+        sys.modules[name] = module
+        return module
     raise QuadratureFailure(f"QUADPACK extension {name} not found in the installed scipy")
 
 

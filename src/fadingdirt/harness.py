@@ -12,15 +12,12 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
-
-import numpy as np
+from dataclasses import dataclass, fields
 
 from . import bounds_norcsi as bn
 from . import bounds_rcsi as br
 from .errors import SpecInvalid, UnsupportedFormat, ZeroGain
 from .fading import (
-    FadingDistribution,
     binomial_fading,
     entropy_power_alpha,
     geometric_fading,
@@ -33,14 +30,6 @@ CLAIMED = THEOREMS[:-1]  # the theorems with a claimed gap and a verify preset
 
 CANONICAL_P = (0.1, 1.0, 10.0, 100.0, 1000.0)
 CANONICAL_C2 = (0.25, 1.0, 3.0, 10.0, 100.0, 1e4)
-SMOKE_P = (1.0, 100.0)
-SMOKE_C2 = (1.0, 10.0, 100.0)
-
-CSV_COLUMNS = (
-    "theorem", "branch_inner", "branch_outer", "P", "c2", "mu_A", "dist_id",
-    "inner_bits", "outer_bits", "measured_gap", "claimed_gap", "satisfied",
-    "assumptions_ok",
-)
 
 
 @dataclass(frozen=True)
@@ -65,11 +54,6 @@ class SweepSpec:
         if any(c2 < 0 for c2 in self.c2_list):
             raise SpecInvalid("c2 values must be >= 0")
 
-    def resolved_dist(self) -> FadingDistribution:
-        if self.dist is None:
-            raise SpecInvalid(f"theorem {self.theorem!r} needs a distribution")
-        return parse_distribution(self.dist)
-
 
 @dataclass(frozen=True)
 class GapReport:
@@ -87,11 +71,8 @@ class GapReport:
     satisfied: bool
     assumptions_ok: bool
 
-    def to_row(self):
-        return [getattr(self, c) for c in CSV_COLUMNS]
 
-    def to_json(self):
-        return {c: getattr(self, c) for c in CSV_COLUMNS}
+CSV_COLUMNS = tuple(f.name for f in fields(GapReport))
 
 
 def _report(theorem, inner, outer, P, c2, mu_A, dist_id, claimed, assumptions_ok):
@@ -131,7 +112,7 @@ def _mass_half_points(dist):
         if not dist.is_discrete:
             raise
         # evaluate anyway against the largest atom; flagged as out of scope
-        mp = br.gap_params_at(dist, int(np.argmax(dist.probs)))
+        mp = br.gap_params_at(dist)
         ok = False
     claimed = mp.G_prime - mp.G + 3.0
 
@@ -192,7 +173,9 @@ def run_sweep(spec: SweepSpec):
     """
     if spec.theorem == "phase-binomial":
         return [_point_phase(spec, P, c2) for P in spec.P_list for c2 in spec.c2_list]
-    dist = spec.resolved_dist()
+    if spec.dist is None:
+        raise SpecInvalid(f"theorem {spec.theorem!r} needs a distribution")
+    dist = parse_distribution(spec.dist)
     dist_id, mu = spec.dist_id or dist.label(), dist.mean
     point = _LAW_POINTS[spec.theorem](dist)
     rows = []
@@ -208,43 +191,34 @@ def run_sweep(spec: SweepSpec):
 # claim presets
 # ---------------------------------------------------------------------------
 
-def _preset_specs(theorem: str, preset: str):
-    P = SMOKE_P if preset == "smoke" else CANONICAL_P
-    c2 = SMOKE_C2 if preset == "smoke" else CANONICAL_C2
+def _claim_specs(theorem: str):
+    """The claim grid of one verify preset; unset grids are the canonical ones."""
     if theorem == "gaussian-smoke":
         return [SweepSpec("no-rcsi", dist="gaussian", P_list=(1.0, 10.0, 100.0),
                           c2_list=(4.0, 16.0, 64.0))]
     if theorem == "no-rcsi":
-        dists = ["gaussian", "uniform"] if preset == "smoke" else ["gaussian", "uniform", "rayleigh"]
-        return [SweepSpec("no-rcsi", dist=d, P_list=P, c2_list=c2) for d in dists]
+        return [SweepSpec("no-rcsi", dist=d) for d in ("gaussian", "uniform", "rayleigh")]
     if theorem == "mass-half":
-        specs = [
-            SweepSpec("mass-half", dist="two-point", P_list=P, c2_list=c2, dist_id="two-point"),
+        return [
+            SweepSpec("mass-half", dist="two-point", dist_id="two-point"),
             # p = 0.55 keeps the dominant mass >= 1/2 while avoiding the
             # lattice point at exactly 0 that p = 0.5 produces (rejected by
             # the G' divergence contract)
-            SweepSpec("mass-half", dist=geometric_fading(0.55), P_list=P, c2_list=c2,
-                      dist_id="geometric0.55"),
-            SweepSpec("mass-half", dist=binomial_fading(1, 0.5), P_list=P, c2_list=c2,
-                      dist_id="binomial1"),
+            SweepSpec("mass-half", dist=geometric_fading(0.55), dist_id="geometric0.55"),
+            SweepSpec("mass-half", dist=binomial_fading(1, 0.5), dist_id="binomial1"),
+            SweepSpec("mass-half", dist=binomial_fading(2, 0.5), dist_id="binomial2"),
         ]
-        if preset != "smoke":
-            specs.append(SweepSpec("mass-half", dist=binomial_fading(2, 0.5), P_list=P,
-                                   c2_list=c2, dist_id="binomial2"))
-        return specs
     if theorem == "strong":
-        Ms = (3, 4) if preset == "smoke" else (3, 4, 5)
-        return [SweepSpec("strong", dist=strong_support(M, c), P_list=P,
-                          c2_list=(c * c,), dist_id=f"strongM{M}")
-                for M in Ms for c in (2.0, 4.0, 8.0)]
+        return [SweepSpec("strong", dist=strong_support(M, c), c2_list=(c * c,),
+                          dist_id=f"strongM{M}")
+                for M in (3, 4, 5) for c in (2.0, 4.0, 8.0)]
     if theorem == "phase-binomial":
-        return [SweepSpec("phase-binomial", P_list=P, c2_list=(0.25, 1.0, 4.0, 16.0),
-                          Delta=d) for d in ((math.pi / 2,) if preset == "smoke"
-                                             else (math.pi / 4, math.pi / 2))]
+        return [SweepSpec("phase-binomial", c2_list=(0.25, 1.0, 4.0, 16.0), Delta=d)
+                for d in (math.pi / 4, math.pi / 2)]
     raise SpecInvalid(f"unknown preset {theorem!r}")
 
 
-def verify_claims(theorem: str = "all", preset: str = "smoke"):
+def verify_claims(theorem: str = "all"):
     """Run the canonical grids for one theorem (or 'all') and summarize.
 
     Returns (summary, rows).  Never asserts: violated claims are counted and
@@ -253,7 +227,7 @@ def verify_claims(theorem: str = "all", preset: str = "smoke"):
     names = CLAIMED if theorem == "all" else (theorem,)
     rows = []
     for name in names:
-        for spec in _preset_specs(name, preset):
+        for spec in _claim_specs(name):
             rows.extend(run_sweep(spec))
     checked = [r for r in rows if r.assumptions_ok]
     summary = {
@@ -291,11 +265,11 @@ def emit(rows, fmt: str) -> bytes:
     if fmt in _TABLES:
         sep, prefix = _TABLES[fmt]
         lines = [prefix + sep.join(CSV_COLUMNS)]
-        lines += [sep.join(_fmt(v) for v in r.to_row()) for r in rows]
+        lines += [sep.join(_fmt(getattr(r, c)) for c in CSV_COLUMNS) for r in rows]
         return ("\n".join(lines) + "\n").encode()
     if fmt == "json":
-        payload = [{k: (("%.12g" % v) if isinstance(v, float) else v)
-                    for k, v in r.to_json().items()} for r in rows]
+        payload = [{c: (("%.12g" % v) if isinstance(v, float) else v)
+                    for c in CSV_COLUMNS for v in (getattr(r, c),)} for r in rows]
         return (json.dumps(payload, indent=1, sort_keys=False) + "\n").encode()
     if fmt == "svg":
         return _emit_svg(rows)

@@ -135,6 +135,26 @@ _BAD_INPUT = {
                              "--P-grid", "1", "--c2-grid", "1"],
     "bounds-wide-lognormal-interval": ["bounds", "--theorem", "continuous", "--P", "1",
                                        "--dist", _WIDE_LOGNORMAL, "--interval", "0.5", "2"],
+    "bounds-phase-zero-gain": ["bounds", "--theorem", "phase-binomial", "--P", "3", "--c", "0"],
+    "bounds-empty-interval": ["bounds", "--theorem", "continuous", "--P", "3",
+                              "--interval", "1", "1"],
+    "sweep-non-numeric-grid": ["sweep", "--theorem", "no-rcsi", "--dist", "gaussian",
+                               "--P-grid", "x"],
+    "sweep-nan-grid": ["sweep", "--theorem", "no-rcsi", "--dist", "gaussian",
+                       "--P-grid", "nan"],
+}
+# law literals that fail their own checks, read by `bounds --theorem no-rcsi`
+_BAD_LITERALS = {
+    "discrete-no-atoms": ('{"kind":"discrete","atoms":[]}', "ZeroVariance"),
+    "discrete-negative-mass": ('{"kind":"discrete","atoms":[[1,-0.5],[2,1.5]]}', "InvalidP"),
+    "discrete-nan-atom": ('{"kind":"discrete","atoms":[[NaN,1]]}', "NonFinite"),
+    "uniform-point": ('{"kind":"uniform","lo":1,"hi":1}', "ZeroVariance"),
+    "tabulated-two-nodes": ('{"kind":"tabulated","grid":[[0,1],[1,1]]}', "ZeroVariance"),
+    "tabulated-unsorted": ('{"kind":"tabulated","grid":[[0,1],[2,1],[1,1]]}', "NonFinite"),
+    "tabulated-negative-density": ('{"kind":"tabulated","grid":[[0,1],[1,-1],[2,1]]}',
+                                   "InvalidP"),
+    "rayleigh-zero-sigma": ('{"kind":"rayleigh","sigma":0}', "ZeroVariance"),
+    "lognormal-zero-sigma2": ('{"kind":"lognormal","sigma2":0}', "ZeroVariance"),
 }
 # continuous-law literals with a non-finite or non-positive parameter, under
 # both commands that integrate or sample the law, and the error each must name
@@ -161,7 +181,14 @@ _EXPECTED_KIND = {
     "not-an-object": "SpecInvalid",
     "sweep-wide-lognormal": "QuadratureFailure",
     "bounds-wide-lognormal-interval": "QuadratureFailure",
+    "bounds-phase-zero-gain": "ZeroGain",
+    "bounds-empty-interval": "IntervalMassTooSmall",
+    "sweep-non-numeric-grid": "SpecInvalid",
+    "sweep-nan-grid": "SpecInvalid",
 }
+for _name, (_law, _kind) in _BAD_LITERALS.items():
+    _BAD_INPUT[_name] = ["bounds", "--theorem", "no-rcsi", "--P", "1", "--dist", _law]
+    _EXPECTED_KIND[_name] = _kind
 for _name, (_law, _kind) in _BAD_LAWS.items():
     _BAD_INPUT[f"bounds-{_name}"] = ["bounds", "--theorem", "continuous", "--P", "10",
                                      "--c", "3", "--dist", _law]
@@ -333,14 +360,13 @@ class TestSweepVerify:
 
     def test_verify_runs_and_reports(self, capsys):
         code, out, err = run_cli(capsys, "verify", "--preset", "gaussian-smoke",
-                                 "--grid", "smoke", "--format", "csv")
+                                 "--format", "csv")
         assert code == 0  # claim violations are results, not errors
         assert out.startswith("theorem,")
         assert "violated" in err
 
     def test_byte_identical_stdout(self, capsys):
-        argv = ("verify", "--preset", "mass-half", "--grid", "smoke",
-                "--format", "csv")
+        argv = ("verify", "--preset", "mass-half", "--format", "csv")
         _, out1, _ = run_cli(capsys, *argv)
         _, out2, _ = run_cli(capsys, *argv)
         assert out1 == out2
@@ -357,8 +383,10 @@ class TestSweepVerify:
         # `verify --preset X --grid full` writes the claim grids
         ("sweep", "--preset", "strong"),
         ("sweep", "--dist", "gaussian"),
+        # the full grid is the only claim grid
+        ("verify", "--grid", "smoke"),
     ], ids=["sweep-threads", "sweep-seed", "verify-threads", "bounds-mu-A", "bounds-Q",
-            "sweep-Q-grid", "mi-mu-A", "sweep-preset", "sweep-no-theorem"])
+            "sweep-Q-grid", "mi-mu-A", "sweep-preset", "sweep-no-theorem", "verify-grid-smoke"])
     def test_removed_flags_rejected(self, capsys, argv):
         with pytest.raises(SystemExit) as exc:
             main(list(argv))

@@ -29,7 +29,7 @@ STRONG4 = json.dumps(strong_support(4, 2.0).to_json())
 TRIANGLE = json.dumps({"kind": "tabulated", "grid": [[-1.5, 0.0], [0.0, 2.0 / 3.0], [1.5, 0.0]]})
 
 CLOSED_FORM_COMMANDS = {
-    "verify": ["verify", "--grid", "smoke"],
+    "verify": ["verify"],
     "bounds-no-rcsi": ["bounds", "--theorem", "no-rcsi", "--P", "3", "--c", "2"],
     "bounds-mass-half": ["bounds", "--theorem", "mass-half", "--P", "15", "--c", "8",
                          "--dist", "two-point"],

@@ -215,7 +215,8 @@ class TestIntegrate:
 
     def test_missing_extension_exits_3(self, capsys, monkeypatch):
         monkeypatch.delitem(sys.modules, _quadpack().__name__)
-        monkeypatch.setattr(importlib.machinery, "EXTENSION_SUFFIXES", [".missing"])
+        monkeypatch.setattr(importlib.machinery.PathFinder, "find_spec",
+                            classmethod(lambda cls, *args, **kwargs: None))
         code = main(["bounds", "--theorem", "continuous", "--P", "10", "--c", "3"])
         assert code == 3
         assert "QuadratureFailure: QUADPACK extension" in capsys.readouterr().err

@@ -7,7 +7,8 @@ import pytest
 
 from fadingdirt import bounds_rcsi as br
 from fadingdirt.errors import SpecInvalid, UnsupportedFormat
-from fadingdirt.fading import binomial_fading
+from fadingdirt.bounds_norcsi import ChannelParams
+from fadingdirt.fading import Discrete, binomial_fading
 from fadingdirt.harness import (
     CSV_COLUMNS,
     SweepSpec,
@@ -55,6 +56,21 @@ class TestRunSweep:
         assert len(rows) == 2
         assert all(not r.assumptions_ok for r in rows)
 
+    def test_out_of_scope_mass_half_precodes_as_the_theorem_does(self):
+        # no atom of mass >= 1/2, and the two largest tie: the row takes
+        # a' = 1, the tied atom of smaller |a|, as mass_half_params would
+        law = Discrete(((-2.0, 0.4), (1.0, 0.4), (3.0, 0.2)))
+        (row,) = run_sweep(SweepSpec("mass-half", dist=law, P_list=(10.0,), c2_list=(4.0,)))
+        G = 0.4 * math.log2(9.0) + 0.2 * math.log2(4.0)
+        G_prime = 0.4 * math.log2(9.0 / 4.0 + 1.0) + 0.2 * math.log2(4.0 / 9.0 + 1.0)
+        mp = br.MassHalfParams(a_prime=1.0, P_prime=0.4, G=G, G_prime=G_prime, mu_A=law.mean)
+        params = ChannelParams(P=10.0, c=2.0)
+        assert row.inner_bits == br.inner_mass_half(params, law, mp).bits
+        assert row.outer_bits == br.outer_mass_half(params, mp).bits
+        assert row.claimed_gap == pytest.approx(G_prime - G + 3.0, abs=1e-12)
+        assert row.inner_bits == pytest.approx(0.7476, abs=1e-4)
+        assert not row.assumptions_ok
+
     def test_phase_branches_populated(self):
         spec = SweepSpec("phase-binomial", P_list=(3.0,), c2_list=(0.25, 16.0))
         rows = run_sweep(spec)
@@ -99,13 +115,13 @@ class TestRunSweep:
 
 class TestVerify:
     def test_summary_counts(self):
-        summary, rows = verify_claims("mass-half", "smoke")
+        summary, rows = verify_claims("mass-half")
         assert summary["points"] == len(rows)
         assert summary["satisfied"] + summary["violated"] == summary["checked"]
         assert math.isfinite(summary["worst_gap"])
 
     def test_all_preset_runs(self):
-        summary, rows = verify_claims("all", "smoke")
+        summary, rows = verify_claims("all")
         assert summary["points"] > 30
         assert {r.theorem for r in rows} == {
             "no-rcsi", "mass-half", "strong", "phase-binomial"}
@@ -113,7 +129,7 @@ class TestVerify:
     def test_violations_are_data(self):
         # the asymptotic no-rcsi constant is approached from above, so finite
         # grid points exceed it; they must be reported, not dropped
-        summary, rows = verify_claims("no-rcsi", "smoke")
+        summary, rows = verify_claims("no-rcsi")
         assert summary["violated"] > 0
         assert any(not r.satisfied for r in rows)
 
