@@ -34,7 +34,7 @@ from .fading import Discrete, FadingDistribution, check_mass, integrate
 @dataclass(frozen=True)
 class MassHalfParams:
     a_prime: float
-    P_prime: float  # mass of the dominant atom, >= 1/2
+    P_prime: float  # mass of a', the largest atom
     G: float        # bits
     G_prime: float  # bits
     mu_A: float     # mean of the law
@@ -54,6 +54,14 @@ class ContinuousOuterParams:
     prob_I: float
     a_prime: float
     G_tilde_cont: float  # bits
+
+
+def _dominant(mass) -> bool:  # the dominant-atom rule: mass >= 1/2 within 1e-12
+    return mass >= 0.5 - 1e-12
+
+
+def _half_interval(prob_i) -> bool:  # the interval rule: P(I) >= 1/2 within 1e-8
+    return prob_i >= 0.5 - 1e-8
 
 
 # ---------------------------------------------------------------------------
@@ -102,7 +110,7 @@ def mass_half_params(dist: FadingDistribution) -> MassHalfParams:
     if not dist.is_discrete:
         raise NoDominantAtom("mass-half theorem needs a discrete law")
     pmax = dist.probs.max()
-    if pmax < 0.5 - 1e-12:
+    if not _dominant(pmax):
         raise NoDominantAtom(f"largest atom mass {pmax!r} < 1/2")
     return gap_params_at(dist)
 
@@ -156,7 +164,7 @@ def outer_mass_half(params: ChannelParams, mp: MassHalfParams) -> RateBound:
     # zero within 1e-12: geometric_fading(0.55)'s truncated tail leaves a mean of -9.6e-13
     mean_zero = abs(mp.mu_A) <= 1e-12
     return _min_branch("mass-half-outer", branches,
-                       {"dominant_mass": Pp >= 0.5, "mu_A_zero": mean_zero})
+                       {"dominant_mass": _dominant(Pp), "mu_A_zero": mean_zero})
 
 
 def _costa_atom_sum(values, probs, a_prime, p_prime_mass, c, power):
@@ -211,7 +219,7 @@ def _best_strategy(params: ChannelParams, values, probs, a_prime):
 def inner_mass_half(params: ChannelParams, dist: Discrete, mp: MassHalfParams) -> RateBound:
     bits, tag = _best_strategy(params, dist.values, dist.probs, mp.a_prime)
     return RateBound(bits=float(bits), theorem="mass-half-inner", branch=tag,
-                     assumptions_ok={"dominant_mass": mp.P_prime >= 0.5})
+                     assumptions_ok={"dominant_mass": _dominant(mp.P_prime)})
 
 
 # ---------------------------------------------------------------------------
@@ -282,12 +290,9 @@ def inner_strong(params: ChannelParams, support: Discrete) -> RateBound:
     """Best of the three strategies, maximized over the precoding target."""
     vals, probs = support.values, support.probs
     _check_equiprobable(probs)
-    best = (-math.inf, "treat-as-noise")
-    for a_p in vals:
-        rate_tag = _best_strategy(params, vals, probs, float(a_p))
-        if rate_tag[0] > best[0]:
-            best = rate_tag
-    return RateBound(bits=float(best[0]), theorem="strong-inner", branch=best[1],
+    bits, tag = max((_best_strategy(params, vals, probs, float(a_p)) for a_p in vals),
+                    key=lambda rate_tag: rate_tag[0])  # the first target wins ties
+    return RateBound(bits=float(bits), theorem="strong-inner", branch=tag,
                      assumptions_ok={"uniform": True})
 
 
@@ -308,7 +313,7 @@ def continuous_interval_params(dist: FadingDistribution, interval) -> Continuous
     # over the support, P(I) is the mass itself
     check_mass(prob_i if (a, b) == (lo_s, hi_s)
                else integrate(dist, lambda x, p: p, lo_s, hi_s, 1e-10)[0])
-    if prob_i < 0.5 - 1e-8:
+    if not _half_interval(prob_i):
         raise IntervalMassTooSmall(f"P(I) = {prob_i!r} < 1/2")
 
     target = prob_i / (b - a)
@@ -355,7 +360,7 @@ def outer_continuous(params: ChannelParams, cp: ContinuousOuterParams) -> RateBo
          "moderate-gain", P * c2 > 0 and mass * c2 <= rest * (P + 1)),
         (mass / 2 * math.log2(1 + P) + 1.0 - G / 2, "large-gain", mass * c2 > rest * (P + 1)),
     ]
-    return _min_branch("continuous-outer", branches, {"prob_I_half": cp.prob_I >= 0.5})
+    return _min_branch("continuous-outer", branches, {"prob_I_half": _half_interval(cp.prob_I)})
 
 
 def inner_continuous(params: ChannelParams, dist: FadingDistribution, a_prime: float) -> RateBound:

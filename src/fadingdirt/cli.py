@@ -62,7 +62,7 @@ def _build_parser():
     add_output(s)
 
     v = sub.add_parser("verify", help="check the gap claims on canonical grids")
-    v.add_argument("--preset", default="all", choices=["all", *CLAIMED, "gaussian-smoke"],
+    v.add_argument("--preset", default="all", choices=["all", *CLAIMED],
                    help="which claim family to verify")
     # one grid; the flag stays only because the benchmark's workloads pass it
     v.add_argument("--grid", default="full", choices=["full"], help="claim grid")
@@ -126,7 +126,7 @@ def _print_json(obj):
 
 
 def _cmd_bounds(args):
-    dist = parse_distribution(args.dist)
+    dist = parse_distribution(args.dist) if args.theorem in _LAW_THEOREMS else None
     params = bn.ChannelParams(P=args.P, c=args.c)
     if args.theorem == "no-rcsi":
         alpha = entropy_power_alpha(dist)

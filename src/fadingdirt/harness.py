@@ -107,22 +107,22 @@ def _no_rcsi_points(dist):
 def _mass_half_points(dist):
     try:
         mp = br.mass_half_params(dist)
-        ok = True
     except br.NoDominantAtom:
         if not dist.is_discrete:
             raise
-        # evaluate anyway against the largest atom; flagged as out of scope
+        # evaluate anyway against the largest atom; its bounds flag it out of scope
         mp = br.gap_params_at(dist)
-        ok = False
     claimed = mp.G_prime - mp.G + 3.0
 
     def point(params, c2):
-        return br.inner_mass_half(params, dist, mp), br.outer_mass_half(params, mp), claimed, ok
+        inner = br.inner_mass_half(params, dist, mp)
+        outer = br.outer_mass_half(params, mp)
+        return inner, outer, claimed, outer.assumptions_ok["dominant_mass"]
     return point
 
 
 def _strong_points(dist):
-    by_c2 = {}  # the spacing condition and G-tilde depend on c, not on P
+    by_c2 = {}  # alpha_sf and the spacing condition depend on c, not on P
 
     def point(params, c2):
         if c2 not in by_c2:
@@ -142,7 +142,7 @@ def _continuous_points(dist):
     def point(params, c2):
         outer = br.outer_continuous(params, cp)
         inner = br.inner_continuous(params, dist, cp.a_prime)
-        return inner, outer, float("nan"), cp.prob_I >= 0.5
+        return inner, outer, float("nan"), outer.assumptions_ok["prob_I_half"]
     return point
 
 
@@ -193,9 +193,6 @@ def run_sweep(spec: SweepSpec):
 
 def _claim_specs(theorem: str):
     """The claim grid of one verify preset; unset grids are the canonical ones."""
-    if theorem == "gaussian-smoke":
-        return [SweepSpec("no-rcsi", dist="gaussian", P_list=(1.0, 10.0, 100.0),
-                          c2_list=(4.0, 16.0, 64.0))]
     if theorem == "no-rcsi":
         return [SweepSpec("no-rcsi", dist=d) for d in ("gaussian", "uniform", "rayleigh")]
     if theorem == "mass-half":
@@ -291,8 +288,6 @@ def _emit_svg(rows) -> bytes:
     y0, y1 = min(ys + [0.0]), max(ys + [1.0])
     if x1 - x0 < 1e-12:
         x1 = x0 + 1.0
-    if y1 - y0 < 1e-12:
-        y1 = y0 + 1.0
 
     def px(x):
         return _SVG_PAD + (x - x0) / (x1 - x0) * (_SVG_W - 2 * _SVG_PAD)

@@ -61,6 +61,40 @@ class TestBounds:
         assert payload["inner"]["bits"] == 0.0
         assert payload["outer"]["bits"] == pytest.approx(0.5, abs=1e-12)
 
+    def test_phase_theorem_reads_no_law(self, capsys, monkeypatch):
+        from fadingdirt import cli
+
+        def no_law(text):
+            raise AssertionError(f"parsed a law: {text!r}")
+
+        monkeypatch.setattr(cli, "parse_distribution", no_law)
+        code, out, _ = run_cli(capsys, "bounds", "--theorem", "phase-binomial",
+                               "--P", "10", "--c", "2")
+        assert code == 0
+        assert set(json.loads(out)) == {"inner", "outer"}
+
+    def test_interval_mass_half_within_quadrature_tolerance(self, capsys):
+        # P(I) = 0.49999999988 by quadrature: the interval is accepted, and
+        # the outer bound's flag reads the same rule
+        code, out, _ = run_cli(capsys, "bounds", "--theorem", "continuous", "--P", "10",
+                               "--c", "3", "--interval", "-0.67448975", "0.67448975")
+        assert code == 0
+        assert json.loads(out)["outer"]["assumptions_ok"] == {"prob_I_half": True}
+
+    def test_dominant_mass_within_rounding_matches_the_sweep_row(self, capsys):
+        law = ('{"kind":"discrete","atoms":[[-1.0,0.2500000000002],[0.5,0.4999999999996],'
+               '[2.0,0.2500000000002]]}')
+        code, out, _ = run_cli(capsys, "bounds", "--theorem", "mass-half", "--P", "10",
+                               "--c", "2", "--dist", law)
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["inner"]["assumptions_ok"]["dominant_mass"] is True
+        assert payload["outer"]["assumptions_ok"]["dominant_mass"] is True
+        _, swept, _ = run_cli(capsys, "sweep", "--theorem", "mass-half", "--dist", law,
+                              "--P-grid", "10", "--c2-grid", "4", "--format", "json")
+        (row,) = json.loads(swept)
+        assert row["assumptions_ok"] is True
+
     @pytest.mark.parametrize("form", ["appendix", "theorem"])
     def test_form_flag_is_gone(self, capsys, form):
         with pytest.raises(SystemExit) as exc:
@@ -142,6 +176,9 @@ _BAD_INPUT = {
                                "--P-grid", "x"],
     "sweep-nan-grid": ["sweep", "--theorem", "no-rcsi", "--dist", "gaussian",
                        "--P-grid", "nan"],
+    # a density has no atoms to space; `bounds --dist` defaults to gaussian
+    "bounds-strong-density": ["bounds", "--theorem", "strong", "--P", "1", "--c", "2"],
+    "sweep-strong-density": ["sweep", "--theorem", "strong", "--dist", "gaussian"],
 }
 # law literals that fail their own checks, read by `bounds --theorem no-rcsi`
 _BAD_LITERALS = {
@@ -185,6 +222,8 @@ _EXPECTED_KIND = {
     "bounds-empty-interval": "IntervalMassTooSmall",
     "sweep-non-numeric-grid": "SpecInvalid",
     "sweep-nan-grid": "SpecInvalid",
+    "bounds-strong-density": "NotUniform",
+    "sweep-strong-density": "NotUniform",
 }
 for _name, (_law, _kind) in _BAD_LITERALS.items():
     _BAD_INPUT[_name] = ["bounds", "--theorem", "no-rcsi", "--P", "1", "--dist", _law]
@@ -344,11 +383,12 @@ _IGNORED = {
 
 class TestSweepVerify:
     def test_preset_csv_shape(self, capsys):
-        code, out, _ = run_cli(capsys, "verify", "--preset", "gaussian-smoke",
+        # two phase half-angles x 5 powers x 4 state powers, and the header
+        code, out, _ = run_cli(capsys, "verify", "--preset", "phase-binomial",
                                "--grid", "full", "--format", "csv")
         assert code == 0
         lines = out.strip().split("\n")
-        assert len(lines) == 10
+        assert len(lines) == 41
         assert all(len(line.split(",")) == 13 for line in lines)
 
     def test_explicit_grids(self, capsys):
@@ -359,10 +399,11 @@ class TestSweepVerify:
         assert len(json.loads(out)) == 2
 
     def test_verify_runs_and_reports(self, capsys):
-        code, out, err = run_cli(capsys, "verify", "--preset", "gaussian-smoke",
+        code, out, err = run_cli(capsys, "verify", "--preset", "phase-binomial",
                                  "--format", "csv")
         assert code == 0  # claim violations are results, not errors
         assert out.startswith("theorem,")
+        assert "verify phase-binomial/full: 40 points" in err
         assert "violated" in err
 
     def test_byte_identical_stdout(self, capsys):
@@ -374,7 +415,7 @@ class TestSweepVerify:
     @pytest.mark.parametrize("argv", [
         ("sweep", "--theorem", "no-rcsi", "--dist", "gaussian", "--threads", "2"),
         ("sweep", "--theorem", "no-rcsi", "--dist", "gaussian", "--seed", "0"),
-        ("verify", "--preset", "gaussian-smoke", "--threads", "2"),
+        ("verify", "--preset", "phase-binomial", "--threads", "2"),
         # the fading mean is the law's, and the phase theorem's Q is c^2
         ("bounds", "--theorem", "strong", "--P", "10", "--dist", "two-point", "--mu-A", "1"),
         ("bounds", "--theorem", "phase-binomial", "--P", "10", "--Q", "4"),
@@ -385,8 +426,12 @@ class TestSweepVerify:
         ("sweep", "--dist", "gaussian"),
         # the full grid is the only claim grid
         ("verify", "--grid", "smoke"),
+        # the same grid is `sweep --theorem no-rcsi --dist gaussian --P-grid
+        # 1,10,100 --c2-grid 4,16,64`
+        ("verify", "--preset", "gaussian-smoke"),
     ], ids=["sweep-threads", "sweep-seed", "verify-threads", "bounds-mu-A", "bounds-Q",
-            "sweep-Q-grid", "mi-mu-A", "sweep-preset", "sweep-no-theorem", "verify-grid-smoke"])
+            "sweep-Q-grid", "mi-mu-A", "sweep-preset", "sweep-no-theorem", "verify-grid-smoke",
+            "verify-gaussian-smoke"])
     def test_removed_flags_rejected(self, capsys, argv):
         with pytest.raises(SystemExit) as exc:
             main(list(argv))

@@ -25,9 +25,11 @@ GOLDEN = {
         "fe70ed5cc58b712cf120192718096200d99c048d9dc249980d5633514a6e065e",
     ("verify", "--preset", "all", "--grid", "full", "--format", "svg"):
         "ea5c32d571989efa5b1bc56f598b2e36bbc61aa1b78804fa7bb470b80cf24fe5",
-    ("verify", "--preset", "gaussian-smoke", "--grid", "full", "--format", "csv"):
+    ("sweep", "--theorem", "no-rcsi", "--dist", "gaussian", "--P-grid", "1,10,100",
+     "--c2-grid", "4,16,64", "--format", "csv"):
         "93d4cdcecb074802716bad7740ee509154bf3a2f2666d03ce67a59fbb3a30985",
-    ("verify", "--preset", "gaussian-smoke", "--grid", "full", "--format", "json"):
+    ("sweep", "--theorem", "no-rcsi", "--dist", "gaussian", "--P-grid", "1,10,100",
+     "--c2-grid", "4,16,64", "--format", "json"):
         "8ac03cd85e56dd6cb476e4533fb793a27512cf477e9ae4cb1189bd7a20087d41",
     ("verify", "--preset", "no-rcsi", "--grid", "full", "--format", "csv"):
         "59b40c08df0b9f39013a2c8c49dae9f4dd7fcd4378ca5d0f77ccb5139fab14ea",

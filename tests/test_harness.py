@@ -126,6 +126,10 @@ class TestVerify:
         assert {r.theorem for r in rows} == {
             "no-rcsi", "mass-half", "strong", "phase-binomial"}
 
+    def test_unknown_preset_rejected(self):
+        with pytest.raises(SpecInvalid, match="unknown preset 'gaussian-smoke'"):
+            verify_claims("gaussian-smoke")
+
     def test_violations_are_data(self):
         # the asymptotic no-rcsi constant is approached from above, so finite
         # grid points exceed it; they must be reported, not dropped
