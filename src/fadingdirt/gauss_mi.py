@@ -121,7 +121,10 @@ def costa_rate_exact(params: ChannelParams, dist: FadingDistribution,
 _N_STREAMS = 16
 _GRID_POINTS = 401
 _GRID_MASS_TOL = 0.01  # the end weights of np.gradient alone leave 0.25% on a uniform law
-_CHUNK = 256  # samples per (chunk x atoms) buffer of `_log_mixture`
+# doubles of scratch per scored chunk (512 KiB): about 8 per sample with RCSI,
+# one per atom in the (samples x atoms) buffer of a mixture without
+_CHUNK_DOUBLES = 2 ** 16
+_DRAW_ROOM = 1e6  # room left under the float range for the squares of normal draws
 
 
 def _mixture_atoms(dist: FadingDistribution):
@@ -142,35 +145,27 @@ def _mixture_atoms(dist: FadingDistribution):
     return xs[keep], w[keep]
 
 
-def _log_normal_pdf(x, mean, var):
-    return -0.5 * np.log(2.0 * math.pi * var) - (x - mean) ** 2 / (2.0 * var)
+def _log_mixture(y, scale, offset, u=None, mean_coef=None):
+    """log sum_a exp(offset_a + scale_a * (y - mean_coef_a * u)^2) for each
+    sample, with scale = -1/(2 var) and offset = log w - log(2 pi var)/2 per
+    atom: the log-density of a Gaussian mixture.  u None means mean zero.
 
-
-def _log_mixture(y, mean_coef, u, var, log_w):
-    """log sum_a w_a N(y; mean_coef_a * u, var_a) for each sample.
-
-    Works through `_CHUNK` samples at a time in one (chunk x atoms) buffer,
-    in place: subtract the means, square, scale, add the log weights, shift
-    each row by its max, exponentiate and sum.  Memory stays bounded in n,
-    and no row's result depends on the chunk it falls in.
+    Works in place in one (samples x atoms) buffer: square, scale, add the
+    offsets, shift each row by its max, exponentiate and sum.  No row's
+    result depends on the rows scored with it.
     """
-    scale = -0.5 / var
-    offset = log_w - 0.5 * np.log(2.0 * math.pi * var)
-    out = np.empty(len(y))
-    buf = np.empty((min(_CHUNK, len(y)), len(offset)))
-    for lo in range(0, len(y), _CHUNK):
-        hi = min(lo + _CHUNK, len(y))
-        b = buf[: hi - lo]
-        np.multiply(u[lo:hi, None], mean_coef, out=b)
-        np.subtract(y[lo:hi, None], b, out=b)
+    if u is None:
+        b = np.multiply(np.square(y)[:, None], scale)
+    else:
+        b = np.multiply(u[:, None], mean_coef)
+        np.subtract(y[:, None], b, out=b)
         np.square(b, out=b)
         np.multiply(b, scale, out=b)
-        np.add(b, offset, out=b)
-        top = b.max(axis=1)
-        np.subtract(b, top[:, None], out=b)
-        np.exp(b, out=b)
-        out[lo:hi] = top + np.log(b.sum(axis=1))
-    return out
+    np.add(b, offset, out=b)
+    top = b.max(axis=1)
+    np.subtract(b, top[:, None], out=b)
+    np.exp(b, out=b)
+    return top + np.log(b.sum(axis=1))
 
 
 def mi_monte_carlo(params: ChannelParams, dist: FadingDistribution,
@@ -183,7 +178,9 @@ def mi_monte_carlo(params: ChannelParams, dist: FadingDistribution,
     with closed-form component moments, and the (U, S) pair is exactly
     jointly Gaussian.  Samples are partitioned into fixed independent
     streams whose running moments are merged, so the result depends on
-    (seed, n) only.
+    (seed, n) only.  A stream's draws are held whole, in buffers the streams
+    share; its ratios are scored in chunks of `_CHUNK_DOUBLES` doubles of
+    scratch.
     """
     n = int(n)
     if n < 10 ** 4:
@@ -197,10 +194,16 @@ def mi_monte_carlo(params: ChannelParams, dist: FadingDistribution,
     var_u = P1 + k * k
 
     av, aw = _mixture_atoms(dist)
-    # Python floats overflow to inf without a numpy warning, before any draw
-    top = float(np.max(np.abs(av)))
-    if not math.isfinite(P + c * c * top * top + 1.0):
-        raise NonFinite(f"the variance P + c^2 a^2 + 1 overflows at the atom |a| = {top!r}")
+    # Python floats overflow to inf without a numpy warning, so before any
+    # draw: each second moment the scoring forms must leave room for squared
+    # draws.  They are convex in the fading value, so the end atoms bound them.
+    a_min, a_max = float(np.min(av)), float(np.max(av))
+    scales = [var_u, c * c]
+    for ca in (c * a_min, c * a_max):
+        scales += [P + ca * ca + 1.0, (P1 + ca * k) * (P1 + ca * k)]
+    if not all(math.isfinite(m * _DRAW_ROOM) for m in scales):
+        raise NonFinite(f"a second moment of U or Y overflows at P = {P!r}, c = {c!r}, "
+                        f"k = {k!r} and atoms in [{a_min!r}, {a_max!r}]")
 
     def moments(a):
         """Posterior mean coefficient and variance of Y given U at fading a."""
@@ -208,37 +211,61 @@ def mi_monte_carlo(params: ChannelParams, dist: FadingDistribution,
         v = P1 + c * c * a * a - (P1 + c * a * k) ** 2 / var_u + P2 + 1.0
         return coef, v
 
-    coef_g, v_g = moments(av)
-    vy_g = P + c * c * av * av + 1.0
-    log_aw = np.log(aw)
+    if not asg.rcsi:
+        coef_g, v_g = moments(av)
+        vy_g = P + c * c * av * av + 1.0
+        log_aw = np.log(aw)
+        y_u_terms = (-0.5 / v_g, log_aw - 0.5 * np.log(2.0 * math.pi * v_g))
+        y_terms = (-0.5 / vy_g, log_aw - 0.5 * np.log(2.0 * math.pi * vy_g))
+    rows = max(1, _CHUNK_DOUBLES // (8 if asg.rcsi else len(av)))
+    # log(P1 / var_u) / 2 from the log-densities of U given S and of U
+    lr_u = 0.5 * math.log(P1 / var_u)
+
+    def log_ratio(a, s, x1, x, z):
+        """Each sample's log density ratio, in nats, over one chunk; x is the
+        sum x1 + x2 of the codewords."""
+        u = x1 + k * s
+        y = x + c * a * s + z
+        if asg.rcsi:
+            coef, v = moments(a)
+            vy = P + c * c * a * a + 1.0
+            r = 0.5 * np.log(vy / v) - (y - coef * u) ** 2 / (2.0 * v) + y * y / (2.0 * vy)
+        else:
+            r = (_log_mixture(y, *y_u_terms, u=u, mean_coef=coef_g)
+                 - _log_mixture(y, *y_terms))
+        r += x1 * x1 / (2.0 * P1) - u * u / (2.0 * var_u) + lr_u
+        return r
 
     counts = np.full(_N_STREAMS, n // _N_STREAMS)
     counts[: n % _N_STREAMS] += 1
-
+    # draw buffers shared by the streams; a stream of nj samples uses [:nj]
+    size = int(counts[0])
+    s_buf, x1_buf, z_buf, r_buf = (np.empty(size) for _ in range(4))
+    x2_buf = np.empty(size if P2 > 0 else 0)
     means = np.zeros(_N_STREAMS)
     m2s = np.zeros(_N_STREAMS)
     for j, rng in enumerate(rngs):
         nj = int(counts[j])
         a = dist._draw(rng, nj)
-        s = rng.standard_normal(nj)
-        x1 = math.sqrt(P1) * rng.standard_normal(nj)
-        x2 = math.sqrt(P2) * rng.standard_normal(nj) if P2 > 0 else 0.0
-        z = rng.standard_normal(nj)
-        u = x1 + k * s
-        y = x1 + x2 + c * a * s + z
+        s = rng.standard_normal(out=s_buf[:nj])
+        x1 = rng.standard_normal(out=x1_buf[:nj])
+        x1 *= math.sqrt(P1)
+        x = x1
+        if P2 > 0:
+            x = rng.standard_normal(out=x2_buf[:nj])
+            x *= math.sqrt(P2)
+            x += x1
+        z = rng.standard_normal(out=z_buf[:nj])
+        ratio = r_buf[:nj]
+        for lo in range(0, nj, rows):
+            cut = slice(lo, lo + rows)
+            np.divide(log_ratio(a[cut], s[cut], x1[cut], x[cut], z[cut]), LN2, out=ratio[cut])
+        del a  # before the next stream draws its own
 
-        if asg.rcsi:
-            coef, v = moments(a)
-            lp_y_u = _log_normal_pdf(y, coef * u, v)
-            lp_y = _log_normal_pdf(y, 0.0, P + c * c * a * a + 1.0)
-        else:
-            lp_y_u = _log_mixture(y, coef_g, u, v_g, log_aw)
-            lp_y = _log_mixture(y, 0.0, u, vy_g, log_aw)
-        lp_u_s = _log_normal_pdf(u, k * s, P1)
-        lp_u = _log_normal_pdf(u, 0.0, var_u)
-        contrib = (lp_y_u - lp_y - lp_u_s + lp_u) / LN2
-        means[j] = contrib.mean()
-        m2s[j] = ((contrib - means[j]) ** 2).sum()
+        means[j] = ratio.mean()
+        np.subtract(ratio, means[j], out=ratio)
+        np.square(ratio, out=ratio)
+        m2s[j] = ratio.sum()
 
     # Welford/Chan merge of the per-stream moments
     mean, m2, cnt = 0.0, 0.0, 0.0

@@ -156,6 +156,13 @@ _BAD_INPUT = {
                            "--dist", '{"kind":"lognormal","sigma2":800}'],
     "mi-norcsi-nonfinite": ["mi", "--P", "3", "--no-rcsi", "--n", "10000",
                             "--dist", _HUGE_EVEN],
+    # second moments of U and Y that overflow once squared draws meet them
+    "mi-overflow-k": ["mi", "--P", "3", "--c", "2", "--dist", "two-point", "--n", "10000",
+                      "--k", "1e200"],
+    "mi-overflow-P": ["mi", "--P", "1e308", "--c", "2", "--dist", "two-point", "--n", "10000"],
+    "mi-overflow-c": ["mi", "--P", "3", "--c", "1e154", "--dist", "two-point", "--n", "10000"],
+    "mi-overflow-a-target": ["mi", "--P", "3", "--c", "2", "--dist", "two-point",
+                             "--n", "10000", "--a-target", "1e200"],
     "bounds-mass-half-nonfinite": ["bounds", "--theorem", "mass-half", "--P", "10", "--c", "2",
                                    "--dist", _HUGE_DOMINANT],
     "bounds-strong-nonfinite": ["bounds", "--theorem", "strong", "--P", "10", "--c", "2",
@@ -210,6 +217,10 @@ _EXPECTED_KIND = {
     "bounds-strong-condition": "ConditionNotVerified",
     "mi-norcsi-overflow": "QuadratureFailure",
     "mi-norcsi-nonfinite": "NonFinite",
+    "mi-overflow-k": "NonFinite",
+    "mi-overflow-P": "NonFinite",
+    "mi-overflow-c": "NonFinite",
+    "mi-overflow-a-target": "NonFinite",
     "bounds-mass-half-nonfinite": "NonFinite",
     "bounds-strong-nonfinite": "NonFinite",
     "sweep-mass-half-nonfinite": "NonFinite",

@@ -15,12 +15,15 @@ from fadingdirt.errors import (
     SingularCovariance,
 )
 from fadingdirt.fading import (
+    LN2,
     Discrete,
     Gaussian,
     LogNormal,
     geometric_fading,
     normalize_unit_variance,
     parse_distribution,
+    seeded_rng,
+    strong_support,
 )
 from fadingdirt.gauss_mi import (
     CostaAssignment,
@@ -32,6 +35,63 @@ from fadingdirt.gauss_mi import (
 from laws import TABULATED_0
 
 TWO_POINT = Discrete(((-1.0, 0.5), (1.0, 0.5)))
+
+
+def _log_normal_pdf(x, mean, var):
+    return -0.5 * np.log(2.0 * math.pi * var) - (x - mean) ** 2 / (2.0 * var)
+
+
+def reference_mi(params, dist, asg, n, seed):
+    """The estimator scored sample by sample from whole-stream arrays: four
+    Gaussian log-densities per sample with RCSI, scipy's logsumexp over every
+    (sample, atom) term of the two mixtures without.  Same streams, draws
+    and moment merge as `mi_monte_carlo`; a test oracle only."""
+    from scipy.special import logsumexp
+
+    P1, P2, k = gauss_mi._resolve(params, dist, asg)
+    c, P = params.c, params.P
+    var_u = P1 + k * k
+    av, aw = gauss_mi._mixture_atoms(dist)
+
+    def moments(a):
+        coef = (P1 + c * a * k) / var_u
+        return coef, P1 + c * c * a * a - (P1 + c * a * k) ** 2 / var_u + P2 + 1.0
+
+    coef_g, v_g = moments(av)
+    vy_g = P + c * c * av * av + 1.0
+    counts = np.full(16, n // 16)
+    counts[: n % 16] += 1
+    means, m2s = np.zeros(16), np.zeros(16)
+    for j in range(16):
+        rng, nj = seeded_rng(seed, j), int(counts[j])
+        a = dist._draw(rng, nj)
+        s = rng.standard_normal(nj)
+        x1 = math.sqrt(P1) * rng.standard_normal(nj)
+        x2 = math.sqrt(P2) * rng.standard_normal(nj) if P2 > 0 else 0.0
+        z = rng.standard_normal(nj)
+        u = x1 + k * s
+        y = x1 + x2 + c * a * s + z
+        if asg.rcsi:
+            coef, v = moments(a)
+            lp_y_u = _log_normal_pdf(y, coef * u, v)
+            lp_y = _log_normal_pdf(y, 0.0, P + c * c * a * a + 1.0)
+        else:
+            lp_y_u = logsumexp(np.log(aw) + _log_normal_pdf(
+                y[:, None], coef_g * u[:, None], v_g), axis=1)
+            lp_y = logsumexp(np.log(aw) + _log_normal_pdf(y[:, None], 0.0, vy_g), axis=1)
+        contrib = (lp_y_u - lp_y - _log_normal_pdf(u, k * s, P1)
+                   + _log_normal_pdf(u, 0.0, var_u)) / LN2
+        means[j] = contrib.mean()
+        m2s[j] = ((contrib - means[j]) ** 2).sum()
+    mean, m2, cnt = 0.0, 0.0, 0.0
+    for j in range(16):
+        nj = float(counts[j])
+        delta = means[j] - mean
+        tot = cnt + nj
+        mean += delta * nj / tot
+        m2 += m2s[j] + delta * delta * cnt * nj / tot
+        cnt = tot
+    return float(mean), math.sqrt(m2 / (cnt - 1.0) / cnt)
 
 
 class TestCostaExact:
@@ -156,6 +216,53 @@ class TestMonteCarlo:
                 mi_monte_carlo(ChannelParams(P=3, c=2), law, CostaAssignment(rcsi=rcsi),
                                10 ** 4, 0)
 
+    @pytest.mark.parametrize("params, asg", [
+        (ChannelParams(P=3, c=2), CostaAssignment(inflation_k=1e200)),
+        (ChannelParams(P=1e308, c=2), CostaAssignment()),
+        (ChannelParams(P=3, c=1e154), CostaAssignment()),
+        (ChannelParams(P=3, c=2), CostaAssignment(a_target=1e200)),
+    ], ids=["k", "P", "c", "a-target"])
+    def test_overflowing_moments_fail_before_sampling(self, monkeypatch, params, asg):
+        # var(U) = P1 + k^2, the variance of Y or the (U, Y) covariance would
+        # overflow once squared normal draws meet them
+        monkeypatch.setattr(Discrete, "_draw", lambda *_: pytest.fail("sampled"))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFinite, match="overflows"):
+                mi_monte_carlo(params, TWO_POINT, asg, 10 ** 4, 0)
+
+
+# every kind of law the estimator draws: discrete atoms (exact mixtures) and
+# densities on the 401-node grid; RCSI runs on the discrete laws and gaussian
+_REFERENCE_LAWS = {
+    "two-point": TWO_POINT,
+    "strong4": strong_support(4, 2.0),
+    "geometric": geometric_fading(0.55),
+    "gaussian": Gaussian(0.0, 1.0),
+    "rayleigh": parse_distribution("rayleigh"),
+    "uniform": parse_distribution("uniform"),
+    "tabulated0": parse_distribution(TABULATED_0),
+}
+_REFERENCE_CASES = [
+    pytest.param(name, rcsi, delta, id=f"{name}-{'rcsi' if rcsi else 'norcsi'}-split{delta}")
+    for name in _REFERENCE_LAWS
+    for rcsi in (True, False)
+    if not rcsi or name in ("two-point", "strong4", "geometric", "gaussian")
+    for delta in (1.0, 0.5)
+]
+
+
+@pytest.mark.parametrize("name, rcsi, delta", _REFERENCE_CASES)
+def test_matches_reference_scoring(name, rcsi, delta):
+    # n = 1e4 + 7 leaves the streams unequal and each one's last chunk short
+    law = _REFERENCE_LAWS[name]
+    asg = CostaAssignment(a_target=1.0 if rcsi else 0.0, split_delta=delta, rcsi=rcsi)
+    args = (ChannelParams(P=3, c=2), law, asg, 10 ** 4 + 7, 4)
+    est, se = mi_monte_carlo(*args)
+    want_est, want_se = reference_mi(*args)
+    assert est == pytest.approx(want_est, rel=0, abs=1e-12)
+    assert se == pytest.approx(want_se, rel=1e-12, abs=0)
+
 
 # (estimate, stderr) at P=3, c=2, half the power on the Costa codeword, no
 # RCSI, n=1e4, seed 0, at the inflation k* of a fading mean of 0.5, recorded
@@ -195,32 +302,43 @@ class TestMixtureKernel:
     def test_matches_logsumexp(self):
         from scipy.special import logsumexp
 
-        y, coef, u, var, log_w = _mixture_inputs(600)  # two full chunks and a part
+        y, coef, u, var, log_w = _mixture_inputs(600)
         far = np.abs(y) > 800.0
-        for mean_coef in (coef, 0.0):
-            terms = log_w + gauss_mi._log_normal_pdf(y[:, None], mean_coef * u[:, None], var)
+        scale, offset = -0.5 / var, log_w - 0.5 * np.log(2.0 * math.pi * var)
+        for kwargs, mean in [({"u": u, "mean_coef": coef}, coef * u[:, None]), ({}, 0.0)]:
+            terms = log_w + _log_normal_pdf(y[:, None], mean, var)
             with np.errstate(divide="ignore"):
                 assert np.isneginf(np.log(np.exp(terms).sum(axis=1))[far]).all()
-            got = gauss_mi._log_mixture(y, mean_coef, u, var, log_w)
+            got = gauss_mi._log_mixture(y, scale, offset, **kwargs)
             np.testing.assert_allclose(got, logsumexp(terms, axis=1), rtol=1e-12, atol=1e-12)
 
     def test_chunk_size_does_not_change_estimate(self, monkeypatch):
+        # chunks of 1 and 7 samples, and one chunk per stream; the RCSI ratio
+        # budgets 8 doubles per sample, a mixture one per atom
         params = ChannelParams(P=3, c=2)
-        asg = CostaAssignment(split_delta=0.5, rcsi=False)
-        want = mi_monte_carlo(params, Gaussian(0.0, 1.0), asg, 10 ** 4, 2)
-        for chunk in (1, 7):
-            monkeypatch.setattr(gauss_mi, "_CHUNK", chunk)
-            assert mi_monte_carlo(params, Gaussian(0.0, 1.0), asg, 10 ** 4, 2) == want
+        cases = [(TWO_POINT, CostaAssignment(a_target=1.0, split_delta=0.5), 8),
+                 (Gaussian(0.0, 1.0), CostaAssignment(split_delta=0.5, rcsi=False),
+                  len(gauss_mi._mixture_atoms(Gaussian(0.0, 1.0))[0]))]
+        for law, asg, width in cases:
+            want = mi_monte_carlo(params, law, asg, 10 ** 4, 2)
+            for rows in (1, 7, 10 ** 4 // 16 + 1):
+                monkeypatch.setattr(gauss_mi, "_CHUNK_DOUBLES", rows * width)
+                assert mi_monte_carlo(params, law, asg, 10 ** 4, 2) == want
+            monkeypatch.undo()
 
     def test_memory_bounded_in_n(self):
-        tracemalloc.start()
-        try:
-            mi_monte_carlo(ChannelParams(P=3, c=2), Gaussian(0.0, 1.0),
-                           CostaAssignment(rcsi=False), 2 * 10 ** 5, 0)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 32 * 2 ** 20
+        # the draws of one stream (about 4 doubles per sample / 16) plus one
+        # chunk of scoring: 8.8 and 10.7 MiB when each stream scored whole
+        cases = [(TWO_POINT, CostaAssignment(), 10 ** 6, 4.4),
+                 (Gaussian(0.0, 1.0), CostaAssignment(rcsi=False), 16 * 10 ** 5, 5.3)]
+        for law, asg, n, mib in cases:
+            tracemalloc.start()
+            try:
+                mi_monte_carlo(ChannelParams(P=3, c=2), law, asg, n, 0)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= mib * 2 ** 20, (law, peak / 2 ** 20)
 
     @pytest.mark.parametrize("name", sorted(RECORDED))
     def test_reproduces_recorded_estimates(self, name):
