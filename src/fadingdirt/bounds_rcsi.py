@@ -111,7 +111,7 @@ def mass_half_params(dist: FadingDistribution) -> MassHalfParams:
         raise NoDominantAtom("mass-half theorem needs a discrete law")
     pmax = dist.probs.max()
     if not _dominant(pmax):
-        raise NoDominantAtom(f"largest atom mass {pmax!r} < 1/2")
+        raise NoDominantAtom(f"largest atom mass {float(pmax)!r} < 1/2")
     return gap_params_at(dist)
 
 

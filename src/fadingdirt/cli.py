@@ -15,12 +15,12 @@ import sys
 import warnings
 
 from . import bounds_norcsi as bn
-from . import bounds_rcsi as br
-from .errors import ConditionNotVerified, FileInaccessible, SpecInvalid, ToolkitError, malformed
-from .fading import entropy_power_alpha, parse_distribution
+from .errors import FileInaccessible, SpecInvalid, ToolkitError, malformed
+from .fading import parse_distribution
 from .gauss_mi import CostaAssignment, mi_monte_carlo
 from .gp import GPInstance, binary_nonoise_instance, optimize_alternating
 from .harness import CLAIMED, THEOREMS, SweepSpec, emit, run_sweep, verify_claims
+from .harness import _LAW_THEOREMS, _POINTS
 
 _EXIT_PRECONDITION = 3
 
@@ -128,28 +128,8 @@ def _print_json(obj):
 def _cmd_bounds(args):
     dist = parse_distribution(args.dist) if args.theorem in _LAW_THEOREMS else None
     params = bn.ChannelParams(P=args.P, c=args.c)
-    if args.theorem == "no-rcsi":
-        alpha = entropy_power_alpha(dist)
-        inner, outer = bn.inner_no_rcsi(params), bn.outer_no_rcsi(params, alpha)
-    elif args.theorem == "mass-half":
-        mp = br.mass_half_params(dist)
-        inner = br.inner_mass_half(params, dist, mp)
-        outer = br.outer_mass_half(params, mp)
-    elif args.theorem == "strong":
-        sp = br.strong_params(dist, bn.finite_square(args.c, "c"))
-        if not sp.condition_ok:
-            raise ConditionNotVerified("spacing condition not verified for this support")
-        inner = br.inner_strong(params, dist)
-        outer = br.outer_strong(params, sp)
-    elif args.theorem == "phase-binomial":
-        Q = bn.finite_square(args.c, "c")
-        outer = br.outer_phase_binomial(args.P, Q, args.delta)
-        inner = br.inner_phase_binomial(args.P, Q)
-    else:
-        interval = tuple(args.interval) if args.interval else dist.support()
-        cp = br.continuous_interval_params(dist, interval)
-        inner = br.inner_continuous(params, dist, cp.a_prime)
-        outer = br.outer_continuous(params, cp)
+    inner, outer, _, _ = _POINTS[args.theorem](
+        dist=dist, Delta=args.delta, interval=args.interval, strict=True).point(params)
     _print_json({"inner": inner.to_json(), "outer": outer.to_json()})
     return 0
 
@@ -221,9 +201,6 @@ _COMMANDS = {
     "mi": _cmd_mi,
     "gp": _cmd_gp,
 }
-
-
-_LAW_THEOREMS = ("no-rcsi", "mass-half", "strong", "continuous")
 
 # flags that a mode does not read, with their values when omitted; a mode is
 # a flag that is given (values None) or that takes one of the listed values

@@ -136,7 +136,7 @@ class Discrete(FadingDistribution):
         if np.any(probs < 0):
             raise InvalidP("negative atom probability")
         if abs(probs.sum() - 1.0) > _ATOM_PROB_TOL:
-            raise InvalidP(f"atom probabilities sum to {probs.sum()!r}, not 1")
+            raise InvalidP(f"atom probabilities sum to {float(probs.sum())!r}, not 1")
         if np.any(np.diff(vals) <= 0):
             raise NonFinite("atom values must be strictly increasing")
         if not np.all(np.isfinite(vals)):
@@ -384,7 +384,7 @@ class TabulatedDensity(FadingDistribution):
             raise InvalidP("negative density value")
         z = np.trapezoid(ds, xs)
         if abs(z - 1.0) > _DENSITY_NORM_TOL:
-            raise InvalidP(f"tabulated density integrates to {z!r}, not 1")
+            raise InvalidP(f"tabulated density integrates to {float(z)!r}, not 1")
 
     @property
     def mean(self):

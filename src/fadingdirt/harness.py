@@ -6,6 +6,12 @@ gap, the claimed gap constant of the relevant theorem, and whether the
 claim held.  Claim violations are data, not errors — the point of the sweep
 is to surface where the printed constants fail numerically.  Rows are
 produced in deterministic grid order.
+
+Each theorem has one evaluator, `_POINTS[theorem]`.  `bounds` evaluates a
+one-row sweep with it and raises where a sweep keeps the row: ZeroGain for
+no-rcsi at c = 0 (a sweep takes the AWGN outer bound), ConditionNotVerified
+for strong (a sweep flags the row) and NoDominantAtom for mass-half on a
+discrete law with no atom of mass >= 1/2 (a sweep takes the largest atom).
 """
 
 from __future__ import annotations
@@ -13,10 +19,11 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, fields
+from typing import Callable, NamedTuple
 
 from . import bounds_norcsi as bn
 from . import bounds_rcsi as br
-from .errors import SpecInvalid, UnsupportedFormat, ZeroGain
+from .errors import ConditionNotVerified, SpecInvalid, UnsupportedFormat, ZeroGain
 from .fading import (
     binomial_fading,
     entropy_power_alpha,
@@ -27,6 +34,7 @@ from .fading import (
 
 THEOREMS = ("no-rcsi", "mass-half", "strong", "phase-binomial", "continuous")
 CLAIMED = THEOREMS[:-1]  # the theorems with a claimed gap and a verify preset
+_LAW_THEOREMS = ("no-rcsi", "mass-half", "strong", "continuous")  # the theorems that read a law
 
 CANONICAL_P = (0.1, 1.0, 10.0, 100.0, 1000.0)
 CANONICAL_C2 = (0.25, 1.0, 3.0, 10.0, 100.0, 1e4)
@@ -75,91 +83,101 @@ class GapReport:
 CSV_COLUMNS = tuple(f.name for f in fields(GapReport))
 
 
-def _report(theorem, inner, outer, P, c2, mu_A, dist_id, claimed, assumptions_ok):
-    measured = outer.bits - inner.bits
-    return GapReport(
-        theorem=theorem, branch_inner=inner.branch, branch_outer=outer.branch,
-        P=float(P), c2=float(c2), mu_A=float(mu_A), dist_id=dist_id,
-        inner_bits=float(inner.bits), outer_bits=float(outer.bits),
-        measured_gap=float(measured), claimed_gap=float(claimed),
-        satisfied=bool(measured <= claimed + 1e-9),
-        assumptions_ok=bool(assumptions_ok),
-    )
+class _Points(NamedTuple):  # one theorem's evaluator and the columns its rows share
+    point: Callable   # (params, c2=None) -> (inner, outer, claimed gap, assumptions ok)
+    mu_A: float
+    dist_id: str
+    c2_scale: float = 1.0  # the row's c2 column per grid c2
 
 
-def _no_rcsi_points(dist):
+def _square(params, c2):  # the grid's c^2, or c squared at a `bounds` point
+    return bn.finite_square(params.c, "c") if c2 is None else c2
+
+
+def _no_rcsi_points(dist, strict=False, **_):
     alpha = entropy_power_alpha(dist)
     claimed = bn.gap_no_rcsi(alpha)
 
-    def point(params, c2):
+    def point(params, c2=None):
         inner = bn.inner_no_rcsi(params)
         try:
             outer = bn.outer_no_rcsi(params, alpha)
-            ok = c2 >= 3.0  # paper's partial-approximate-capacity regime
+            # the paper's partial-approximate-capacity regime (c * c at a `bounds` point)
+            ok = (params.c * params.c if c2 is None else c2) >= 3.0
         except ZeroGain:
+            if strict:
+                raise
             outer = bn.RateBound(bits=0.5 * math.log2(1 + params.P), theorem="no-rcsi-outer",
                                  branch="awgn-fallback", assumptions_ok={})
             ok = False
         return inner, outer, claimed, ok
-    return point
+    return _Points(point, dist.mean, dist.label())
 
 
-def _mass_half_points(dist):
+def _mass_half_points(dist, strict=False, **_):
     try:
         mp = br.mass_half_params(dist)
     except br.NoDominantAtom:
-        if not dist.is_discrete:
+        if strict or not dist.is_discrete:
             raise
         # evaluate anyway against the largest atom; its bounds flag it out of scope
         mp = br.gap_params_at(dist)
     claimed = mp.G_prime - mp.G + 3.0
 
-    def point(params, c2):
+    def point(params, c2=None):
         inner = br.inner_mass_half(params, dist, mp)
         outer = br.outer_mass_half(params, mp)
         return inner, outer, claimed, outer.assumptions_ok["dominant_mass"]
-    return point
+    return _Points(point, dist.mean, dist.label())
 
 
-def _strong_points(dist):
+def _strong_points(dist, strict=False, **_):
     by_c2 = {}  # alpha_sf and the spacing condition depend on c, not on P
 
-    def point(params, c2):
+    def point(params, c2=None):
+        c2 = _square(params, c2)
         if c2 not in by_c2:
             by_c2[c2] = br.strong_params(dist, c2)
         sp = by_c2[c2]
+        if strict and not sp.condition_ok:
+            raise ConditionNotVerified("spacing condition not verified for this support")
         inner = br.inner_strong(params, dist)
         # ZeroGain at c = 0 before the claim's log2(alpha_sf) can fail
         outer = br.outer_strong(params, sp)
         claimed = max(math.log2(sp.alpha_sf) / 2.0 - sp.G_tilde + 3.0, 1.0)
         return inner, outer, claimed, sp.condition_ok
-    return point
+    return _Points(point, dist.mean, dist.label())
 
 
-def _continuous_points(dist):
-    cp = br.continuous_interval_params(dist, dist.support())
+def _continuous_points(dist, interval=None, **_):
+    cp = br.continuous_interval_params(dist, interval or dist.support())
 
-    def point(params, c2):
+    def point(params, c2=None):
         outer = br.outer_continuous(params, cp)
         inner = br.inner_continuous(params, dist, cp.a_prime)
         return inner, outer, float("nan"), outer.assumptions_ok["prob_I_half"]
-    return point
+    return _Points(point, dist.mean, dist.label())
 
 
-def _point_phase(spec, P, Q):
-    c_eff2 = math.sin(spec.Delta) ** 2 * Q
-    outer = br.outer_phase_binomial(P, Q, spec.Delta)
-    inner = br.inner_phase_binomial(P, Q)
-    return _report("phase-binomial", inner, outer, P, c_eff2, 0.0,
-                   f"phase{spec.Delta:.4g}", 3.0, True)
+def _phase_points(Delta, **_):  # phase fading exp(+-j Delta) on a state of power Q = c^2
+    def point(params, c2=None):
+        Q = _square(params, c2)
+        outer = br.outer_phase_binomial(params.P, Q, Delta)
+        inner = br.inner_phase_binomial(params.P, Q)
+        return inner, outer, 3.0, True
+    # the row's c2 column is the effective gain sin^2(Delta) Q
+    return _Points(point, 0.0, f"phase{Delta:.4g}", math.sin(Delta) ** 2)
 
 
-# theorem -> factory(dist) that computes the law's constants once and
-# returns point(params, c2) -> (inner, outer, claimed gap, assumptions ok)
-_LAW_POINTS = {
+# theorem -> factory(dist=, Delta=, interval=, strict=) -> _Points, with the
+# law's constants computed once; dist is the parsed law of a theorem in
+# _LAW_THEOREMS.  Only `bounds` sets interval (the continuous theorem's I,
+# default the support) and strict, which raises where a sweep keeps the row.
+_POINTS = {
     "no-rcsi": _no_rcsi_points,
     "mass-half": _mass_half_points,
     "strong": _strong_points,
+    "phase-binomial": _phase_points,
     "continuous": _continuous_points,
 }
 
@@ -171,19 +189,23 @@ def run_sweep(spec: SweepSpec):
 
     The constants that depend only on the law are computed once per sweep.
     """
-    if spec.theorem == "phase-binomial":
-        return [_point_phase(spec, P, c2) for P in spec.P_list for c2 in spec.c2_list]
-    if spec.dist is None:
+    if spec.theorem in _LAW_THEOREMS and spec.dist is None:
         raise SpecInvalid(f"theorem {spec.theorem!r} needs a distribution")
-    dist = parse_distribution(spec.dist)
-    dist_id, mu = spec.dist_id or dist.label(), dist.mean
-    point = _LAW_POINTS[spec.theorem](dist)
+    dist = parse_distribution(spec.dist) if spec.theorem in _LAW_THEOREMS else None
+    points = _POINTS[spec.theorem](dist=dist, Delta=spec.Delta)
+    dist_id = spec.dist_id or points.dist_id
     rows = []
     for P in spec.P_list:
         for c2 in spec.c2_list:
             params = bn.ChannelParams(P=P, c=math.sqrt(c2))
-            inner, outer, claimed, ok = point(params, c2)
-            rows.append(_report(spec.theorem, inner, outer, P, c2, mu, dist_id, claimed, ok))
+            inner, outer, claimed, ok = points.point(params, c2)
+            measured = outer.bits - inner.bits
+            rows.append(GapReport(
+                theorem=spec.theorem, branch_inner=inner.branch, branch_outer=outer.branch,
+                P=float(P), c2=float(points.c2_scale * c2), mu_A=float(points.mu_A),
+                dist_id=dist_id, inner_bits=float(inner.bits), outer_bits=float(outer.bits),
+                measured_gap=float(measured), claimed_gap=float(claimed),
+                satisfied=bool(measured <= claimed + 1e-9), assumptions_ok=bool(ok)))
     return rows
 
 

@@ -186,6 +186,10 @@ _BAD_INPUT = {
     # a density has no atoms to space; `bounds --dist` defaults to gaussian
     "bounds-strong-density": ["bounds", "--theorem", "strong", "--P", "1", "--c", "2"],
     "sweep-strong-density": ["sweep", "--theorem", "strong", "--dist", "gaussian"],
+    # no atom of mass >= 1/2: `bounds` raises where a sweep evaluates at the largest atom
+    "bounds-mass-half-no-dominant": ["bounds", "--theorem", "mass-half", "--P", "10",
+                                     "--dist", '{"kind":"discrete","atoms":[[-1.5,0.3],'
+                                               '[-0.5,0.2],[0.5,0.2],[1.5,0.3]]}'],
 }
 # law literals that fail their own checks, read by `bounds --theorem no-rcsi`
 _BAD_LITERALS = {
@@ -199,6 +203,8 @@ _BAD_LITERALS = {
                                    "InvalidP"),
     "rayleigh-zero-sigma": ('{"kind":"rayleigh","sigma":0}', "ZeroVariance"),
     "lognormal-zero-sigma2": ('{"kind":"lognormal","sigma2":0}', "ZeroVariance"),
+    "discrete-mass-0.9": ('{"kind":"discrete","atoms":[[-1,0.45],[1,0.45]]}', "InvalidP"),
+    "tabulated-mass-3": ('{"kind":"tabulated","grid":[[0,3],[0.5,3],[1,3]]}', "InvalidP"),
 }
 # continuous-law literals with a non-finite or non-positive parameter, under
 # both commands that integrate or sample the law, and the error each must name
@@ -235,6 +241,7 @@ _EXPECTED_KIND = {
     "sweep-nan-grid": "SpecInvalid",
     "bounds-strong-density": "NotUniform",
     "sweep-strong-density": "NotUniform",
+    "bounds-mass-half-no-dominant": "NoDominantAtom",
 }
 for _name, (_law, _kind) in _BAD_LITERALS.items():
     _BAD_INPUT[_name] = ["bounds", "--theorem", "no-rcsi", "--P", "1", "--dist", _law]
@@ -263,24 +270,28 @@ def test_bad_input_exit_3(capsys, tmp_path, name):
     kind = err.split(":")[1].strip()
     assert issubclass(getattr(errors, kind), errors.ToolkitError), err
     assert kind == _EXPECTED_KIND.get(name, kind), err
+    assert "np.float64(" not in err
 
 
 # laws of non-zero mean: the golden three-atom law (mean -0.25), the shifted
 # strong support (mean 1) and a Gaussian of mean 0.5
 _THREE_ATOMS = '{"kind":"discrete","atoms":[[-1.0,0.6],[0.5,0.3],[2.0,0.1]]}'
 _GAUSSIAN_SHIFTED = '{"kind":"gaussian","mean":0.5,"var":1}'
-_LAW_OF = {"no-rcsi": _GAUSSIAN_SHIFTED, "mass-half": _THREE_ATOMS,
-           "strong": _STRONG4_SHIFTED, "continuous": _GAUSSIAN_SHIFTED}
+# the flags of each theorem besides P and c: a law, or the phase half-angle
+_FLAGS_OF = {"no-rcsi": ("--dist", _GAUSSIAN_SHIFTED), "mass-half": ("--dist", _THREE_ATOMS),
+             "strong": ("--dist", _STRONG4_SHIFTED), "continuous": ("--dist", _GAUSSIAN_SHIFTED),
+             "phase-binomial": ("--delta", "1.2")}
 
 
 @pytest.mark.parametrize("c", [0.5, 2.0, 8.0])
-@pytest.mark.parametrize("theorem", list(_LAW_OF))
+@pytest.mark.parametrize("theorem", list(_FLAGS_OF))
 def test_bounds_agrees_with_the_sweep_row(capsys, theorem, c):
-    # both take the fading mean from the law; c has an exact square
-    law = _LAW_OF[theorem]
+    # both take the fading mean from the law; c has an exact square, which
+    # the phase theorem reads as its state power
+    flags = _FLAGS_OF[theorem]
     code, out, err = run_cli(capsys, "bounds", "--theorem", theorem, "--P", "10",
-                             "--c", repr(c), "--dist", law)
-    _, swept, _ = run_cli(capsys, "sweep", "--theorem", theorem, "--dist", law,
+                             "--c", repr(c), *flags)
+    _, swept, _ = run_cli(capsys, "sweep", "--theorem", theorem, *flags,
                           "--P-grid", "10", "--c2-grid", repr(c * c), "--format", "json")
     (row,) = json.loads(swept)
     if code == 3:  # the strong support fails its spacing condition at c = 8

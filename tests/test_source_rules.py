@@ -95,3 +95,21 @@ def test_scalar_density_read_only_through_the_memo():
     every quadrature node it revisits."""
     assert _found(_scalar_density_read,
                   lambda name, owner: (name, owner) == ("fading.py", "density")) == []
+
+
+def _bound_call(node):
+    """A call of a bound evaluator (`inner_*`, `outer_*`) or a builder of a
+    law's constants (`*_params`), by bare name or as an attribute."""
+    if not isinstance(node, ast.Call):
+        return False
+    func = node.func
+    name = (func.attr if isinstance(func, ast.Attribute)
+            else func.id if isinstance(func, ast.Name) else "")
+    return name.startswith(("inner_", "outer_")) or name.endswith("_params")
+
+
+def test_cli_evaluates_no_bound():
+    """`harness` holds the one evaluation path of each theorem, which both
+    `bounds` and `sweep` run; a bound evaluated in the CLI would be a second
+    dispatch that can drift from the sweep's."""
+    assert _found(_bound_call, lambda name, owner: name != "cli.py") == []
