@@ -173,28 +173,30 @@ def _costa_atom_sum(values, probs, a_prime, p_prime_mass, c, power):
     if power <= 0:
         return 0.0
     r = p_prime_mass / 2 * math.log2(1 + power)
+    c2, pc2, p1 = c * c, power * c * c, 1 + power
     for v, p in zip(values, probs):
         if v == a_prime:
             continue
-        num = (1 + c * c * v * v + power) * (1 + power)
-        den = power * c * c * (v - a_prime) ** 2 + power + c * c * v * v + 1
-        r += p / 2 * math.log2(num / den)
+        c2v2 = c2 * v * v
+        den = pc2 * (v - a_prime) ** 2 + power + c2v2 + 1
+        r += p / 2 * math.log2((1 + c2v2 + power) * p1 / den)
     return r
 
 
-def _inner_strategies(params: ChannelParams, values, probs, a_prime):
-    """(treat-as-noise, full-power Costa, power-split) rates in bits."""
+def _inner_strategies(params: ChannelParams, values, probs, ea2, a_prime):
+    """(treat-as-noise, full-power Costa, power-split) rates in bits; values
+    and probs are the law's sorted atoms as lists of Python floats, ea2 its
+    E[A^2]."""
     P, c = params.P, params.c
     c2 = c * c
     # at P > 0 every numerator and denominator of _costa_atom_sum is at most
     # (1 + P)(1 + P + c^2 s^2), s the largest |a| or |a - a'| over the sorted
     # atoms; checked in Python floats, which overflow without a numpy warning
-    lo, hi = float(values[0]), float(values[-1])
+    lo, hi = values[0], values[-1]
     s = max(-lo, hi, hi - a_prime, a_prime - lo)
     if P > 0 and not math.isfinite((1 + P) * (1 + P + c2 * s * s)):
         raise NonFinite(f"the Costa rates at P = {P!r}, c = {c!r} overflow on this law")
-    ea2 = float(np.dot(values ** 2, probs))
-    i_p = probs[np.nonzero(values == a_prime)[0][0]]
+    i_p = probs[values.index(a_prime)]
     treat = 0.5 * math.log2(1 + P / (1 + c2 * ea2))
     costa = _costa_atom_sum(values, probs, a_prime, i_p, c, P)
     # power split: abar*P on the Costa codeword, rest treated as noise
@@ -209,15 +211,26 @@ def _inner_strategies(params: ChannelParams, values, probs, a_prime):
     return max(treat, 0.0), max(costa, 0.0), max(split, 0.0)
 
 
-def _best_strategy(params: ChannelParams, values, probs, a_prime):
-    """(rate, tag) of the best strategy at a', the first one on ties."""
-    rates = _inner_strategies(params, values, probs, a_prime)
-    i = int(np.argmax(rates))
-    return rates[i], ("treat-as-noise", "costa", "power-split")[i]
+_STRATEGIES = ("treat-as-noise", "costa", "power-split")
+
+
+def _best_strategy(params: ChannelParams, values, probs, targets=None):
+    """(rate, tag) of the best strategy over the precoding targets, every
+    atom when targets is None, on the law's atom arrays: the first strategy,
+    then the first target, wins ties."""
+    ea2 = float(np.dot(values ** 2, probs))
+    values, probs = values.tolist(), probs.tolist()
+    best = None
+    for a_prime in values if targets is None else targets:
+        rates = _inner_strategies(params, values, probs, ea2, a_prime)
+        i = max(range(3), key=rates.__getitem__)
+        if best is None or rates[i] > best[0]:
+            best = rates[i], _STRATEGIES[i]
+    return best
 
 
 def inner_mass_half(params: ChannelParams, dist: Discrete, mp: MassHalfParams) -> RateBound:
-    bits, tag = _best_strategy(params, dist.values, dist.probs, mp.a_prime)
+    bits, tag = _best_strategy(params, dist.values, dist.probs, [mp.a_prime])
     return RateBound(bits=float(bits), theorem="mass-half-inner", branch=tag,
                      assumptions_ok={"dominant_mass": _dominant(mp.P_prime)})
 
@@ -290,8 +303,7 @@ def inner_strong(params: ChannelParams, support: Discrete) -> RateBound:
     """Best of the three strategies, maximized over the precoding target."""
     vals, probs = support.values, support.probs
     _check_equiprobable(probs)
-    bits, tag = max((_best_strategy(params, vals, probs, float(a_p)) for a_p in vals),
-                    key=lambda rate_tag: rate_tag[0])  # the first target wins ties
+    bits, tag = _best_strategy(params, vals, probs)
     return RateBound(bits=float(bits), theorem="strong-inner", branch=tag,
                      assumptions_ok={"uniform": True})
 

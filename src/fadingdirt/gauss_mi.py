@@ -145,19 +145,24 @@ def _mixture_atoms(dist: FadingDistribution):
     return xs[keep], w[keep]
 
 
-def _log_mixture(y, scale, offset, u=None, mean_coef=None):
+def _log_mixture(buf, y, scale, offset, u=None, mean_coef=None):
     """log sum_a exp(offset_a + scale_a * (y - mean_coef_a * u)^2) for each
     sample, with scale = -1/(2 var) and offset = log w - log(2 pi var)/2 per
-    atom: the log-density of a Gaussian mixture.  u None means mean zero.
+    atom: the log-density of a Gaussian mixture.  u None means mean zero; a
+    scalar mean_coef is one every atom shares.
 
-    Works in place in one (samples x atoms) buffer: square, scale, add the
-    offsets, shift each row by its max, exponentiate and sum.  No row's
-    result depends on the rows scored with it.
+    Works in place in the first len(y) rows of buf, a (samples x atoms)
+    scratch buffer: square, scale, add the offsets, shift each row by its
+    max, exponentiate and sum.  A deviation the atoms share is formed and
+    squared once per sample.  No row's result depends on the rows scored
+    with it.
     """
-    if u is None:
-        b = np.multiply(np.square(y)[:, None], scale)
+    b = buf[:len(y)]
+    if np.ndim(mean_coef) == 0:
+        d = y if u is None else y - mean_coef * u
+        np.einsum("i,j->ij", np.square(d), scale, out=b)
     else:
-        b = np.multiply(u[:, None], mean_coef)
+        np.einsum("i,j->ij", u, mean_coef, out=b)
         np.subtract(y[:, None], b, out=b)
         np.square(b, out=b)
         np.multiply(b, scale, out=b)
@@ -213,6 +218,8 @@ def mi_monte_carlo(params: ChannelParams, dist: FadingDistribution,
 
     if not asg.rcsi:
         coef_g, v_g = moments(av)
+        if (coef_g == coef_g[0]).all():  # k = 0: every atom's deviation is y - coef u
+            coef_g = coef_g[0]
         vy_g = P + c * c * av * av + 1.0
         log_aw = np.log(aw)
         y_u_terms = (-0.5 / v_g, log_aw - 0.5 * np.log(2.0 * math.pi * v_g))
@@ -221,9 +228,9 @@ def mi_monte_carlo(params: ChannelParams, dist: FadingDistribution,
     # log(P1 / var_u) / 2 from the log-densities of U given S and of U
     lr_u = 0.5 * math.log(P1 / var_u)
 
-    def log_ratio(a, s, x1, x, z):
+    def log_ratio(a, s, x1, x, z, mix):
         """Each sample's log density ratio, in nats, over one chunk; x is the
-        sum x1 + x2 of the codewords."""
+        sum x1 + x2 of the codewords and mix the mixtures' scratch buffer."""
         u = x1 + k * s
         y = x + c * a * s + z
         if asg.rcsi:
@@ -231,8 +238,8 @@ def mi_monte_carlo(params: ChannelParams, dist: FadingDistribution,
             vy = P + c * c * a * a + 1.0
             r = 0.5 * np.log(vy / v) - (y - coef * u) ** 2 / (2.0 * v) + y * y / (2.0 * vy)
         else:
-            r = (_log_mixture(y, *y_u_terms, u=u, mean_coef=coef_g)
-                 - _log_mixture(y, *y_terms))
+            r = (_log_mixture(mix, y, *y_u_terms, u=u, mean_coef=coef_g)
+                 - _log_mixture(mix, y, *y_terms))
         r += x1 * x1 / (2.0 * P1) - u * u / (2.0 * var_u) + lr_u
         return r
 
@@ -247,6 +254,9 @@ def mi_monte_carlo(params: ChannelParams, dist: FadingDistribution,
     for j, rng in enumerate(rngs):
         nj = int(counts[j])
         a = dist._draw(rng, nj)
+        # both mixtures of each chunk; made after the law's draw, so that the
+        # draw's temporaries and this buffer are never held at once
+        mix = None if asg.rcsi else np.empty((rows, len(av)))
         s = rng.standard_normal(out=s_buf[:nj])
         x1 = rng.standard_normal(out=x1_buf[:nj])
         x1 *= math.sqrt(P1)
@@ -259,8 +269,8 @@ def mi_monte_carlo(params: ChannelParams, dist: FadingDistribution,
         ratio = r_buf[:nj]
         for lo in range(0, nj, rows):
             cut = slice(lo, lo + rows)
-            np.divide(log_ratio(a[cut], s[cut], x1[cut], x[cut], z[cut]), LN2, out=ratio[cut])
-        del a  # before the next stream draws its own
+            np.divide(log_ratio(a[cut], s[cut], x1[cut], x[cut], z[cut], mix), LN2, out=ratio[cut])
+        del a, mix  # before the next stream draws its own
 
         means[j] = ratio.mean()
         np.subtract(ratio, means[j], out=ratio)

@@ -146,7 +146,8 @@ def test_acceptance_4_oracle_equivalence():
         for P in (1.0, 15.0, 100.0):
             for c in (1.0, 4.0, 8.0):
                 params = ChannelParams(P=P, c=c)
-                strategy_ii = _inner_strategies(params, d.values, d.probs,
+                strategy_ii = _inner_strategies(params, d.values.tolist(), d.probs.tolist(),
+                                                float(np.dot(d.values ** 2, d.probs)),
                                                 mp.a_prime)[1]
                 oracle = costa_rate_exact(params, d,
                                           CostaAssignment(a_target=mp.a_prime))

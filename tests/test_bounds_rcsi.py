@@ -213,6 +213,83 @@ def test_mass_half_inner_below_ceiling_and_outer(law, log_p, log_c):
     assert inner <= outer_mass_half(params, mp_).bits
 
 
+
+# The array evaluation of the three inner strategies that bounds_rcsi's list
+# evaluation replaced, kept as its oracle: numpy scalars, E[A^2] and the mass
+# of a' recomputed for every precoding target, numpy's argmax over strategies.
+
+def _array_costa_atom_sum(values, probs, a_prime, p_prime_mass, c, power):
+    if power <= 0:
+        return 0.0
+    r = p_prime_mass / 2 * math.log2(1 + power)
+    for v, p in zip(values, probs):
+        if v == a_prime:
+            continue
+        num = (1 + c * c * v * v + power) * (1 + power)
+        den = power * c * c * (v - a_prime) ** 2 + power + c * c * v * v + 1
+        r += p / 2 * math.log2(num / den)
+    return r
+
+
+def _array_strategies(params, values, probs, a_prime):
+    P, c = params.P, params.c
+    c2 = c * c
+    ea2 = float(np.dot(values ** 2, probs))
+    i_p = probs[np.nonzero(values == a_prime)[0][0]]
+    treat = 0.5 * math.log2(1 + P / (1 + c2 * ea2))
+    costa = _array_costa_atom_sum(values, probs, a_prime, i_p, c, P)
+    P_bar = 1.0 - i_p
+    abar_p = P if P_bar <= 0 else max(min(i_p / P_bar * c2 - 1.0, P), 0.0)
+    split = 0.5 * math.log2(1 + (P - abar_p) / (1 + c2 * ea2 + abar_p)) + _array_costa_atom_sum(
+        values, probs, a_prime, i_p, c, abar_p)
+    return max(treat, 0.0), max(costa, 0.0), max(split, 0.0)
+
+
+def _array_best(params, law, a_prime):
+    rates = _array_strategies(params, law.values, law.probs, a_prime)
+    i = int(np.argmax(rates))
+    return rates[i], ("treat-as-noise", "costa", "power-split")[i]
+
+
+@st.composite
+def mass_half_literals(draw):
+    """Discrete laws of 1 to 6 atoms on the half-integers in [-4, 4], so that
+    mirrored atoms tie; one atom has mass >= 1/2, and only it may sit at 0."""
+    top = draw(st.integers(-8, 8))
+    rest = draw(st.lists(st.integers(-8, 8).filter(lambda v: v not in (0, top)),
+                         max_size=5, unique=True))
+    mass = draw(st.sampled_from([0.5, 0.6, 0.75, 0.9])) if rest else 1.0
+    weights = draw(st.lists(st.sampled_from([1.0, 2.0, 3.0]), min_size=len(rest),
+                            max_size=len(rest)))
+    atoms = [(top / 2, mass)] + [(v / 2, (1.0 - mass) * w / sum(weights))
+                                 for v, w in zip(rest, weights)]
+    return Discrete(tuple(sorted(atoms)))
+
+
+_POWERS = st.one_of(st.just(0.0), st.floats(1e-3, 1e6))
+_GAINS = st.one_of(st.just(0.0), st.floats(-100.0, 100.0))
+
+
+@settings(max_examples=300, deadline=None)
+@given(mass_half_literals(), _POWERS, _GAINS)
+def test_inner_mass_half_equals_array_oracle(law, P, c):
+    params = ChannelParams(P=P, c=c)
+    mp_ = mass_half_params(law)
+    got = inner_mass_half(params, law, mp_)
+    assert (got.bits, got.branch) == _array_best(params, law, mp_.a_prime)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(2, 6), st.floats(1.05, 4.0), _POWERS, _GAINS)
+def test_inner_strong_equals_array_oracle(M, ratio, P, c):
+    params = ChannelParams(P=P, c=c)
+    support = strong_support(M, ratio)
+    got = inner_strong(params, support)
+    # the first target wins ties
+    want = max((_array_best(params, support, float(a)) for a in support.values),
+               key=lambda rate_tag: rate_tag[0])
+    assert (got.bits, got.branch) == want
+
 class TestStrongCondition:
     @pytest.mark.parametrize("M", [3, 4, 5])
     @pytest.mark.parametrize("c", [2.0, 4.0, 8.0])
