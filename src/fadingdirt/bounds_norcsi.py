@@ -105,10 +105,17 @@ def inner_no_rcsi(params: ChannelParams) -> RateBound:
     return RateBound(bits=bits, theorem="no-rcsi-inner", branch="costa-mean", assumptions_ok={})
 
 
+def _zero_mean(mu_A: float) -> bool:
+    """The mean-zero rule: |mu_A| <= 1e-12, so that a truncated tail, such as
+    geometric_fading(0.55)'s with its mean of -9.6e-13, counts as zero."""
+    return abs(mu_A) <= 1e-12
+
+
 def k_star(params: ChannelParams, mu_A: float) -> float:
     """Optimal inflation coefficient P c mu_A / (P + 1 + c^2) for a fading
-    law of mean mu_A."""
-    return params.P * params.c * mu_A / (params.P + 1.0 + finite_square(params.c, "c"))
+    law of mean mu_A; 0 where the mean is zero by `_zero_mean`."""
+    den = params.P + 1.0 + finite_square(params.c, "c")
+    return 0.0 if _zero_mean(mu_A) else params.P * params.c * mu_A / den
 
 
 def gap_no_rcsi(alpha_ep: float) -> float:

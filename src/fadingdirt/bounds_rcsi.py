@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds_norcsi import _C_MIN, ChannelParams, RateBound, finite_square
+from .bounds_norcsi import _C_MIN, ChannelParams, RateBound, _zero_mean, finite_square
 from .errors import (
     DeltaOutOfRange,
     IntervalMassTooSmall,
@@ -161,10 +161,8 @@ def outer_mass_half(params: ChannelParams, mp: MassHalfParams) -> RateBound:
         (Pp / 2 * math.log2(1 + P) + 1.5 - G / 2,
          "large-gain", Pp * c2 > Pb * (P + 1)),
     ]
-    # zero within 1e-12: geometric_fading(0.55)'s truncated tail leaves a mean of -9.6e-13
-    mean_zero = abs(mp.mu_A) <= 1e-12
     return _min_branch("mass-half-outer", branches,
-                       {"dominant_mass": _dominant(Pp), "mu_A_zero": mean_zero})
+                       {"dominant_mass": _dominant(Pp), "mu_A_zero": _zero_mean(mp.mu_A)})
 
 
 def _costa_atom_sum(values, probs, a_prime, p_prime_mass, c, power):

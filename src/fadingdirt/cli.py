@@ -9,6 +9,7 @@ precondition or other domain contract is violated.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -25,6 +26,7 @@ from .harness import _LAW_THEOREMS, _POINTS
 _EXIT_PRECONDITION = 3
 
 
+@functools.cache  # parsing reads the parser and does not change it
 def _build_parser():
     p = argparse.ArgumentParser(
         prog="fadingdirt",

@@ -16,7 +16,7 @@ import math
 import os
 import sys
 import warnings
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 from functools import cached_property
 
 import numpy as np
@@ -59,28 +59,40 @@ def _xlog2x(p):
         return np.where(p > 0, p * np.log2(np.where(p > 0, p, 1.0)), 0.0)
 
 
-def _check_finite(kind, *params):
+def _check_finite(law):
+    """Raise NonFinite unless each of the law's scalar fields is finite."""
+    params = tuple(getattr(law, f.name) for f in fields(law))
     if not all(math.isfinite(v) for v in params):
-        raise NonFinite(f"{kind} parameters must be finite, got {params!r}")
+        raise NonFinite(f"{law.kind} parameters must be finite, got {params!r}")
+
+
+def _pair_columns(law, pairs):
+    """The x and y columns of a law's ((x, y), ...) pairs as read-only float
+    arrays; NonFinite, before any other check, unless every x and y is finite."""
+    xs = _frozen_array([x for x, _ in pairs])
+    ys = _frozen_array([y for _, y in pairs])
+    finite = np.isfinite(xs) & np.isfinite(ys)
+    if not finite.all():
+        raise NonFinite(f"{law.kind} pair {pairs[np.argmin(finite)]!r} is not finite")
+    return xs, ys
 
 
 class FadingDistribution:
-    """Common interface; concrete laws are the dataclasses below."""
+    """Common interface; concrete laws are the dataclasses below.
+
+    Each law declares its JSON literal in its class statement: the `kind`,
+    and the literal key of each field in field order.  A key left out of a
+    literal takes the field's default; a field annotated `tuple` holds (x, y)
+    pairs and is written as a list of [x, y] lists.
+    """
+
+    def __init_subclass__(cls, kind, keys, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls.kind, cls.keys = kind, keys
 
     @property
     def is_discrete(self):
         return isinstance(self, Discrete)
-
-    @property
-    def mean(self) -> float:
-        raise NotImplementedError
-
-    @property
-    def var(self) -> float:
-        raise NotImplementedError
-
-    def entropy_bits(self) -> float:
-        raise NotImplementedError
 
     def pdf(self, x):
         raise NotImplementedError("no density for this law")
@@ -103,34 +115,28 @@ class FadingDistribution:
             p = memo[x] = float(self.pdf(x))
         return p
 
-    def support(self):
-        """(lo, hi) interval carrying essentially all probability mass."""
-        raise NotImplementedError
-
     def kinks(self):
         """Interior points where the pdf is not smooth."""
         return ()
 
-    def _affine(self, scale: float, shift: float) -> "FadingDistribution":
-        raise NotImplementedError
-
-    def _draw(self, rng, n: int):
-        raise NotImplementedError
-
     def to_json(self) -> dict:
-        raise NotImplementedError
+        """The law's JSON literal, as its class statement declares it."""
+        literal = {"kind": self.kind}
+        for key, f in zip(self.keys, fields(self)):
+            value = getattr(self, f.name)
+            literal[key] = [list(pair) for pair in value] if f.type == "tuple" else value
+        return literal
 
     def label(self) -> str:
         return type(self).__name__.lower()
 
 
 @dataclass(frozen=True)
-class Discrete(FadingDistribution):
+class Discrete(FadingDistribution, kind="discrete", keys=("atoms",)):
     atoms: tuple  # ((value, prob), ...) with strictly increasing values
 
     def __post_init__(self):
-        vals = _frozen_array([a for a, _ in self.atoms])
-        probs = _frozen_array([p for _, p in self.atoms])
+        vals, probs = _pair_columns(self, self.atoms)
         if len(vals) == 0:
             raise ZeroVariance("empty atom list")
         if np.any(probs < 0):
@@ -139,8 +145,6 @@ class Discrete(FadingDistribution):
             raise InvalidP(f"atom probabilities sum to {float(probs.sum())!r}, not 1")
         if np.any(np.diff(vals) <= 0):
             raise NonFinite("atom values must be strictly increasing")
-        if not np.all(np.isfinite(vals)):
-            raise NonFinite("non-finite atom value")
         object.__setattr__(self, "_values", vals)
         object.__setattr__(self, "_probs", probs)
 
@@ -176,20 +180,17 @@ class Discrete(FadingDistribution):
     def _draw(self, rng, n):
         return rng.choice(self.values, size=n, p=self.probs)
 
-    def to_json(self):
-        return {"kind": "discrete", "atoms": [[a, p] for a, p in self.atoms]}
-
     def label(self):
         return f"discrete{len(self.atoms)}"
 
 
 @dataclass(frozen=True)
-class Gaussian(FadingDistribution):
+class Gaussian(FadingDistribution, kind="gaussian", keys=("mean", "var")):
     mu: float = 0.0
     variance: float = 1.0
 
     def __post_init__(self):
-        _check_finite("gaussian", self.mu, self.variance)
+        _check_finite(self)
         if not self.variance > 0:
             raise ZeroVariance("gaussian needs var > 0")
 
@@ -218,17 +219,14 @@ class Gaussian(FadingDistribution):
     def _draw(self, rng, n):
         return rng.normal(self.mu, math.sqrt(self.variance), size=n)
 
-    def to_json(self):
-        return {"kind": "gaussian", "mean": self.mu, "var": self.variance}
-
 
 @dataclass(frozen=True)
-class Uniform(FadingDistribution):
+class Uniform(FadingDistribution, kind="uniform", keys=("lo", "hi")):
     lo: float
     hi: float
 
     def __post_init__(self):
-        _check_finite("uniform", self.lo, self.hi)
+        _check_finite(self)
         if not self.hi > self.lo:
             raise ZeroVariance("uniform needs hi > lo")
 
@@ -257,12 +255,9 @@ class Uniform(FadingDistribution):
     def _draw(self, rng, n):
         return rng.uniform(self.lo, self.hi, size=n)
 
-    def to_json(self):
-        return {"kind": "uniform", "lo": self.lo, "hi": self.hi}
-
 
 @dataclass(frozen=True)
-class Rayleigh(FadingDistribution):
+class Rayleigh(FadingDistribution, kind="rayleigh", keys=("sigma", "loc", "scale")):
     """A = scale * R + loc with R Rayleigh of parameter sigma."""
 
     sigma: float
@@ -270,7 +265,7 @@ class Rayleigh(FadingDistribution):
     scale: float = 1.0
 
     def __post_init__(self):
-        _check_finite("rayleigh", self.sigma, self.loc, self.scale)
+        _check_finite(self)
         if self.sigma <= 0 or self.scale == 0:
             raise ZeroVariance("rayleigh needs sigma > 0 and scale != 0")
 
@@ -303,21 +298,18 @@ class Rayleigh(FadingDistribution):
     def _draw(self, rng, n):
         return self.loc + self.scale * rng.rayleigh(self.sigma, size=n)
 
-    def to_json(self):
-        return {"kind": "rayleigh", "sigma": self.sigma, "loc": self.loc, "scale": self.scale}
-
 
 @dataclass(frozen=True)
-class LogNormal(FadingDistribution):
+class LogNormal(FadingDistribution, kind="lognormal", keys=("mu", "sigma2", "loc", "scale")):
     """A = scale * exp(Z) + loc with Z ~ N(mu, sigma2)."""
 
-    lmu: float
-    sigma2: float
+    lmu: float = 0.0
+    sigma2: float = 1.0
     loc: float = 0.0
     scale: float = 1.0
 
     def __post_init__(self):
-        _check_finite("lognormal", self.lmu, self.sigma2, self.loc, self.scale)
+        _check_finite(self)
         if self.sigma2 <= 0 or self.scale == 0:
             raise ZeroVariance("lognormal needs sigma2 > 0 and scale != 0")
 
@@ -357,23 +349,13 @@ class LogNormal(FadingDistribution):
     def _draw(self, rng, n):
         return self.loc + self.scale * np.exp(rng.normal(self.lmu, math.sqrt(self.sigma2), size=n))
 
-    def to_json(self):
-        return {
-            "kind": "lognormal",
-            "mu": self.lmu,
-            "sigma2": self.sigma2,
-            "loc": self.loc,
-            "scale": self.scale,
-        }
-
 
 @dataclass(frozen=True)
-class TabulatedDensity(FadingDistribution):
+class TabulatedDensity(FadingDistribution, kind="tabulated", keys=("grid",)):
     grid: tuple  # ((value, density), ...) with increasing values
 
     def __post_init__(self):
-        xs = _frozen_array([x for x, _ in self.grid])
-        ds = _frozen_array([d for _, d in self.grid])
+        xs, ds = _pair_columns(self, self.grid)
         object.__setattr__(self, "_xs", xs)
         object.__setattr__(self, "_ds", ds)
         if len(xs) < 3:
@@ -421,9 +403,6 @@ class TabulatedDensity(FadingDistribution):
         cdf /= cdf[-1]
         u = rng.uniform(size=n)
         return np.interp(u, cdf, xs)
-
-    def to_json(self):
-        return {"kind": "tabulated", "grid": [[x, d] for x, d in self.grid]}
 
 
 # ---------------------------------------------------------------------------
@@ -631,6 +610,16 @@ _SHORTHAND = {
 }
 
 
+_KINDS = {law.kind: law for law in FadingDistribution.__subclasses__()}
+
+
+def _read_field(f, value):
+    """Field f of a law from its literal value: a tuple of float pairs, or a float."""
+    if f.type == "tuple":
+        return tuple((float(x), float(y)) for x, y in value)
+    return float(value)
+
+
 def parse_distribution(spec) -> FadingDistribution:
     """Build a law from a JSON object, JSON text, or a shorthand name.
 
@@ -648,22 +637,9 @@ def parse_distribution(spec) -> FadingDistribution:
     if not isinstance(spec, dict) or "kind" not in spec:
         raise SpecInvalid(f"not a distribution literal: {spec!r}")
     kind = spec["kind"]
+    law = _KINDS.get(kind) if isinstance(kind, str) else None
+    if law is None:
+        raise SpecInvalid(f"unknown distribution kind {kind!r}")
     with malformed(f"{kind!r} literal"):
-        if kind == "discrete":
-            return Discrete(tuple((float(a), float(p)) for a, p in spec["atoms"]))
-        if kind == "gaussian":
-            return Gaussian(float(spec.get("mean", 0.0)), float(spec.get("var", 1.0)))
-        if kind == "uniform":
-            return Uniform(float(spec["lo"]), float(spec["hi"]))
-        if kind == "rayleigh":
-            return Rayleigh(float(spec["sigma"]), float(spec.get("loc", 0.0)), float(spec.get("scale", 1.0)))
-        if kind == "lognormal":
-            return LogNormal(
-                float(spec.get("mu", 0.0)),
-                float(spec.get("sigma2", 1.0)),
-                float(spec.get("loc", 0.0)),
-                float(spec.get("scale", 1.0)),
-            )
-        if kind == "tabulated":
-            return TabulatedDensity(tuple((float(x), float(d)) for x, d in spec["grid"]))
-    raise SpecInvalid(f"unknown distribution kind {kind!r}")
+        return law(**{f.name: _read_field(f, spec[key]) for key, f in zip(law.keys, fields(law))
+                      if key in spec or f.default is MISSING})

@@ -198,17 +198,23 @@ def mi_monte_carlo(params: ChannelParams, dist: FadingDistribution,
     P = params.P
     var_u = P1 + k * k
 
-    av, aw = _mixture_atoms(dist)
+    # scoring with side information reads only the drawn fading values; the
+    # mixtures without it read the law through its atoms or a grid
+    if asg.rcsi:
+        a_min, a_max = dist.support()
+    else:
+        av, aw = _mixture_atoms(dist)
+        a_min, a_max = float(np.min(av)), float(np.max(av))
     # Python floats overflow to inf without a numpy warning, so before any
     # draw: each second moment the scoring forms must leave room for squared
-    # draws.  They are convex in the fading value, so the end atoms bound them.
-    a_min, a_max = float(np.min(av)), float(np.max(av))
+    # draws.  They are convex in the fading value, so the ends of the support
+    # or of the atoms bound them.
     scales = [var_u, c * c]
     for ca in (c * a_min, c * a_max):
         scales += [P + ca * ca + 1.0, (P1 + ca * k) * (P1 + ca * k)]
     if not all(math.isfinite(m * _DRAW_ROOM) for m in scales):
         raise NonFinite(f"a second moment of U or Y overflows at P = {P!r}, c = {c!r}, "
-                        f"k = {k!r} and atoms in [{a_min!r}, {a_max!r}]")
+                        f"k = {k!r} and fading values in [{a_min!r}, {a_max!r}]")
 
     def moments(a):
         """Posterior mean coefficient and variance of Y given U at fading a."""

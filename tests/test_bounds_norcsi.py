@@ -117,6 +117,14 @@ class TestInner:
     def test_k_star_zero_mean(self):
         assert k_star(ChannelParams(P=3, c=1), 0.0) == 0.0
 
+    def test_k_star_zero_within_the_mean_zero_rule(self):
+        # geometric_fading(0.55)'s truncated tail leaves a mean of -9.6e-13;
+        # 1e-12 is the rule's edge
+        p = ChannelParams(P=3, c=2)
+        assert k_star(p, -9.6e-13) == 0.0
+        assert k_star(p, 1e-12) == 0.0
+        assert k_star(p, -2e-12) == pytest.approx(-3 * 2 * 2e-12 / 8, rel=1e-12)
+
     def test_with_k_zero_simplifies(self):
         got = _rate_at_k(ChannelParams(P=3, c=1), 0.0)
         want = 0.5 * math.log2(1 + 3 / (1 * (1 + 1) + 1))

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import fadingdirt
-from fadingdirt import errors
+from fadingdirt import cli, errors
 from fadingdirt.cli import main
 from fadingdirt.fading import strong_support
 
@@ -191,6 +191,8 @@ _BAD_INPUT = {
                                      "--dist", '{"kind":"discrete","atoms":[[-1.5,0.3],'
                                                '[-0.5,0.2],[0.5,0.2],[1.5,0.3]]}'],
 }
+# a NaN mass passed every check of its law before the pairs were checked finite
+_NAN_MASS = '{"kind":"discrete","atoms":[[0,NaN],[1,1]]}'
 # law literals that fail their own checks, read by `bounds --theorem no-rcsi`
 _BAD_LITERALS = {
     "discrete-no-atoms": ('{"kind":"discrete","atoms":[]}', "ZeroVariance"),
@@ -205,6 +207,13 @@ _BAD_LITERALS = {
     "lognormal-zero-sigma2": ('{"kind":"lognormal","sigma2":0}', "ZeroVariance"),
     "discrete-mass-0.9": ('{"kind":"discrete","atoms":[[-1,0.45],[1,0.45]]}', "InvalidP"),
     "tabulated-mass-3": ('{"kind":"tabulated","grid":[[0,3],[0.5,3],[1,3]]}', "InvalidP"),
+    "discrete-nan-mass": (_NAN_MASS, "NonFinite"),
+    "discrete-infinite-mass": ('{"kind":"discrete","atoms":[[0,Infinity],[1,1]]}', "NonFinite"),
+    "tabulated-nan-density": ('{"kind":"tabulated","grid":[[0,1],[1,NaN],[2,1]]}', "NonFinite"),
+    "tabulated-infinite-node": ('{"kind":"tabulated","grid":[[-1,0],[0,1],[1,0],[Infinity,0]]}',
+                                "NonFinite"),
+    "unhashable-kind": ('{"kind":[1]}', "SpecInvalid"),
+    "null-kind": ('{"kind":null}', "SpecInvalid"),
 }
 # continuous-law literals with a non-finite or non-positive parameter, under
 # both commands that integrate or sample the law, and the error each must name
@@ -336,6 +345,17 @@ def run_fresh_cli(*argv):
 @pytest.mark.parametrize("name", list(_OVERFLOW))
 def test_overflow_exits_3_with_only_the_error_line(name):
     proc = run_fresh_cli(*_OVERFLOW[name])
+    assert proc.returncode == 3, proc.stderr
+    assert proc.stdout == b""
+    lines = proc.stderr.decode().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: NonFinite: "), lines
+
+
+@pytest.mark.parametrize("argv", [["mi", "--P", "3", "--n", "10000"],
+                                  ["sweep", "--theorem", "mass-half"]], ids=["mi", "sweep"])
+def test_nan_mass_exits_3_with_only_the_error_line(argv):
+    # numpy's ValueError and min() of an empty sequence ended in a traceback
+    proc = run_fresh_cli(*argv, "--dist", _NAN_MASS)
     assert proc.returncode == 3, proc.stderr
     assert proc.stdout == b""
     lines = proc.stderr.decode().splitlines()
@@ -587,3 +607,16 @@ class TestHelp:
         out = capsys.readouterr().out
         for flag in flags:
             assert flag in out
+
+
+def test_parser_built_once_per_process(capsys):
+    # a parse, a rejected flag among them, reads the parser and leaves it as it was
+    cli._build_parser.cache_clear()
+    argv = ["bounds", "--theorem", "no-rcsi", "--P", "3", "--c", "2", "--dist", "gaussian"]
+    code, want, _ = run_cli(capsys, *argv)
+    assert code == 0
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--delta", "1"])
+    assert exc.value.code == 2
+    assert run_cli(capsys, *argv)[:2] == (0, want)
+    assert cli._build_parser.cache_info().misses == 1

@@ -409,9 +409,42 @@ class TestParsing:
     @pytest.mark.parametrize("dist", [
         TWO_POINT, Gaussian(1.0, 2.0), Uniform(-1, 2), Rayleigh(1.5, 0.1, 2.0),
         LogNormal(0.2, 0.5, 0.0, 1.0),
+        TabulatedDensity(((-1.0, 0.0), (0.0, 1.0), (1.0, 0.0))),
     ])
     def test_json_round_trip(self, dist):
         assert parse_distribution(dist.to_json()) == dist
+
+    @pytest.mark.parametrize("dist,text", [
+        (TWO_POINT, '{"kind": "discrete", "atoms": [[-1.0, 0.5], [1.0, 0.5]]}'),
+        (Gaussian(1.0, 2.0), '{"kind": "gaussian", "mean": 1.0, "var": 2.0}'),
+        (Uniform(-1, 2), '{"kind": "uniform", "lo": -1, "hi": 2}'),
+        (Rayleigh(1.5, 0.1, 2.0), '{"kind": "rayleigh", "sigma": 1.5, "loc": 0.1, "scale": 2.0}'),
+        (LogNormal(0.2, 0.5, 0.0, 1.0),
+         '{"kind": "lognormal", "mu": 0.2, "sigma2": 0.5, "loc": 0.0, "scale": 1.0}'),
+        (TabulatedDensity(((-1.0, 0.0), (0.0, 1.0), (1.0, 0.0))),
+         '{"kind": "tabulated", "grid": [[-1.0, 0.0], [0.0, 1.0], [1.0, 0.0]]}'),
+    ], ids=lambda v: getattr(v, "kind", ""))
+    def test_literal_text_of_each_kind(self, dist, text):
+        assert json.dumps(dist.to_json()) == text
+
+    @pytest.mark.parametrize("literal,dist", [
+        ({"kind": "gaussian"}, Gaussian(0.0, 1.0)),
+        ({"kind": "gaussian", "mean": 2}, Gaussian(2.0, 1.0)),
+        ({"kind": "gaussian", "var": 3}, Gaussian(0.0, 3.0)),
+        ({"kind": "rayleigh", "sigma": 2}, Rayleigh(2.0, 0.0, 1.0)),
+        ({"kind": "rayleigh", "sigma": 2, "scale": -1}, Rayleigh(2.0, 0.0, -1.0)),
+        ({"kind": "rayleigh", "sigma": 2, "loc": 1}, Rayleigh(2.0, 1.0, 1.0)),
+        ({"kind": "lognormal"}, LogNormal(0.0, 1.0, 0.0, 1.0)),
+        ({"kind": "lognormal", "mu": 1, "loc": 2}, LogNormal(1.0, 1.0, 2.0, 1.0)),
+        ({"kind": "lognormal", "sigma2": 0.5, "scale": 3}, LogNormal(0.0, 0.5, 0.0, 3.0)),
+    ])
+    def test_omitted_keys_take_their_defaults(self, literal, dist):
+        assert parse_distribution(literal) == dist
+
+    def test_literal_defaults_are_the_class_defaults(self):
+        assert parse_distribution({"kind": "gaussian"}) == Gaussian()
+        assert parse_distribution({"kind": "rayleigh", "sigma": 2}) == Rayleigh(2.0)
+        assert parse_distribution({"kind": "lognormal"}) == LogNormal()
 
     def test_json_text(self):
         d = parse_distribution('{"kind":"gaussian","mean":2,"var":3}')
@@ -424,6 +457,9 @@ class TestParsing:
             parse_distribution({"no_kind": 1})
         with pytest.raises(SpecInvalid):
             parse_distribution("[1, 2]")
+        for kind in ([1], None, {}):  # unhashable or not a name
+            with pytest.raises(SpecInvalid, match="unknown distribution kind"):
+                parse_distribution({"kind": kind})
 
 
 class TestValidation:
@@ -446,6 +482,23 @@ class TestValidation:
         t = TabulatedDensity(tuple(zip(xs.tolist(), d.tolist())))
         assert t.mean == pytest.approx(0.0, abs=1e-9)
         assert t.entropy_bits() == pytest.approx(1.0, abs=1e-6)
+
+    @pytest.mark.parametrize("make", [
+        lambda: Discrete(((0.0, math.nan), (1.0, 1.0))),
+        lambda: Discrete(((0.0, math.inf), (1.0, 1.0))),
+        lambda: Discrete(((-1.0, 0.5), (1.0, -math.inf))),
+        lambda: Discrete(((math.nan, 1.0),)),
+        lambda: TabulatedDensity(((0.0, 1.0), (1.0, math.nan), (2.0, 1.0))),
+        lambda: TabulatedDensity(((-1.0, 0.0), (0.0, 1.0), (1.0, 0.0), (math.inf, 0.0))),
+        # before the node count, the ordering and the sign checks
+        lambda: TabulatedDensity(((0.0, math.inf), (1.0, 1.0))),
+        lambda: Discrete(((1.0, 0.5), (-math.inf, 0.5))),
+        lambda: Discrete(((1.0, -0.5), (math.nan, 1.5))),
+    ], ids=["nan-mass", "infinite-mass", "negative-infinite-mass", "nan-value", "nan-density",
+            "infinite-node", "before-node-count", "before-ordering", "before-sign"])
+    def test_pairs_finite_first(self, make):
+        with pytest.raises(NonFinite, match="is not finite"):
+            make()
 
     @pytest.mark.parametrize("make,error", [
         (lambda: Gaussian(0.0, -1.0), ZeroVariance),

@@ -7,6 +7,7 @@ import pytest
 
 from fadingdirt import gauss_mi
 from fadingdirt.bounds_norcsi import ChannelParams, k_star
+from fadingdirt.bounds_rcsi import inner_continuous
 from fadingdirt.errors import (
     DiscreteUnsupported,
     InsufficientSamples,
@@ -204,6 +205,36 @@ class TestMonteCarlo:
             with pytest.raises(QuadratureFailure, match="mass"):
                 mi_monte_carlo(ChannelParams(P=3, c=2), law, CostaAssignment(rcsi=False),
                                10 ** 4, 0)
+
+    @pytest.mark.parametrize("law", [LogNormal(0.0, 0.25, 0.0, 1.6559018331762287),
+                                     Gaussian(0.0, 1.0)], ids=["lognormal", "gaussian"])
+    def test_rcsi_on_a_density_builds_no_grid(self, monkeypatch, law):
+        # scoring with side information reads only the drawn fading, so the
+        # unit-variance log-normal that the 401-node grid misses has its rate:
+        # with a_target = 0 (so k = 0) that is inner_continuous at a' = 0
+        monkeypatch.setattr(gauss_mi, "_mixture_atoms", lambda *_: pytest.fail("grid built"))
+        params = ChannelParams(P=3, c=2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            est, se = mi_monte_carlo(params, law, CostaAssignment(a_target=0.0),
+                                     2 * 10 ** 5, 0)
+        assert abs(est - inner_continuous(params, law, 0.0).bits) < 5 * se
+
+    def test_rcsi_overflow_is_bounded_by_the_support(self, monkeypatch):
+        # the sigma2 = 800 log-normal's support reaches 9.4e171: c^2 a^2 overflows
+        monkeypatch.setattr(gauss_mi, "_mixture_atoms", lambda *_: pytest.fail("grid built"))
+        monkeypatch.setattr(LogNormal, "_draw", lambda *_: pytest.fail("sampled"))
+        with pytest.raises(NonFinite, match="overflows"):
+            mi_monte_carlo(ChannelParams(P=3, c=2), LogNormal(0.0, 800.0), CostaAssignment(),
+                           10 ** 4, 0)
+
+    def test_default_k_on_a_mean_zero_law_is_zero(self):
+        # geometric_fading(0.55) has a mean of -9.6e-13, zero by the rule of
+        # k_star, so its mixture takes the shared deviation y - coef u
+        params, law = ChannelParams(P=3, c=2), geometric_fading(0.55)
+        got = mi_monte_carlo(params, law, CostaAssignment(rcsi=False), 10 ** 4, 0)
+        assert got == mi_monte_carlo(params, law, CostaAssignment(inflation_k=0.0, rcsi=False),
+                                     10 ** 4, 0)
 
     @pytest.mark.parametrize("rcsi", [True, False], ids=["rcsi", "norcsi"])
     def test_overflowing_atoms_fail_before_sampling(self, monkeypatch, rcsi):
