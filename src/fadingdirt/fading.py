@@ -59,11 +59,21 @@ def _xlog2x(p):
         return np.where(p > 0, p * np.log2(np.where(p > 0, p, 1.0)), 0.0)
 
 
-def _check_finite(law):
-    """Raise NonFinite unless each of the law's scalar fields is finite."""
+def _check_law(law, valid, needs):
+    """A closed-form law's checks in order: its fields finite, its own
+    condition `valid` (else ZeroVariance naming `needs`), then its mean,
+    variance and support ends finite, where OverflowError counts as inf."""
     params = tuple(getattr(law, f.name) for f in fields(law))
     if not all(math.isfinite(v) for v in params):
         raise NonFinite(f"{law.kind} parameters must be finite, got {params!r}")
+    if not valid:
+        raise ZeroVariance(f"{law.kind} needs {needs}")
+    try:
+        moments = (law.mean, law.var, *law.support())
+    except OverflowError:
+        moments = (math.inf,)
+    if not all(math.isfinite(v) for v in moments):
+        raise NonFinite(f"{law.kind} law {params!r} has moments past the float range")
 
 
 def _pair_columns(law, pairs):
@@ -190,9 +200,7 @@ class Gaussian(FadingDistribution, kind="gaussian", keys=("mean", "var")):
     variance: float = 1.0
 
     def __post_init__(self):
-        _check_finite(self)
-        if not self.variance > 0:
-            raise ZeroVariance("gaussian needs var > 0")
+        _check_law(self, self.variance > 0, "var > 0")
 
     @property
     def mean(self):
@@ -226,9 +234,7 @@ class Uniform(FadingDistribution, kind="uniform", keys=("lo", "hi")):
     hi: float
 
     def __post_init__(self):
-        _check_finite(self)
-        if not self.hi > self.lo:
-            raise ZeroVariance("uniform needs hi > lo")
+        _check_law(self, self.hi > self.lo, "hi > lo")
 
     @property
     def mean(self):
@@ -265,9 +271,7 @@ class Rayleigh(FadingDistribution, kind="rayleigh", keys=("sigma", "loc", "scale
     scale: float = 1.0
 
     def __post_init__(self):
-        _check_finite(self)
-        if self.sigma <= 0 or self.scale == 0:
-            raise ZeroVariance("rayleigh needs sigma > 0 and scale != 0")
+        _check_law(self, self.sigma > 0 and self.scale != 0, "sigma > 0 and scale != 0")
 
     @property
     def mean(self):
@@ -309,9 +313,7 @@ class LogNormal(FadingDistribution, kind="lognormal", keys=("mu", "sigma2", "loc
     scale: float = 1.0
 
     def __post_init__(self):
-        _check_finite(self)
-        if self.sigma2 <= 0 or self.scale == 0:
-            raise ZeroVariance("lognormal needs sigma2 > 0 and scale != 0")
+        _check_law(self, self.sigma2 > 0 and self.scale != 0, "sigma2 > 0 and scale != 0")
 
     @property
     def mean(self):
@@ -624,8 +626,8 @@ def parse_distribution(spec) -> FadingDistribution:
     """Build a law from a JSON object, JSON text, or a shorthand name.
 
     Text that is neither, a value that is not an object with a known kind,
-    and a literal with a missing key or a value of the wrong type raise
-    SpecInvalid."""
+    and a literal with a missing key, a key its law does not declare or a
+    value of the wrong type raise SpecInvalid."""
     if isinstance(spec, FadingDistribution):
         return spec
     if isinstance(spec, str):
@@ -640,6 +642,10 @@ def parse_distribution(spec) -> FadingDistribution:
     law = _KINDS.get(kind) if isinstance(kind, str) else None
     if law is None:
         raise SpecInvalid(f"unknown distribution kind {kind!r}")
+    unknown = [key for key in spec if key != "kind" and key not in law.keys]
+    if unknown:
+        raise SpecInvalid(f"{kind!r} literal has no key {unknown[0]!r}; "
+                          f"its keys are {', '.join(law.keys)}")
     with malformed(f"{kind!r} literal"):
         return law(**{f.name: _read_field(f, spec[key]) for key, f in zip(law.keys, fields(law))
                       if key in spec or f.default is MISSING})

@@ -74,16 +74,22 @@ def _resolve(params: ChannelParams, dist: FadingDistribution, asg: CostaAssignme
 
 def costa_rate_exact(params: ChannelParams, dist: FadingDistribution,
                      asg: CostaAssignment) -> float:
-    """Exact achievable rate (bits) of the assignment by covariance algebra."""
+    """Exact achievable rate (bits) of the assignment by covariance algebra.
+
+    Each stage is a per-atom rate averaged over atoms: with RCSI the law's
+    own, without it one atom that carries the law's mean and E[A^2], which
+    is the Gaussian max-entropy route."""
     if asg.rcsi and not dist.is_discrete:
         raise DiscreteUnsupported("exact per-realization rate needs finite fading atoms")
     P1, P2, k = _resolve(params, dist, asg)
     c = params.c
-    ea2 = dist.var + dist.mean ** 2
+    # (mass, fading value, c^2 A^2) of each atom
+    if asg.rcsi:
+        atoms = [(p, a, c * c * a * a) for a, p in zip(dist.values.tolist(), dist.probs.tolist())]
+    else:
+        atoms = [(1.0, dist.mean, c * c * (dist.var + dist.mean ** 2))]
 
-    stage1 = 0.0
-    if P2 > 0:
-        stage1 = 0.5 * math.log2(1.0 + P2 / (1.0 + c * c * ea2 + P1))
+    stage1 = float(sum(p * 0.5 * math.log2(1.0 + P2 / (1.0 + g + P1)) for p, _, g in atoms))
     if P1 <= 0:
         return stage1
 
@@ -92,25 +98,15 @@ def costa_rate_exact(params: ChannelParams, dist: FadingDistribution,
         raise SingularCovariance(f"var(U) = {var_u!r} too small")
     i_us = 0.5 * math.log2(var_u / P1)
 
-    def i_yu(a):
-        var_y = P1 + c * c * a * a + 1.0
+    def i_yu(a, g):
+        var_y = P1 + g + 1.0
         cov = P1 + k * c * a
         det = var_y * var_u - cov * cov
         if det < _VAR_MIN:
             raise SingularCovariance(f"singular (U,Y) covariance at a={a!r}")
         return 0.5 * math.log2(var_y * var_u / det)
 
-    if asg.rcsi:
-        avg = float(sum(p * i_yu(a) for a, p in zip(dist.values, dist.probs)))
-        stage2 = max(0.0, avg - i_us)
-    else:
-        # Gaussian max-entropy route: aggregate second moments over A
-        var_y = P1 + c * c * ea2 + 1.0
-        cov = P1 + k * c * dist.mean
-        det = var_y * var_u - cov * cov
-        if det < _VAR_MIN:
-            raise SingularCovariance("singular aggregate (U,Y) covariance")
-        stage2 = max(0.0, 0.5 * math.log2(var_y * var_u / det) - i_us)
+    stage2 = max(0.0, float(sum(p * i_yu(a, g) for p, a, g in atoms)) - i_us)
     return stage1 + stage2
 
 
@@ -145,11 +141,11 @@ def _mixture_atoms(dist: FadingDistribution):
     return xs[keep], w[keep]
 
 
-def _log_mixture(buf, y, scale, offset, u=None, mean_coef=None):
+def _log_mixture(buf, y, scale, offset, u, mean_coef):
     """log sum_a exp(offset_a + scale_a * (y - mean_coef_a * u)^2) for each
     sample, with scale = -1/(2 var) and offset = log w - log(2 pi var)/2 per
-    atom: the log-density of a Gaussian mixture.  u None means mean zero; a
-    scalar mean_coef is one every atom shares.
+    atom: the log-density of a Gaussian mixture.  A scalar mean_coef is one
+    every atom shares; 0.0 gives the mean-zero mixture, as y - 0.0 * u is y.
 
     Works in place in the first len(y) rows of buf, a (samples x atoms)
     scratch buffer: square, scale, add the offsets, shift each row by its
@@ -159,8 +155,7 @@ def _log_mixture(buf, y, scale, offset, u=None, mean_coef=None):
     """
     b = buf[:len(y)]
     if np.ndim(mean_coef) == 0:
-        d = y if u is None else y - mean_coef * u
-        np.einsum("i,j->ij", np.square(d), scale, out=b)
+        np.einsum("i,j->ij", np.square(y - mean_coef * u), scale, out=b)
     else:
         np.einsum("i,j->ij", u, mean_coef, out=b)
         np.subtract(y[:, None], b, out=b)
@@ -173,19 +168,35 @@ def _log_mixture(buf, y, scale, offset, u=None, mean_coef=None):
     return top + np.log(b.sum(axis=1))
 
 
+def _check_range(params: ChannelParams, P1: float, k: float, a_min: float, a_max: float):
+    """NonFinite unless each second moment the scoring forms at fading values
+    in [a_min, a_max] leaves room for squared normal draws.  Python floats
+    overflow to inf without a numpy warning, so this runs before any moment
+    is formed; the moments are convex in a, so the range's ends bound them."""
+    P, c = params.P, params.c
+    scales = [P1 + k * k, c * c]
+    for ca in (c * a_min, c * a_max):
+        scales += [P + ca * ca + 1.0, (P1 + ca * k) * (P1 + ca * k)]
+    if not all(math.isfinite(m * _DRAW_ROOM) for m in scales):
+        raise NonFinite(f"a second moment of U or Y overflows at P = {P!r}, c = {c!r}, "
+                        f"k = {k!r} and fading values in [{a_min!r}, {a_max!r}]")
+
+
 def mi_monte_carlo(params: ChannelParams, dist: FadingDistribution,
                    asg: CostaAssignment, n: int, seed: int):
-    """Estimate I(Y;U) - I(U;S) (or I(Y,A;U) - I(U;S) with receiver side
-    information) in bits; returns (estimate, stderr).
+    """Estimate the rate of decoding X2 first and then U with X2 stripped,
+    I(X2, U; Y) - I(U; S) (given the fading A with receiver side
+    information), in bits; returns (estimate, stderr).
 
-    Each sample's contribution is a log of exact density ratios: the law of Y
-    given U (and of Y itself) is a Gaussian mixture over the fading atoms
-    with closed-form component moments, and the (U, S) pair is exactly
-    jointly Gaussian.  Samples are partitioned into fixed independent
-    streams whose running moments are merged, so the result depends on
-    (seed, n) only.  A stream's draws are held whole, in buffers the streams
-    share; its ratios are scored in chunks of `_CHUNK_DOUBLES` doubles of
-    scratch.
+    Each sample's contribution is a log of exact density ratios,
+    log p(y | u, x2) - log p(y) - [log p(u | s) - log p(u)]: the laws of Y
+    given (U, X2) and of Y are Gaussian mixtures over the fading atoms with
+    closed-form component moments (single Gaussians given A), and the (U, S)
+    pair is exactly jointly Gaussian.  Samples are partitioned into fixed
+    independent streams whose running moments are merged, so the result
+    depends on (seed, n) only.  A stream's draws are held whole, in buffers
+    the streams share; its ratios are scored in chunks of `_CHUNK_DOUBLES`
+    doubles of scratch.
     """
     n = int(n)
     if n < 10 ** 4:
@@ -194,60 +205,43 @@ def mi_monte_carlo(params: ChannelParams, dist: FadingDistribution,
     P1, P2, k = _resolve(params, dist, asg)
     if P1 < _VAR_MIN:
         raise SingularCovariance("Monte Carlo estimator needs power on the Costa codeword")
-    c = params.c
-    P = params.P
+    c, P = params.c, params.P
     var_u = P1 + k * k
 
-    # scoring with side information reads only the drawn fading values; the
-    # mixtures without it read the law through its atoms or a grid
-    if asg.rcsi:
-        a_min, a_max = dist.support()
-    else:
-        av, aw = _mixture_atoms(dist)
-        a_min, a_max = float(np.min(av)), float(np.max(av))
-    # Python floats overflow to inf without a numpy warning, so before any
-    # draw: each second moment the scoring forms must leave room for squared
-    # draws.  They are convex in the fading value, so the ends of the support
-    # or of the atoms bound them.
-    scales = [var_u, c * c]
-    for ca in (c * a_min, c * a_max):
-        scales += [P + ca * ca + 1.0, (P1 + ca * k) * (P1 + ca * k)]
-    if not all(math.isfinite(m * _DRAW_ROOM) for m in scales):
-        raise NonFinite(f"a second moment of U or Y overflows at P = {P!r}, c = {c!r}, "
-                        f"k = {k!r} and fading values in [{a_min!r}, {a_max!r}]")
-
     def moments(a):
-        """Posterior mean coefficient and variance of Y given U at fading a."""
+        """Posterior mean coefficient and variance of Y - X2 given U at fading a."""
         coef = (P1 + c * a * k) / var_u
-        v = P1 + c * c * a * a - (P1 + c * a * k) ** 2 / var_u + P2 + 1.0
-        return coef, v
+        return coef, P1 + c * c * a * a - (P1 + c * a * k) ** 2 / var_u + 1.0
 
-    if not asg.rcsi:
-        coef_g, v_g = moments(av)
-        if (coef_g == coef_g[0]).all():  # k = 0: every atom's deviation is y - coef u
-            coef_g = coef_g[0]
-        vy_g = P + c * c * av * av + 1.0
-        log_aw = np.log(aw)
-        y_u_terms = (-0.5 / v_g, log_aw - 0.5 * np.log(2.0 * math.pi * v_g))
-        y_terms = (-0.5 / vy_g, log_aw - 0.5 * np.log(2.0 * math.pi * vy_g))
-    rows = max(1, _CHUNK_DOUBLES // (8 if asg.rcsi else len(av)))
-    # log(P1 / var_u) / 2 from the log-densities of U given S and of U
-    lr_u = 0.5 * math.log(P1 / var_u)
+    # score(a, y1, y, u, mix) is log p(y1 | u[, a]) - log p(y[, a]) per sample
+    # of a chunk, with y1 = y - x2 and mix a (rows x cols) scratch buffer
+    if asg.rcsi:
+        # reads only the drawn fading values
+        _check_range(params, P1, k, *dist.support())
+        rows, cols = max(1, _CHUNK_DOUBLES // 8), 0
 
-    def log_ratio(a, s, x1, x, z, mix):
-        """Each sample's log density ratio, in nats, over one chunk; x is the
-        sum x1 + x2 of the codewords and mix the mixtures' scratch buffer."""
-        u = x1 + k * s
-        y = x + c * a * s + z
-        if asg.rcsi:
+        def score(a, y1, y, u, mix):
             coef, v = moments(a)
             vy = P + c * c * a * a + 1.0
-            r = 0.5 * np.log(vy / v) - (y - coef * u) ** 2 / (2.0 * v) + y * y / (2.0 * vy)
-        else:
-            r = (_log_mixture(mix, y, *y_u_terms, u=u, mean_coef=coef_g)
-                 - _log_mixture(mix, y, *y_terms))
-        r += x1 * x1 / (2.0 * P1) - u * u / (2.0 * var_u) + lr_u
-        return r
+            return 0.5 * np.log(vy / v) - (y1 - coef * u) ** 2 / (2.0 * v) + y * y / (2.0 * vy)
+    else:
+        # reads the law through its atoms or a grid
+        av, aw = _mixture_atoms(dist)
+        _check_range(params, P1, k, float(np.min(av)), float(np.max(av)))
+        coef, v = moments(av)
+        if (coef == coef[0]).all():  # k = 0: every atom's deviation is y1 - coef u
+            coef = coef[0]
+        vy = P + c * c * av * av + 1.0
+        log_aw = np.log(aw)
+        given_u = (-0.5 / v, log_aw - 0.5 * np.log(2.0 * math.pi * v))
+        marginal = (-0.5 / vy, log_aw - 0.5 * np.log(2.0 * math.pi * vy))
+        rows, cols = max(1, _CHUNK_DOUBLES // len(av)), len(av)
+
+        def score(a, y1, y, u, mix):
+            return (_log_mixture(mix, y1, *given_u, u, coef)
+                    - _log_mixture(mix, y, *marginal, u, 0.0))
+    # log(P1 / var_u) / 2 from the log-densities of U given S and of U
+    lr_u = 0.5 * math.log(P1 / var_u)
 
     counts = np.full(_N_STREAMS, n // _N_STREAMS)
     counts[: n % _N_STREAMS] += 1
@@ -255,42 +249,39 @@ def mi_monte_carlo(params: ChannelParams, dist: FadingDistribution,
     size = int(counts[0])
     s_buf, x1_buf, z_buf, r_buf = (np.empty(size) for _ in range(4))
     x2_buf = np.empty(size if P2 > 0 else 0)
-    means = np.zeros(_N_STREAMS)
-    m2s = np.zeros(_N_STREAMS)
+    # Welford/Chan merge of each stream's moments as it finishes
+    mean, m2, cnt = 0.0, 0.0, 0.0
     for j, rng in enumerate(rngs):
         nj = int(counts[j])
         a = dist._draw(rng, nj)
-        # both mixtures of each chunk; made after the law's draw, so that the
-        # draw's temporaries and this buffer are never held at once
-        mix = None if asg.rcsi else np.empty((rows, len(av)))
+        # made after the law's draw, so that the draw's temporaries and this
+        # buffer are never held at once
+        mix = np.empty((rows, cols))
         s = rng.standard_normal(out=s_buf[:nj])
         x1 = rng.standard_normal(out=x1_buf[:nj])
         x1 *= math.sqrt(P1)
-        x = x1
         if P2 > 0:
-            x = rng.standard_normal(out=x2_buf[:nj])
-            x *= math.sqrt(P2)
-            x += x1
+            x2 = rng.standard_normal(out=x2_buf[:nj])
+            x2 *= math.sqrt(P2)
         z = rng.standard_normal(out=z_buf[:nj])
         ratio = r_buf[:nj]
         for lo in range(0, nj, rows):
             cut = slice(lo, lo + rows)
-            np.divide(log_ratio(a[cut], s[cut], x1[cut], x[cut], z[cut], mix), LN2, out=ratio[cut])
+            u = x1[cut] + k * s[cut]
+            y1 = x1[cut] + c * a[cut] * s[cut] + z[cut]
+            y = y1 + x2[cut] if P2 > 0 else y1
+            r = score(a[cut], y1, y, u, mix)
+            r += x1[cut] * x1[cut] / (2.0 * P1) - u * u / (2.0 * var_u) + lr_u
+            np.divide(r, LN2, out=ratio[cut])
         del a, mix  # before the next stream draws its own
 
-        means[j] = ratio.mean()
-        np.subtract(ratio, means[j], out=ratio)
+        mean_j = ratio.mean()
+        np.subtract(ratio, mean_j, out=ratio)
         np.square(ratio, out=ratio)
-        m2s[j] = ratio.sum()
-
-    # Welford/Chan merge of the per-stream moments
-    mean, m2, cnt = 0.0, 0.0, 0.0
-    for j in range(_N_STREAMS):
-        nj = float(counts[j])
-        delta = means[j] - mean
+        delta = mean_j - mean
         tot = cnt + nj
         mean += delta * nj / tot
-        m2 += m2s[j] + delta * delta * cnt * nj / tot
+        m2 += ratio.sum() + delta * delta * cnt * nj / tot
         cnt = tot
     mean, se = float(mean), math.sqrt(m2 / (cnt - 1.0) / cnt)
     if not (math.isfinite(mean) and math.isfinite(se)):

@@ -117,6 +117,10 @@ _WIDE_LOGNORMAL = '{"kind":"lognormal","sigma2":1}'
 # atoms whose squares overflow the closed forms
 _HUGE_DOMINANT = '{"kind":"discrete","atoms":[[-1e170,0.6],[1e170,0.4]]}'
 _HUGE_EVEN = '{"kind":"discrete","atoms":[[-1e170,0.5],[1e170,0.5]]}'
+# laws whose variance (and, for the second, mean) leaves the float range
+_HUGE_RAYLEIGH = '{"kind":"rayleigh","sigma":1e200}'
+_HUGE_LOGNORMAL = '{"kind":"lognormal","mu":800}'
+_WIDEST_LOGNORMAL = '{"kind":"lognormal","sigma2":1000}'
 
 # outside input the theorems cannot take: malformed literals and files, and
 # laws of the wrong kind
@@ -156,6 +160,7 @@ _BAD_INPUT = {
                            "--dist", '{"kind":"lognormal","sigma2":800}'],
     "mi-norcsi-nonfinite": ["mi", "--P", "3", "--no-rcsi", "--n", "10000",
                             "--dist", _HUGE_EVEN],
+    "mi-huge-lognormal": ["mi", "--P", "3", "--n", "10000", "--dist", _HUGE_LOGNORMAL],
     # second moments of U and Y that overflow once squared draws meet them
     "mi-overflow-k": ["mi", "--P", "3", "--c", "2", "--dist", "two-point", "--n", "10000",
                       "--k", "1e200"],
@@ -214,15 +219,24 @@ _BAD_LITERALS = {
                                 "NonFinite"),
     "unhashable-kind": ('{"kind":[1]}', "SpecInvalid"),
     "null-kind": ('{"kind":null}', "SpecInvalid"),
+    "undeclared-key": ('{"kind":"gaussian","extra":1}', "SpecInvalid"),
+    "misspelt-key": ('{"kind":"lognormal","sigma":0.5}', "SpecInvalid"),
+    "huge-rayleigh": (_HUGE_RAYLEIGH, "NonFinite"),
+    "huge-lognormal": (_HUGE_LOGNORMAL, "NonFinite"),
+    "widest-lognormal": (_WIDEST_LOGNORMAL, "NonFinite"),
 }
-# continuous-law literals with a non-finite or non-positive parameter, under
-# both commands that integrate or sample the law, and the error each must name
+# continuous-law literals with a non-finite or non-positive parameter, or
+# moments past the float range, under both commands that integrate or sample
+# the law, and the error each must name
 _BAD_LAWS = {
     "gaussian-negative-var": ('{"kind":"gaussian","var":-1}', "ZeroVariance"),
     "gaussian-zero-var": ('{"kind":"gaussian","var":0}', "ZeroVariance"),
     "gaussian-nan-mean": ('{"kind":"gaussian","mean":"nan"}', "NonFinite"),
     "uniform-infinite": ('{"kind":"uniform","lo":"-inf","hi":1}', "NonFinite"),
     "rayleigh-infinite": ('{"kind":"rayleigh","sigma":"inf"}', "NonFinite"),
+    "rayleigh-huge": (_HUGE_RAYLEIGH, "NonFinite"),
+    "lognormal-huge": (_HUGE_LOGNORMAL, "NonFinite"),
+    "lognormal-widest": (_WIDEST_LOGNORMAL, "NonFinite"),
 }
 _EXPECTED_KIND = {
     "sweep-negative-c2": "SpecInvalid",
@@ -230,7 +244,8 @@ _EXPECTED_KIND = {
     "bounds-strong-one-atom": "NotUniform",
     "sweep-strong-one-atom": "NotUniform",
     "bounds-strong-condition": "ConditionNotVerified",
-    "mi-norcsi-overflow": "QuadratureFailure",
+    "mi-norcsi-overflow": "NonFinite",
+    "mi-huge-lognormal": "NonFinite",
     "mi-norcsi-nonfinite": "NonFinite",
     "mi-overflow-k": "NonFinite",
     "mi-overflow-P": "NonFinite",

@@ -4,6 +4,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fadingdirt import gauss_mi
 from fadingdirt.bounds_norcsi import ChannelParams, k_star
@@ -14,12 +16,15 @@ from fadingdirt.errors import (
     NonFinite,
     QuadratureFailure,
     SingularCovariance,
+    ToolkitError,
 )
 from fadingdirt.fading import (
     LN2,
     Discrete,
     Gaussian,
     LogNormal,
+    Rayleigh,
+    Uniform,
     geometric_fading,
     normalize_unit_variance,
     parse_distribution,
@@ -43,10 +48,12 @@ def _log_normal_pdf(x, mean, var):
 
 
 def reference_mi(params, dist, asg, n, seed):
-    """The estimator scored sample by sample from whole-stream arrays: four
-    Gaussian log-densities per sample with RCSI, scipy's logsumexp over every
-    (sample, atom) term of the two mixtures without.  Same streams, draws
-    and moment merge as `mi_monte_carlo`; a test oracle only."""
+    """The two-stage rate (X2 decoded first, then U from y - x2) scored
+    sample by sample from whole-stream arrays: log p(y - x2 | u[, a]) -
+    log p(y[, a]) - [log p(u | s) - log p(u)], four Gaussian log-densities
+    per sample with RCSI, scipy's logsumexp over every (sample, atom) term of
+    the two mixtures without.  Same streams, draws and moment merge as
+    `mi_monte_carlo`; a test oracle only."""
     from scipy.special import logsumexp
 
     P1, P2, k = gauss_mi._resolve(params, dist, asg)
@@ -55,8 +62,9 @@ def reference_mi(params, dist, asg, n, seed):
     av, aw = gauss_mi._mixture_atoms(dist)
 
     def moments(a):
+        """Mean coefficient and variance of Y - X2 given U at fading a."""
         coef = (P1 + c * a * k) / var_u
-        return coef, P1 + c * c * a * a - (P1 + c * a * k) ** 2 / var_u + P2 + 1.0
+        return coef, P1 + c * c * a * a - (P1 + c * a * k) ** 2 / var_u + 1.0
 
     coef_g, v_g = moments(av)
     vy_g = P + c * c * av * av + 1.0
@@ -74,11 +82,11 @@ def reference_mi(params, dist, asg, n, seed):
         y = x1 + x2 + c * a * s + z
         if asg.rcsi:
             coef, v = moments(a)
-            lp_y_u = _log_normal_pdf(y, coef * u, v)
+            lp_y_u = _log_normal_pdf(y - x2, coef * u, v)
             lp_y = _log_normal_pdf(y, 0.0, P + c * c * a * a + 1.0)
         else:
             lp_y_u = logsumexp(np.log(aw) + _log_normal_pdf(
-                y[:, None], coef_g * u[:, None], v_g), axis=1)
+                (y - x2)[:, None], coef_g * u[:, None], v_g), axis=1)
             lp_y = logsumexp(np.log(aw) + _log_normal_pdf(y[:, None], 0.0, vy_g), axis=1)
         contrib = (lp_y_u - lp_y - _log_normal_pdf(u, k * s, P1)
                    + _log_normal_pdf(u, 0.0, var_u)) / LN2
@@ -153,6 +161,90 @@ class TestCostaExact:
             CostaAssignment(a_target=0.0, split_delta=1.5)
 
 
+# The exact rate as it was before its two receiver routes became one
+# per-atom formula, kept as its oracle: a first stage on E[A^2] for both
+# receivers and a separate aggregate-moment route without RCSI.
+
+def _two_route_rate_exact(params, dist, asg):
+    if asg.rcsi and not dist.is_discrete:
+        raise DiscreteUnsupported("exact per-realization rate needs finite fading atoms")
+    P1, P2, k = gauss_mi._resolve(params, dist, asg)
+    c = params.c
+    ea2 = dist.var + dist.mean ** 2
+
+    stage1 = 0.0
+    if P2 > 0:
+        stage1 = 0.5 * math.log2(1.0 + P2 / (1.0 + c * c * ea2 + P1))
+    if P1 <= 0:
+        return stage1
+
+    var_u = P1 + k * k
+    if var_u < gauss_mi._VAR_MIN:
+        raise SingularCovariance(f"var(U) = {var_u!r} too small")
+    i_us = 0.5 * math.log2(var_u / P1)
+
+    def i_yu(a):
+        var_y = P1 + c * c * a * a + 1.0
+        cov = P1 + k * c * a
+        det = var_y * var_u - cov * cov
+        if det < gauss_mi._VAR_MIN:
+            raise SingularCovariance(f"singular (U,Y) covariance at a={a!r}")
+        return 0.5 * math.log2(var_y * var_u / det)
+
+    if asg.rcsi:
+        avg = float(sum(p * i_yu(a) for a, p in zip(dist.values, dist.probs)))
+        stage2 = max(0.0, avg - i_us)
+    else:
+        var_y = P1 + c * c * ea2 + 1.0
+        cov = P1 + k * c * dist.mean
+        det = var_y * var_u - cov * cov
+        if det < gauss_mi._VAR_MIN:
+            raise SingularCovariance("singular aggregate (U,Y) covariance")
+        stage2 = max(0.0, 0.5 * math.log2(var_y * var_u / det) - i_us)
+    return stage1 + stage2
+
+
+def _rate_or_error(rate, *args):
+    try:
+        return rate(*args)
+    except ToolkitError as exc:
+        return type(exc)
+
+
+@st.composite
+def discrete_laws(draw):
+    """Discrete laws of 1 to 6 atoms in [-4, 4]; some atoms may be 0."""
+    values = draw(st.lists(st.floats(-4.0, 4.0), min_size=1, max_size=6, unique=True))
+    weights = draw(st.lists(st.floats(0.05, 1.0), min_size=len(values), max_size=len(values)))
+    return Discrete(tuple(sorted((v, w / sum(weights)) for v, w in zip(values, weights))))
+
+
+_DENSITIES = st.one_of(
+    st.builds(Gaussian, st.floats(-3.0, 3.0), st.floats(0.1, 4.0)),
+    st.builds(lambda lo, w: Uniform(lo, lo + w), st.floats(-3.0, 3.0), st.floats(0.1, 4.0)),
+    st.builds(Rayleigh, st.floats(0.1, 3.0), st.floats(-2.0, 2.0), st.floats(-2.0, 2.0)
+              .filter(bool)),
+    st.builds(LogNormal, st.floats(-1.0, 1.0), st.floats(0.05, 2.0)))
+_INFLATION = st.one_of(st.none(), st.floats(-10.0, 10.0))
+
+
+@settings(max_examples=300, deadline=None)
+@given(discrete_laws(), st.floats(0.0, 1e4), st.floats(-10.0, 10.0), st.floats(-4.0, 4.0),
+       _INFLATION)
+def test_exact_rate_with_rcsi_at_split_one_equals_two_route_oracle(law, P, c, a_target, k):
+    args = (ChannelParams(P=P, c=c), law, CostaAssignment(a_target=a_target, inflation_k=k))
+    assert _rate_or_error(costa_rate_exact, *args) == _rate_or_error(_two_route_rate_exact, *args)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(discrete_laws(), _DENSITIES), st.floats(0.0, 1e4), st.floats(-10.0, 10.0),
+       st.floats(0.0, 1.0), _INFLATION)
+def test_exact_rate_without_rcsi_equals_two_route_oracle(law, P, c, delta, k):
+    args = (ChannelParams(P=P, c=c), law,
+            CostaAssignment(inflation_k=k, split_delta=delta, rcsi=False))
+    assert _rate_or_error(costa_rate_exact, *args) == _rate_or_error(_two_route_rate_exact, *args)
+
+
 class TestMonteCarlo:
     def test_awgn_limit(self):
         est, se = mi_monte_carlo(ChannelParams(P=3, c=0), TWO_POINT,
@@ -195,11 +287,11 @@ class TestMonteCarlo:
                            CostaAssignment(a_target=1.0, split_delta=0.0), 10 ** 4, 0)
 
     @pytest.mark.parametrize("law", [normalize_unit_variance(LogNormal(0.0, 0.25)),
-                                     LogNormal(0.0, 800.0)], ids=["unit", "sigma2-800"])
+                                     LogNormal(0.0, 1.0, 0.0, 1e150)], ids=["unit", "scale-1e150"])
     def test_grid_that_misses_the_mass_fails_before_sampling(self, law):
         # 401 nodes spread over +-14 log-sigma carry 0.106 of the unit law's
         # mass (its estimate fell 150 stderr below the Gaussian lower bound);
-        # at sigma2 = 800 the atoms near 1e170 overflowed the moments
+        # at scale 1e150 the atoms near 1.2e156 would overflow the moments
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(QuadratureFailure, match="mass"):
@@ -221,12 +313,12 @@ class TestMonteCarlo:
         assert abs(est - inner_continuous(params, law, 0.0).bits) < 5 * se
 
     def test_rcsi_overflow_is_bounded_by_the_support(self, monkeypatch):
-        # the sigma2 = 800 log-normal's support reaches 9.4e171: c^2 a^2 overflows
+        # the scale-1e150 log-normal's support reaches 1.2e156: c^2 a^2 overflows
+        law = LogNormal(0.0, 1.0, 0.0, 1e150)
         monkeypatch.setattr(gauss_mi, "_mixture_atoms", lambda *_: pytest.fail("grid built"))
         monkeypatch.setattr(LogNormal, "_draw", lambda *_: pytest.fail("sampled"))
         with pytest.raises(NonFinite, match="overflows"):
-            mi_monte_carlo(ChannelParams(P=3, c=2), LogNormal(0.0, 800.0), CostaAssignment(),
-                           10 ** 4, 0)
+            mi_monte_carlo(ChannelParams(P=3, c=2), law, CostaAssignment(), 10 ** 4, 0)
 
     def test_default_k_on_a_mean_zero_law_is_zero(self):
         # geometric_fading(0.55) has a mean of -9.6e-13, zero by the rule of
@@ -263,6 +355,51 @@ class TestMonteCarlo:
                 mi_monte_carlo(params, TWO_POINT, asg, 10 ** 4, 0)
 
 
+# (estimate, stderr) at split 1, P=3, c=2, n=1e5, seed 0 on each scoring path,
+# recorded before each receiver's scorer was built in one branch
+_SPLIT_ONE_PINS = [
+    pytest.param(TWO_POINT, CostaAssignment(a_target=1.0),
+                 (0.2965010055328175, 0.004181150836468581), id="rcsi-two-point"),
+    pytest.param(LogNormal(0.0, 0.25, 0.0, 1.6559018331762287), CostaAssignment(a_target=1.0),
+                 (0.7295151771053698, 0.003016446106142414), id="rcsi-lognormal"),
+    pytest.param(Gaussian(0.0, 1.0), CostaAssignment(rcsi=False),
+                 (0.4184897753186825, 0.0031917877839065397), id="norcsi-gaussian"),
+    pytest.param(geometric_fading(0.55), CostaAssignment(rcsi=False),
+                 (0.47425585337624926, 0.0033359144067347983), id="norcsi-geometric"),
+    pytest.param(Discrete(((-1.0, 0.3), (1.0, 0.7))), CostaAssignment(rcsi=False),
+                 (0.37765189535539995, 0.003037194723486238), id="norcsi-per-atom"),
+]
+
+
+@pytest.mark.parametrize("law, asg, want", _SPLIT_ONE_PINS)
+def test_split_one_estimates_are_pinned(law, asg, want):
+    assert mi_monte_carlo(ChannelParams(P=3, c=2), law, asg, 10 ** 5, 0) == want
+
+
+_STRONG4 = strong_support(4, 2.0)
+
+
+@pytest.mark.parametrize("delta", [1.0, 0.5, 0.25])
+@pytest.mark.parametrize("law, a_target", [(TWO_POINT, 1.0), (_STRONG4, float(_STRONG4.values[0]))],
+                         ids=["two-point", "strong4"])
+def test_two_stage_rate_with_rcsi_matches_exact(law, a_target, delta):
+    # X2 decoded first, then U from y - x2: with the fading known, both
+    # stages are exact per realization
+    params, asg = ChannelParams(P=10, c=2), CostaAssignment(a_target=a_target, split_delta=delta)
+    est, se = mi_monte_carlo(params, law, asg, 2 * 10 ** 5, 1)
+    assert abs(est - costa_rate_exact(params, law, asg)) < 5 * se
+
+
+@pytest.mark.parametrize("delta", [1.0, 0.5, 0.25])
+@pytest.mark.parametrize("law", [Gaussian(0.0, 1.0), geometric_fading(0.55), TWO_POINT],
+                         ids=["gaussian", "geometric", "two-point"])
+def test_two_stage_rate_without_rcsi_is_above_gaussian_bound(law, delta):
+    # each stage's Gaussian max-entropy rate is a lower bound on its mixture rate
+    params, asg = ChannelParams(P=10, c=2), CostaAssignment(split_delta=delta, rcsi=False)
+    est, se = mi_monte_carlo(params, law, asg, 10 ** 5, 1)
+    assert est >= costa_rate_exact(params, law, asg) - 3 * se
+
+
 # every kind of law the estimator draws: discrete atoms (exact mixtures) and
 # densities on the 401-node grid; RCSI runs on the discrete laws and gaussian
 _REFERENCE_LAWS = {
@@ -297,13 +434,13 @@ def test_matches_reference_scoring(name, rcsi, delta):
 
 # (estimate, stderr) at P=3, c=2, half the power on the Costa codeword, no
 # RCSI, n=1e4, seed 0, at the inflation k* of a fading mean of 0.5, recorded
-# with scipy's logsumexp
+# from reference_mi (scipy's logsumexp)
 RECORDED = {
-    "gaussian": (0.13186002676665584, 0.007469686309860457),
-    "rayleigh": (0.13668935568632606, 0.007282967380406324),
-    "uniform": (0.13228461778644174, 0.0071799914187911295),
-    "geometric": (0.14421521334240364, 0.00754520037398053),
-    "tabulated0": (0.12735917626818347, 0.00712387233595945),
+    "gaussian": (0.3906533918648831, 0.0107089744623612),
+    "rayleigh": (0.3749806447663967, 0.01046535860449628),
+    "uniform": (0.34951081797650213, 0.01019344630898908),
+    "geometric": (0.4032453728347848, 0.010760690194868182),
+    "tabulated0": (0.32646908935858354, 0.009943615802840734),
 }
 
 
@@ -337,7 +474,8 @@ class TestMixtureKernel:
         far = np.abs(y) > 800.0
         scale, offset = -0.5 / var, log_w - 0.5 * np.log(2.0 * math.pi * var)
         buf = np.empty((len(y) + 5, len(var)))  # a last chunk fills only part of it
-        for kwargs, mean in [({"u": u, "mean_coef": coef}, coef * u[:, None]), ({}, 0.0)]:
+        for kwargs, mean in [({"u": u, "mean_coef": coef}, coef * u[:, None]),
+                             ({"u": u, "mean_coef": 0.0}, 0.0)]:
             terms = log_w + _log_normal_pdf(y[:, None], mean, var)
             with np.errstate(divide="ignore"):
                 assert np.isneginf(np.log(np.exp(terms).sum(axis=1))[far]).all()
@@ -352,7 +490,6 @@ class TestMixtureKernel:
         buf = np.empty((len(y), len(var)))
         cases = [({"u": u, "mean_coef": m}, {"u": u, "mean_coef": np.full(len(var), m)})
                  for m in (0.75, float(coef.mean()), 0.0)]
-        cases.append(({}, {"u": u, "mean_coef": np.zeros(len(var))}))  # mean zero
         for shared, per_atom in cases:
             want = gauss_mi._log_mixture(buf, y, scale, offset, **per_atom)
             np.testing.assert_array_equal(gauss_mi._log_mixture(buf, y, scale, offset, **shared),
@@ -365,7 +502,8 @@ class TestMixtureKernel:
         buf = np.empty((len(y), len(var)))
         tracemalloc.start()
         try:
-            for kwargs in ({"u": u, "mean_coef": coef}, {"u": u, "mean_coef": 0.75}, {}):
+            for kwargs in ({"u": u, "mean_coef": coef}, {"u": u, "mean_coef": 0.75},
+                           {"u": u, "mean_coef": 0.0}):
                 gauss_mi._log_mixture(buf, y, scale, offset, **kwargs)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
