@@ -76,23 +76,17 @@ def outer_phase_binomial(P: float, Q: float, Delta: float) -> RateBound:
     if Q <= 0:
         raise ZeroGain("Q must be positive")
     c2 = math.sin(Delta) ** 2 * Q
-    if c2 <= 1.0:
-        bits = math.log2(P + 1) + 2.0
-        branch = "weak-interference"
-    elif c2 >= P + 1.0:
-        bits = 0.75 * math.log2(P + 1) + 2.0
-        branch = "strong-interference"
-    else:
-        root_sum2 = finite_square(math.sqrt(P) + math.sqrt(c2), "sqrt(P) + sqrt(c2)")
-        bits = (
-            0.5 * math.log2(P + 1)
-            + 0.5 * math.log2(1.0 + root_sum2)
-            - 0.25 * math.log2(2.0 * c2)
-            + 2.0
-        )
-        branch = "moderate-interference"
-    return RateBound(bits=bits, theorem="phase-binomial-outer", branch=branch,
-                     assumptions_ok={"delta_in_range": True})
+    # the conditions split the c2 axis at 1 and P + 1; only the moderate value can overflow
+    moderate = 1.0 < c2 < P + 1.0
+    branches = [
+        (math.log2(P + 1) + 2.0, "weak-interference", c2 <= 1.0),
+        (0.75 * math.log2(P + 1) + 2.0, "strong-interference", 1.0 < c2 and c2 >= P + 1.0),
+        (0.5 * math.log2(P + 1)
+         + 0.5 * math.log2(1.0 + finite_square(math.sqrt(P) + math.sqrt(c2), "sqrt(P) + sqrt(c2)"))
+         - 0.25 * math.log2(2.0 * c2) + 2.0 if moderate else math.inf,
+         "moderate-interference", moderate),
+    ]
+    return _min_branch("phase-binomial-outer", branches, {"delta_in_range": True})
 
 
 def inner_phase_binomial(P: float, Q: float) -> RateBound:
@@ -312,16 +306,20 @@ def inner_strong(params: ChannelParams, support: Discrete) -> RateBound:
 
 def continuous_interval_params(dist: FadingDistribution, interval) -> ContinuousOuterParams:
     """Mean-value point a' with pdf(a')(b-a) = P(I), and the log-distance
-    integral over the complement of I."""
+    integral over the complement of I; P(I) is integrated over I and the
+    support's intersection, where the law's mass lies."""
     if dist.is_discrete:
         raise NotUniform("continuous outer bound needs a density")
     a, b = float(interval[0]), float(interval[1])
+    if not (math.isfinite(a) and math.isfinite(b)):
+        raise NonFinite(f"interval ends must be finite, got {[a, b]!r}")
     if not b > a:
         raise IntervalMassTooSmall("empty interval")
-    prob_i = integrate(dist, lambda x, p: p, a, b, 1e-10)[0]
     lo_s, hi_s = dist.support()
+    lo_i, hi_i = max(a, lo_s), min(b, hi_s)
+    prob_i = integrate(dist, lambda x, p: p, lo_i, hi_i, 1e-10)[0] if lo_i < hi_i else 0.0
     # over the support, P(I) is the mass itself
-    check_mass(prob_i if (a, b) == (lo_s, hi_s)
+    check_mass(prob_i if (lo_i, hi_i) == (lo_s, hi_s)
                else integrate(dist, lambda x, p: p, lo_s, hi_s, 1e-10)[0])
     if not _half_interval(prob_i):
         raise IntervalMassTooSmall(f"P(I) = {prob_i!r} < 1/2")

@@ -20,8 +20,8 @@ from .errors import FileInaccessible, SpecInvalid, ToolkitError, malformed
 from .fading import parse_distribution
 from .gauss_mi import CostaAssignment, mi_monte_carlo
 from .gp import GPInstance, binary_nonoise_instance, optimize_alternating
-from .harness import CLAIMED, THEOREMS, SweepSpec, emit, run_sweep, verify_claims
-from .harness import _LAW_THEOREMS, _POINTS
+from .harness import CLAIMED, THEOREMS, SweepSpec, emit, not_reading, point_bounds, run_sweep
+from .harness import verify_claims
 
 _EXIT_PRECONDITION = 3
 
@@ -128,22 +128,16 @@ def _print_json(obj):
 
 
 def _cmd_bounds(args):
-    dist = parse_distribution(args.dist) if args.theorem in _LAW_THEOREMS else None
-    params = bn.ChannelParams(P=args.P, c=args.c)
-    inner, outer, _, _ = _POINTS[args.theorem](
-        dist=dist, Delta=args.delta, interval=args.interval, strict=True).point(params)
+    inner, outer = point_bounds(args.theorem, args.P, args.c, dist=args.dist,
+                                Delta=args.delta, interval=args.interval)
     _print_json({"inner": inner.to_json(), "outer": outer.to_json()})
     return 0
 
 
 def _cmd_sweep(args):
-    spec = SweepSpec(
-        theorem=args.theorem,
-        dist=args.dist,
-        P_list=_grid(args.P_grid, SweepSpec.P_list),
-        c2_list=_grid(args.c2_grid, SweepSpec.c2_list),
-        Delta=args.delta,
-    )
+    spec = SweepSpec(args.theorem, dist=args.dist, Delta=args.delta,
+                     P_list=_grid(args.P_grid, SweepSpec.P_list),
+                     c2_list=_grid(args.c2_grid, SweepSpec.c2_list))
     _write(emit(run_sweep(spec), args.format), args.out)
     return 0
 
@@ -207,12 +201,11 @@ _COMMANDS = {
 # flags that a mode does not read, with their values when omitted; a mode is
 # a flag that is given (values None) or that takes one of the listed values
 _UNREAD_BY = {
-    ("bounds", "theorem", _LAW_THEOREMS): {"delta": math.pi / 2},
-    ("bounds", "theorem", ("phase-binomial",)): {"dist": "gaussian"},
-    ("bounds", "theorem", ("no-rcsi", "mass-half", "strong", "phase-binomial")):
-        {"interval": None},
-    ("sweep", "theorem", _LAW_THEOREMS): {"delta": math.pi / 2},
-    ("sweep", "theorem", ("phase-binomial",)): {"dist": None},
+    ("bounds", "theorem", not_reading("delta")): {"delta": math.pi / 2},
+    ("bounds", "theorem", not_reading("dist")): {"dist": "gaussian"},
+    ("bounds", "theorem", not_reading("interval")): {"interval": None},
+    ("sweep", "theorem", not_reading("delta")): {"delta": math.pi / 2},
+    ("sweep", "theorem", not_reading("dist")): {"dist": None},
     ("mi", "no_rcsi", None): {"a_target": 0.0},
     ("mi", "k", None): {"a_target": 0.0},
     ("gp", "instance", None): {"atoms": "[[-1,0.5],[1,0.5]]", "no_rcsi": False, "aux_size": 4},

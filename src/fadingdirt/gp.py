@@ -23,6 +23,7 @@ from .errors import (
     DegenerateAtoms,
     InstanceTooLarge,
     MalformedAssignment,
+    NonFinite,
     SpecInvalid,
     malformed,
 )
@@ -47,6 +48,8 @@ class GPInstance:
     def __post_init__(self):
         pr = _frozen_array(self.prior)
         W = _frozen_array(self.kernel)
+        if not (np.isfinite(pr).all() and np.isfinite(W).all()):
+            raise NonFinite("state prior and kernel entries must be finite")
         if len(self.states) != len(self.prior) or len(self.states) == 0:
             raise SpecInvalid("state alphabet and prior sizes differ")
         if self.aux_size < 1:
@@ -238,6 +241,9 @@ def binary_nonoise_instance(a_atoms, rcsi: bool = True, aux_size: int = 4) -> GP
     without it the fading is averaged into the kernel.
     """
     atoms = [(float(a), float(p)) for a, p in a_atoms]
+    for a, p in atoms:
+        if not (math.isfinite(a) and math.isfinite(p)):
+            raise NonFinite(f"fading atom {[a, p]!r} is not finite")
     vals = [a for a, _ in atoms]
     if len(set(vals)) != len(vals) or any(a == 0.0 for a in vals):
         raise DegenerateAtoms("fading atoms must be distinct and non-zero")

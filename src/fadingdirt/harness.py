@@ -7,11 +7,13 @@ claim held.  Claim violations are data, not errors — the point of the sweep
 is to surface where the printed constants fail numerically.  Rows are
 produced in deterministic grid order.
 
-Each theorem has one evaluator, `_POINTS[theorem]`.  `bounds` evaluates a
-one-row sweep with it and raises where a sweep keeps the row: ZeroGain for
-no-rcsi at c = 0 (a sweep takes the AWGN outer bound), ConditionNotVerified
-for strong (a sweep flags the row) and NoDominantAtom for mass-half on a
-discrete law with no atom of mass >= 1/2 (a sweep takes the largest atom).
+Each theorem is declared once, in `_TABLE`: its evaluator, the inputs it
+reads besides P and c, and its claim grids; `THEOREMS`, `CLAIMED`, `verify`
+and the CLI's flag rules read it.  `point_bounds` runs the sweep's evaluator
+at one point and raises where a sweep keeps the row: ZeroGain for no-rcsi at
+c = 0 (a sweep takes the AWGN outer bound), ConditionNotVerified for strong
+(a sweep flags the row) and NoDominantAtom for mass-half on a discrete law
+with no atom of mass >= 1/2 (a sweep takes the largest atom).
 """
 
 from __future__ import annotations
@@ -31,10 +33,6 @@ from .fading import (
     parse_distribution,
     strong_support,
 )
-
-THEOREMS = ("no-rcsi", "mass-half", "strong", "phase-binomial", "continuous")
-CLAIMED = THEOREMS[:-1]  # the theorems with a claimed gap and a verify preset
-_LAW_THEOREMS = ("no-rcsi", "mass-half", "strong", "continuous")  # the theorems that read a law
 
 CANONICAL_P = (0.1, 1.0, 10.0, 100.0, 1000.0)
 CANONICAL_C2 = (0.25, 1.0, 3.0, 10.0, 100.0, 1e4)
@@ -169,17 +167,57 @@ def _phase_points(Delta, **_):  # phase fading exp(+-j Delta) on a state of powe
     return _Points(point, 0.0, f"phase{Delta:.4g}", math.sin(Delta) ** 2)
 
 
-# theorem -> factory(dist=, Delta=, interval=, strict=) -> _Points, with the
-# law's constants computed once; dist is the parsed law of a theorem in
-# _LAW_THEOREMS.  Only `bounds` sets interval (the continuous theorem's I,
-# default the support) and strict, which raises where a sweep keeps the row.
-_POINTS = {
-    "no-rcsi": _no_rcsi_points,
-    "mass-half": _mass_half_points,
-    "strong": _strong_points,
-    "phase-binomial": _phase_points,
-    "continuous": _continuous_points,
+class _Theorem(NamedTuple):
+    # factory(dist=, Delta=, interval=, strict=) -> _Points, with the law's
+    # constants computed once.  Only `point_bounds` sets interval (the continuous
+    # theorem's I, default the support) and strict, which raises where a sweep keeps the row.
+    points: Callable
+    reads: tuple            # its inputs besides P and c: "dist", "delta", "interval"
+    claims: Callable = None  # () -> the SweepSpec fields of each claim grid, unset grids canonical
+
+
+_TABLE = {
+    "no-rcsi": _Theorem(_no_rcsi_points, ("dist",), lambda: [
+        {"dist": d} for d in ("gaussian", "uniform", "rayleigh")]),
+    "mass-half": _Theorem(_mass_half_points, ("dist",), lambda: [
+        {"dist": "two-point", "dist_id": "two-point"},
+        # p = 0.55 keeps the dominant mass >= 1/2 while avoiding the lattice point
+        # at exactly 0 that p = 0.5 produces (rejected by the G' divergence contract)
+        {"dist": geometric_fading(0.55), "dist_id": "geometric0.55"},
+        {"dist": binomial_fading(1, 0.5), "dist_id": "binomial1"},
+        {"dist": binomial_fading(2, 0.5), "dist_id": "binomial2"}]),
+    "strong": _Theorem(_strong_points, ("dist",), lambda: [
+        {"dist": strong_support(M, c), "c2_list": (c * c,), "dist_id": f"strongM{M}"}
+        for M in (3, 4, 5) for c in (2.0, 4.0, 8.0)]),
+    "phase-binomial": _Theorem(_phase_points, ("delta",), lambda: [
+        {"c2_list": (0.25, 1.0, 4.0, 16.0), "Delta": d} for d in (math.pi / 4, math.pi / 2)]),
+    "continuous": _Theorem(_continuous_points, ("dist", "interval")),
 }
+THEOREMS = tuple(_TABLE)
+CLAIMED = tuple(t for t in THEOREMS if _TABLE[t].claims)  # the theorems with a verify preset
+
+
+def not_reading(name):
+    """The theorems that do not read the input `name`: "dist", "delta" or "interval"."""
+    return tuple(t for t in THEOREMS if name not in _TABLE[t].reads)
+
+
+def _law(theorem, dist):
+    """The parsed law of a theorem that reads one, else None."""
+    if "dist" not in _TABLE[theorem].reads:
+        return None
+    if dist is None:
+        raise SpecInvalid(f"theorem {theorem!r} needs a distribution")
+    return parse_distribution(dist)
+
+
+def point_bounds(theorem, P, c, *, dist, Delta, interval):
+    """(inner, outer) of one theorem at one (P, c) point by the sweep's
+    evaluator, raising where a sweep keeps the row."""
+    law = _law(theorem, dist)  # the law, then P and c, then the law's constants
+    params = bn.ChannelParams(P=P, c=c)
+    points = _TABLE[theorem].points(dist=law, Delta=Delta, interval=interval, strict=True)
+    return points.point(params)[:2]
 
 
 def run_sweep(spec: SweepSpec):
@@ -189,10 +227,7 @@ def run_sweep(spec: SweepSpec):
 
     The constants that depend only on the law are computed once per sweep.
     """
-    if spec.theorem in _LAW_THEOREMS and spec.dist is None:
-        raise SpecInvalid(f"theorem {spec.theorem!r} needs a distribution")
-    dist = parse_distribution(spec.dist) if spec.theorem in _LAW_THEOREMS else None
-    points = _POINTS[spec.theorem](dist=dist, Delta=spec.Delta)
+    points = _TABLE[spec.theorem].points(dist=_law(spec.theorem, spec.dist), Delta=spec.Delta)
     dist_id = spec.dist_id or points.dist_id
     rows = []
     for P in spec.P_list:
@@ -209,45 +244,16 @@ def run_sweep(spec: SweepSpec):
     return rows
 
 
-# ---------------------------------------------------------------------------
-# claim presets
-# ---------------------------------------------------------------------------
-
-def _claim_specs(theorem: str):
-    """The claim grid of one verify preset; unset grids are the canonical ones."""
-    if theorem == "no-rcsi":
-        return [SweepSpec("no-rcsi", dist=d) for d in ("gaussian", "uniform", "rayleigh")]
-    if theorem == "mass-half":
-        return [
-            SweepSpec("mass-half", dist="two-point", dist_id="two-point"),
-            # p = 0.55 keeps the dominant mass >= 1/2 while avoiding the
-            # lattice point at exactly 0 that p = 0.5 produces (rejected by
-            # the G' divergence contract)
-            SweepSpec("mass-half", dist=geometric_fading(0.55), dist_id="geometric0.55"),
-            SweepSpec("mass-half", dist=binomial_fading(1, 0.5), dist_id="binomial1"),
-            SweepSpec("mass-half", dist=binomial_fading(2, 0.5), dist_id="binomial2"),
-        ]
-    if theorem == "strong":
-        return [SweepSpec("strong", dist=strong_support(M, c), c2_list=(c * c,),
-                          dist_id=f"strongM{M}")
-                for M in (3, 4, 5) for c in (2.0, 4.0, 8.0)]
-    if theorem == "phase-binomial":
-        return [SweepSpec("phase-binomial", c2_list=(0.25, 1.0, 4.0, 16.0), Delta=d)
-                for d in (math.pi / 4, math.pi / 2)]
-    raise SpecInvalid(f"unknown preset {theorem!r}")
-
-
 def verify_claims(theorem: str = "all"):
-    """Run the canonical grids for one theorem (or 'all') and summarize.
+    """Run the claim grids for one theorem (or 'all') and summarize.
 
     Returns (summary, rows).  Never asserts: violated claims are counted and
     reported, with the worst measured gap and worst excess over the claim.
     """
-    names = CLAIMED if theorem == "all" else (theorem,)
-    rows = []
-    for name in names:
-        for spec in _claim_specs(name):
-            rows.extend(run_sweep(spec))
+    if theorem != "all" and theorem not in CLAIMED:
+        raise SpecInvalid(f"unknown preset {theorem!r}")
+    rows = [row for name in (CLAIMED if theorem == "all" else (theorem,))
+            for grid in _TABLE[name].claims() for row in run_sweep(SweepSpec(name, **grid))]
     checked = [r for r in rows if r.assumptions_ok]
     summary = {
         "points": len(rows),

@@ -7,7 +7,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from fadingdirt.bounds_norcsi import ChannelParams
+from fadingdirt import bounds_rcsi
+from fadingdirt.bounds_norcsi import ChannelParams, RateBound, finite_square
 from fadingdirt.bounds_rcsi import (
     continuous_interval_params,
     inner_continuous,
@@ -25,9 +26,11 @@ from fadingdirt.errors import (
     DeltaOutOfRange,
     IntervalMassTooSmall,
     NoDominantAtom,
+    NonFinite,
     NotUniform,
     QuadratureFailure,
     QuadratureWarning,
+    ToolkitError,
     ZeroAtomCollision,
     ZeroGain,
 )
@@ -78,6 +81,54 @@ class TestPhaseBinomial:
         for d in (0.0, math.pi / 8, math.pi):
             with pytest.raises(DeltaOutOfRange):
                 outer_phase_binomial(1, 1, d)
+
+
+def _chain_outer_phase_binomial(P, Q, Delta):
+    """The phase outer bound as one if/elif chain over its three branches:
+    the oracle for the minimum over the branches whose condition holds."""
+    if not (math.pi / 4 <= Delta <= math.pi / 2):
+        raise DeltaOutOfRange(f"Delta must be in [pi/4, pi/2], got {Delta!r}")
+    if Q <= 0:
+        raise ZeroGain("Q must be positive")
+    c2 = math.sin(Delta) ** 2 * Q
+    if c2 <= 1.0:
+        bits = math.log2(P + 1) + 2.0
+        branch = "weak-interference"
+    elif c2 >= P + 1.0:
+        bits = 0.75 * math.log2(P + 1) + 2.0
+        branch = "strong-interference"
+    else:
+        root_sum2 = finite_square(math.sqrt(P) + math.sqrt(c2), "sqrt(P) + sqrt(c2)")
+        bits = (
+            0.5 * math.log2(P + 1)
+            + 0.5 * math.log2(1.0 + root_sum2)
+            - 0.25 * math.log2(2.0 * c2)
+            + 2.0
+        )
+        branch = "moderate-interference"
+    return RateBound(bits=bits, theorem="phase-binomial-outer", branch=branch,
+                     assumptions_ok={"delta_in_range": True})
+
+
+def _bound_or_error(f, *args):
+    try:
+        got = f(*args)
+    except ToolkitError as exc:
+        return type(exc)
+    return got.bits, got.branch, got.theorem, got.assumptions_ok
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.one_of(st.sampled_from([0.0, 1e-20, 1.0, 3.0, 1e308]), st.floats(0.0, 1e308)),
+       st.one_of(st.sampled_from([-1.0, 0.0, 1.0, 4.0, 1e308]), st.floats(-1.0, 1e308)),
+       st.one_of(st.sampled_from([0.5, math.pi / 4, 1.2, math.pi / 2, 1.7]),
+                 st.floats(0.5, 1.7)),
+       st.booleans())
+def test_outer_phase_binomial_equals_chain_oracle(P, Q, Delta, on_the_edge):
+    if on_the_edge:  # c2 = P + 1 exactly: the strong branch's edge (c2 = 1 too at P = 0)
+        Q, Delta = P + 1.0, math.pi / 2
+    assert (_bound_or_error(outer_phase_binomial, P, Q, Delta)
+            == _bound_or_error(_chain_outer_phase_binomial, P, Q, Delta))
 
 
 class TestMassHalfParams:
@@ -421,6 +472,26 @@ class TestContinuous:
         assert cp.prob_I == pytest.approx(1.0, abs=1e-9)
         assert cp.a_prime == u.lo
         assert cp.G_tilde_cont == 0.0
+
+    def test_interval_past_the_support_integrates_its_mass(self):
+        # QUADPACK missed the mass near 0 on [-1, 1e5] and read P(I) = 0
+        cp = continuous_interval_params(Gaussian(0.0, 1.0), (-1.0, 1e5))
+        assert cp.prob_I == pytest.approx(0.5 * (1 + math.erf(1 / math.sqrt(2))), abs=1e-12)
+        u = Uniform(-math.sqrt(3), math.sqrt(3))
+        assert (continuous_interval_params(u, (-1.0, 100.0)).prob_I
+                == continuous_interval_params(u, (-1.0, u.hi)).prob_I)
+        with pytest.raises(IntervalMassTooSmall, match=r"P\(I\) = 0\.0 < 1/2"):
+            continuous_interval_params(u, (2.0, 3.0))
+
+    @pytest.mark.parametrize("interval", [(0.0, math.inf), (-math.inf, 1.0), (0.0, math.nan)],
+                             ids=["inf", "minus-inf", "nan"])
+    def test_non_finite_interval_end_fails_before_quadrature(self, monkeypatch, interval):
+        def no_quadrature(*args, **kwargs):
+            raise AssertionError("integrated")
+
+        monkeypatch.setattr(bounds_rcsi, "integrate", no_quadrature)
+        with pytest.raises(NonFinite, match="interval ends must be finite"):
+            continuous_interval_params(Gaussian(0.0, 1.0), interval)
 
     @pytest.mark.parametrize("law,interval", [
         ("gaussian", (-1.0, 1.0)), ("gaussian", (-0.8, 1.3)), ("rayleigh", (-1.0, 1.5)),

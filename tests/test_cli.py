@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import fadingdirt
-from fadingdirt import cli, errors
+from fadingdirt import cli, errors, harness
 from fadingdirt.cli import main
 from fadingdirt.fading import strong_support
 
@@ -68,6 +68,7 @@ class TestBounds:
             raise AssertionError(f"parsed a law: {text!r}")
 
         monkeypatch.setattr(cli, "parse_distribution", no_law)
+        monkeypatch.setattr(harness, "parse_distribution", no_law)
         code, out, _ = run_cli(capsys, "bounds", "--theorem", "phase-binomial",
                                "--P", "10", "--c", "2")
         assert code == 0
@@ -78,6 +79,14 @@ class TestBounds:
         # the outer bound's flag reads the same rule
         code, out, _ = run_cli(capsys, "bounds", "--theorem", "continuous", "--P", "10",
                                "--c", "3", "--interval", "-0.67448975", "0.67448975")
+        assert code == 0
+        assert json.loads(out)["outer"]["assumptions_ok"] == {"prob_I_half": True}
+
+    def test_interval_past_the_support_finds_its_mass(self, capsys):
+        # QUADPACK missed the mass near 0 on [-1, 1e5] and read P(I) = 0; P(I)
+        # is now integrated over I and the support's intersection
+        code, out, _ = run_cli(capsys, "bounds", "--theorem", "continuous", "--P", "10",
+                               "--c", "3", "--dist", "gaussian", "--interval", "-1", "1e5")
         assert code == 0
         assert json.loads(out)["outer"]["assumptions_ok"] == {"prob_I_half": True}
 
@@ -121,6 +130,12 @@ _HUGE_EVEN = '{"kind":"discrete","atoms":[[-1e170,0.5],[1e170,0.5]]}'
 _HUGE_RAYLEIGH = '{"kind":"rayleigh","sigma":1e200}'
 _HUGE_LOGNORMAL = '{"kind":"lognormal","mu":800}'
 _WIDEST_LOGNORMAL = '{"kind":"lognormal","sigma2":1000}'
+
+# four atoms, none of mass >= 1/2
+_NO_DOMINANT = '{"kind":"discrete","atoms":[[-1.5,0.3],[-0.5,0.2],[0.5,0.2],[1.5,0.3]]}'
+# a two-symbol GP instance with the prior's first entry and one kernel entry to fill in
+_GP_INSTANCE = ('{"states":[0,1],"prior":[%s,0.5],"inputs":[0,1],"aux_size":2,'
+                '"outputs":[0,1],"kernel":[[[1,0],[1,0]],[[0,1],[%s,1]]]}')
 
 # outside input the theorems cannot take: malformed literals and files, and
 # laws of the wrong kind
@@ -193,8 +208,25 @@ _BAD_INPUT = {
     "sweep-strong-density": ["sweep", "--theorem", "strong", "--dist", "gaussian"],
     # no atom of mass >= 1/2: `bounds` raises where a sweep evaluates at the largest atom
     "bounds-mass-half-no-dominant": ["bounds", "--theorem", "mass-half", "--P", "10",
-                                     "--dist", '{"kind":"discrete","atoms":[[-1.5,0.3],'
-                                               '[-0.5,0.2],[0.5,0.2],[1.5,0.3]]}'],
+                                     "--dist", _NO_DOMINANT],
+    # `bounds` parses the law, then checks P and c, then builds the law's constants
+    "bounds-malformed-law-before-power": ["bounds", "--theorem", "mass-half", "--P", "-1",
+                                          "--dist", '{"kind":"nope"}'],
+    "bounds-power-before-dominant-atom": ["bounds", "--theorem", "mass-half", "--P", "-1",
+                                          "--dist", _NO_DOMINANT],
+    # a NaN mass passed the mass check and no restart beat -inf; a NaN atom
+    # missed its output symbol; an infinite atom exited 0 with an infinite value
+    "gp-nan-mass": ["gp", "--example", "binary-nonoise", "--atoms", "[[1,NaN],[-1,1]]"],
+    "gp-nan-atom": ["gp", "--example", "binary-nonoise", "--atoms", "[[NaN,0.5],[-1,0.5]]"],
+    "gp-infinite-atom": ["gp", "--example", "binary-nonoise",
+                         "--atoms", "[[Infinity,0.5],[-1,0.5]]"],
+    "instance-nan-prior": ["gp", "--instance", "{nan-prior}"],
+    "instance-nan-kernel": ["gp", "--instance", "{nan-kernel}"],
+    # QUADPACK returned nan on an infinite end; a NaN end read as an empty interval
+    "bounds-infinite-interval": ["bounds", "--theorem", "continuous", "--P", "10", "--c", "3",
+                                 "--interval", "0", "inf"],
+    "bounds-nan-interval": ["bounds", "--theorem", "continuous", "--P", "10", "--c", "3",
+                            "--interval", "0", "nan"],
 }
 # a NaN mass passed every check of its law before the pairs were checked finite
 _NAN_MASS = '{"kind":"discrete","atoms":[[0,NaN],[1,1]]}'
@@ -266,6 +298,15 @@ _EXPECTED_KIND = {
     "bounds-strong-density": "NotUniform",
     "sweep-strong-density": "NotUniform",
     "bounds-mass-half-no-dominant": "NoDominantAtom",
+    "bounds-malformed-law-before-power": "SpecInvalid",
+    "bounds-power-before-dominant-atom": "DegenerateDenominator",
+    "gp-nan-mass": "NonFinite",
+    "gp-nan-atom": "NonFinite",
+    "gp-infinite-atom": "NonFinite",
+    "instance-nan-prior": "NonFinite",
+    "instance-nan-kernel": "NonFinite",
+    "bounds-infinite-interval": "NonFinite",
+    "bounds-nan-interval": "NonFinite",
 }
 for _name, (_law, _kind) in _BAD_LITERALS.items():
     _BAD_INPUT[_name] = ["bounds", "--theorem", "no-rcsi", "--P", "1", "--dist", _law]
@@ -278,13 +319,27 @@ for _name, (_law, _kind) in _BAD_LAWS.items():
     _EXPECTED_KIND[f"bounds-{_name}"] = _EXPECTED_KIND[f"mi-{_name}"] = _kind
 
 
+def test_gp_instance_template_runs(capsys, tmp_path):
+    # the instance-nan-* cases fail on their NaN alone
+    path = tmp_path / "inst.json"
+    path.write_text(_GP_INSTANCE % ("0.5", "0"))
+    code, out, _ = run_cli(capsys, "gp", "--instance", str(path), "--restarts", "2")
+    assert code == 0
+    assert math.isfinite(json.loads(out)["value_bits"])
+
+
 @pytest.mark.parametrize("name", list(_BAD_INPUT))
 def test_bad_input_exit_3(capsys, tmp_path, name):
     instance = tmp_path / "inst.json"
     instance.write_text('{"states": [0, 1]}')
     binary = tmp_path / "inst.bin"
     binary.write_bytes(b'{"states": "\xff"}')
-    paths = {"{instance}": instance, "{binary}": binary, "{missing}": tmp_path / "missing"}
+    nan_prior = tmp_path / "nan-prior.json"
+    nan_prior.write_text(_GP_INSTANCE % ("NaN", "0"))
+    nan_kernel = tmp_path / "nan-kernel.json"
+    nan_kernel.write_text(_GP_INSTANCE % ("0.5", "NaN"))
+    paths = {"{instance}": instance, "{binary}": binary, "{missing}": tmp_path / "missing",
+             "{nan-prior}": nan_prior, "{nan-kernel}": nan_kernel}
     argv = list(_BAD_INPUT[name])
     for key, path in paths.items():
         argv = [a.replace(key, str(path)) for a in argv]
@@ -437,6 +492,49 @@ _IGNORED = {
                                       "--dist", "uniform"), "--dist", "--theorem phase-binomial"),
 }
 
+# each theorem flag besides P and c under each command and theorem, and
+# whether the theorem reads it; a flag that it does not read exits 2
+_THEOREM_FLAGS = {
+    ("bounds", "no-rcsi"): {"--dist": True, "--delta": False, "--interval": False},
+    ("bounds", "mass-half"): {"--dist": True, "--delta": False, "--interval": False},
+    ("bounds", "strong"): {"--dist": True, "--delta": False, "--interval": False},
+    ("bounds", "phase-binomial"): {"--dist": False, "--delta": True, "--interval": False},
+    ("bounds", "continuous"): {"--dist": True, "--delta": False, "--interval": True},
+    ("sweep", "no-rcsi"): {"--dist": True, "--delta": False},
+    ("sweep", "mass-half"): {"--dist": True, "--delta": False},
+    ("sweep", "strong"): {"--dist": True, "--delta": False},
+    ("sweep", "phase-binomial"): {"--dist": False, "--delta": True},
+    ("sweep", "continuous"): {"--dist": True, "--delta": False},
+}
+# each flag's arguments and the value it parses to
+_FLAG_VALUES = {"--dist": (["two-point"], "two-point"), "--delta": (["1.0"], 1.0),
+                "--interval": (["-1", "1"], [-1.0, 1.0])}
+_FLAG_CASES = [(command, theorem, flag, reads)
+               for (command, theorem), flags in _THEOREM_FLAGS.items()
+               for flag, reads in flags.items()]
+
+
+def test_flag_table_covers_every_theorem():
+    for command in ("bounds", "sweep"):
+        assert {t for c, t in _THEOREM_FLAGS if c == command} == set(harness.THEOREMS)
+    assert sum(not reads for *_, reads in _FLAG_CASES) == 14
+
+
+@pytest.mark.parametrize("command,theorem,flag,reads", _FLAG_CASES,
+                         ids=["-".join(case[:3]) for case in _FLAG_CASES])
+def test_theorem_flag_read_or_rejected(capsys, command, theorem, flag, reads):
+    argv = [command, "--theorem", theorem, *(["--P", "3"] if command == "bounds" else [])]
+    values, parsed = _FLAG_VALUES[flag]
+    argv += [flag, *values]
+    if reads:
+        assert getattr(cli._parse(argv), flag[2:]) == parsed
+        return
+    with pytest.raises(SystemExit) as exc:
+        cli._parse(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"argument {flag}: not allowed with argument --theorem {theorem}" in err
+
 
 class TestSweepVerify:
     def test_preset_csv_shape(self, capsys):
@@ -512,6 +610,14 @@ class TestSweepVerify:
         assert exc.value.code == 2
         err = capsys.readouterr().err
         assert f"argument {flag}: not allowed with argument {mode}" in err
+
+    def test_phase_strong_row_at_the_float_limit(self, capsys):
+        # the moderate branch's square overflows here, but its condition fails
+        code, out, _ = run_cli(capsys, "sweep", "--theorem", "phase-binomial",
+                               "--P-grid", "1e308", "--c2-grid", "1e308", "--format", "json")
+        assert code == 0
+        (row,) = json.loads(out)
+        assert row["branch_outer"] == "strong-interference"
 
     def test_omitted_delta_is_a_right_angle(self, capsys):
         base = ("sweep", "--theorem", "phase-binomial", "--P-grid", "1,10", "--c2-grid", "4")

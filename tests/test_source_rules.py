@@ -4,6 +4,7 @@ import ast
 from pathlib import Path
 
 import fadingdirt
+from fadingdirt.harness import THEOREMS
 
 SRC = Path(fadingdirt.__file__).parent
 
@@ -113,3 +114,20 @@ def test_cli_evaluates_no_bound():
     `bounds` and `sweep` run; a bound evaluated in the CLI would be a second
     dispatch that can drift from the sweep's."""
     assert _found(_bound_call, lambda name, owner: name != "cli.py") == []
+
+
+def _theorem_or_private_harness_name(node):
+    """A theorem's name as a string constant, or a private name of `harness`
+    imported from it or read as its attribute."""
+    return (isinstance(node, ast.Constant) and node.value in THEOREMS
+            or isinstance(node, ast.ImportFrom) and (node.module or "").endswith("harness")
+            and any(a.name.startswith("_") for a in node.names)
+            or isinstance(node, ast.Attribute) and node.attr.startswith("_")
+            and isinstance(node.value, ast.Name) and node.value.id == "harness")
+
+
+def test_cli_names_no_theorem():
+    """`harness` declares each theorem once, with the inputs it reads; a
+    theorem named in the CLI, or a private name of `harness` read there, is a
+    second declaration that can drift from that table."""
+    assert _found(_theorem_or_private_harness_name, lambda name, owner: name != "cli.py") == []
