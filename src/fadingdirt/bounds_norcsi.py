@@ -10,6 +10,7 @@ against the mean realization of the fading times the state.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 
 from .errors import DegenerateDenominator, IdentityViolated, InvalidAlpha, NonFinite, ZeroGain
@@ -40,6 +41,8 @@ class RateBound:
     theorem: str
     branch: str
     assumptions_ok: dict = field(default_factory=dict)
+    # every (bits, branch, holds) candidate the bound was picked from, in order
+    candidates: tuple = field(default=(), compare=False)
 
     def __post_init__(self):
         if not math.isfinite(self.bits):
@@ -52,6 +55,22 @@ class RateBound:
             "branch": self.branch,
             "assumptions_ok": dict(self.assumptions_ok),
         }
+
+
+_BITS, _HOLDS = operator.itemgetter(0), operator.itemgetter(2)
+
+
+def pick(theorem, candidates, assumptions_ok, best=min) -> RateBound:
+    """The bound chosen from its (bits, branch, holds) candidates: by `best`
+    over bits among those whose condition holds, the first listed winning
+    ties, and ZeroGain when none holds.  A minimum of valid outer bounds is
+    still an outer bound, and a maximum of achievable rates is achievable;
+    the bound keeps every candidate."""
+    candidates = tuple(candidates)
+    chosen = best(filter(_HOLDS, candidates), key=_BITS, default=None)
+    if chosen is None:
+        raise ZeroGain(f"{theorem}: no branch condition holds (c too small?)")
+    return RateBound(float(chosen[0]), theorem, chosen[1], assumptions_ok, candidates)
 
 
 def finite_square(x: float, name: str) -> float:
@@ -90,19 +109,15 @@ def outer_no_rcsi(params: ChannelParams, alpha_ep: float) -> RateBound:
         alt = 0.5 * (_log_add(math.log1p(P), log_c2) - log_c2 - log_a) / LN2 + 0.5
     if not abs(bits - alt) < 1e-12:  # a nan fails too
         raise IdentityViolated(f"the two forms of the outer bound differ: {bits!r} vs {alt!r}")
-    return RateBound(
-        bits=bits,
-        theorem="no-rcsi-outer",
-        branch="half",
-        assumptions_ok={"mu_S_zero": True, "alpha_in_range": True},  # the model fixes E[S] = 0
-    )
+    return pick("no-rcsi-outer", [(bits, "half", True)],
+                {"mu_S_zero": True, "alpha_in_range": True})  # the model fixes E[S] = 0
 
 
 def inner_no_rcsi(params: ChannelParams) -> RateBound:
     """Costa precoding against the mean fading: 1/2 log2(1 + P/(c^2+1))."""
     P, c = params.P, params.c
     bits = 0.5 * math.log2(1.0 + P / (c * c + 1.0))
-    return RateBound(bits=bits, theorem="no-rcsi-inner", branch="costa-mean", assumptions_ok={})
+    return pick("no-rcsi-inner", [(bits, "costa-mean", True)], {})
 
 
 def _zero_mean(mu_A: float) -> bool:

@@ -5,9 +5,11 @@ Covers the circular-binomial phase-fading recap, the dominant-atom
 and the continuous-fading outer bound.  Inner bounds are built from three
 closed-form strategies: treat the fading-times-state as noise, Costa
 precoding against one fading realization, and a power split combining the
-two.  Every piecewise outer bound returns the minimum over all branches
-whose stated condition holds: a minimum of valid outer bounds is still an
-outer bound, which sidesteps ambiguous branch precedence.
+two.  Each outer bound lists its branches by name, and `pick` takes the
+minimum over those whose stated condition holds: a minimum of valid outer
+bounds is still an outer bound, which sidesteps ambiguous branch
+precedence.  Each inner bound lists the strategies at each precoding
+target in turn, and `pick` takes the best.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds_norcsi import _C_MIN, ChannelParams, RateBound, _zero_mean, finite_square
+from .bounds_norcsi import _C_MIN, ChannelParams, RateBound, _zero_mean, finite_square, pick
 from .errors import (
     DeltaOutOfRange,
     IntervalMassTooSmall,
@@ -79,20 +81,20 @@ def outer_phase_binomial(P: float, Q: float, Delta: float) -> RateBound:
     # the conditions split the c2 axis at 1 and P + 1; only the moderate value can overflow
     moderate = 1.0 < c2 < P + 1.0
     branches = [
-        (math.log2(P + 1) + 2.0, "weak-interference", c2 <= 1.0),
-        (0.75 * math.log2(P + 1) + 2.0, "strong-interference", 1.0 < c2 and c2 >= P + 1.0),
         (0.5 * math.log2(P + 1)
          + 0.5 * math.log2(1.0 + finite_square(math.sqrt(P) + math.sqrt(c2), "sqrt(P) + sqrt(c2)"))
          - 0.25 * math.log2(2.0 * c2) + 2.0 if moderate else math.inf,
          "moderate-interference", moderate),
+        (0.75 * math.log2(P + 1) + 2.0, "strong-interference", 1.0 < c2 and c2 >= P + 1.0),
+        (math.log2(P + 1) + 2.0, "weak-interference", c2 <= 1.0),
     ]
-    return _min_branch("phase-binomial-outer", branches, {"delta_in_range": True})
+    return pick("phase-binomial-outer", branches, {"delta_in_range": True})
 
 
 def inner_phase_binomial(P: float, Q: float) -> RateBound:
     """Treat the faded dirt, of power Q = c^2, as noise on the phase-fading channel."""
-    return RateBound(bits=0.5 * math.log2(1.0 + P / (1.0 + Q)),
-                     theorem="phase-binomial-inner", branch="treat-as-noise")
+    return pick("phase-binomial-inner", [(0.5 * math.log2(1.0 + P / (1.0 + Q)),
+                                          "treat-as-noise", True)], {})
 
 
 # ---------------------------------------------------------------------------
@@ -137,26 +139,18 @@ def gap_params_at(dist: Discrete) -> MassHalfParams:
     return MassHalfParams(a_prime=a_p, P_prime=P_p, G=G, G_prime=G_prime, mu_A=dist.mean)
 
 
-def _min_branch(theorem, branches, assumptions):
-    valid = [(v, tag) for v, tag, ok in branches if ok]
-    if not valid:
-        raise ZeroGain(f"{theorem}: no branch condition holds (c too small?)")
-    bits, tag = min(valid)
-    return RateBound(bits=float(bits), theorem=theorem, branch=tag, assumptions_ok=assumptions)
-
-
 def outer_mass_half(params: ChannelParams, mp: MassHalfParams) -> RateBound:
     P, c = params.P, params.c
     c2 = c * c
     Pp, Pb, G = mp.P_prime, 1.0 - mp.P_prime, mp.G
     branches = [
-        (0.5 * math.log2(P + c2 + 1) - Pb / 2 * math.log2(c2) - G / 2 + 1 if c2 > 0 else math.inf,
-         "pre-optimized", c2 > 0 and Pp * c2 <= Pb * (P + 1)),
         (Pp / 2 * math.log2(1 + P) + 1.5 - G / 2,
          "large-gain", Pp * c2 > Pb * (P + 1)),
+        (0.5 * math.log2(P + c2 + 1) - Pb / 2 * math.log2(c2) - G / 2 + 1 if c2 > 0 else math.inf,
+         "pre-optimized", c2 > 0 and Pp * c2 <= Pb * (P + 1)),
     ]
-    return _min_branch("mass-half-outer", branches,
-                       {"dominant_mass": _dominant(Pp), "mu_A_zero": _zero_mean(mp.mu_A)})
+    return pick("mass-half-outer", branches,
+                {"dominant_mass": _dominant(Pp), "mu_A_zero": _zero_mean(mp.mu_A)})
 
 
 def _costa_atom_sum(values, probs, a_prime, p_prime_mass, c, power):
@@ -176,9 +170,9 @@ def _costa_atom_sum(values, probs, a_prime, p_prime_mass, c, power):
 
 
 def _inner_strategies(params: ChannelParams, values, probs, ea2, a_prime):
-    """(treat-as-noise, full-power Costa, power-split) rates in bits; values
-    and probs are the law's sorted atoms as lists of Python floats, ea2 its
-    E[A^2]."""
+    """The (bits, strategy, True) candidates of treat-as-noise, full-power
+    Costa and the power split against a'; values and probs are the law's
+    sorted atoms as lists of Python floats, ea2 its E[A^2]."""
     P, c = params.P, params.c
     c2 = c * c
     # at P > 0 every numerator and denominator of _costa_atom_sum is at most
@@ -200,31 +194,23 @@ def _inner_strategies(params: ChannelParams, values, probs, ea2, a_prime):
     a_p = P - abar_p
     split = 0.5 * math.log2(1 + a_p / (1 + c2 * ea2 + abar_p)) + _costa_atom_sum(
         values, probs, a_prime, i_p, c, abar_p)
-    return max(treat, 0.0), max(costa, 0.0), max(split, 0.0)
+    return ((max(treat, 0.0), "treat-as-noise", True), (max(costa, 0.0), "costa", True),
+            (max(split, 0.0), "power-split", True))
 
 
-_STRATEGIES = ("treat-as-noise", "costa", "power-split")
-
-
-def _best_strategy(params: ChannelParams, values, probs, targets=None):
-    """(rate, tag) of the best strategy over the precoding targets, every
-    atom when targets is None, on the law's atom arrays: the first strategy,
-    then the first target, wins ties."""
-    ea2 = float(np.dot(values ** 2, probs))
-    values, probs = values.tolist(), probs.tolist()
-    best = None
-    for a_prime in values if targets is None else targets:
-        rates = _inner_strategies(params, values, probs, ea2, a_prime)
-        i = max(range(3), key=rates.__getitem__)
-        if best is None or rates[i] > best[0]:
-            best = rates[i], _STRATEGIES[i]
-    return best
+def _strategies(params: ChannelParams, dist: Discrete, targets=None):
+    """The strategies' candidates at each precoding target in turn, every
+    atom when targets is None, so that the first target, then the first
+    strategy, wins ties."""
+    ea2 = float(np.dot(dist.values ** 2, dist.probs))
+    values, probs = dist.values.tolist(), dist.probs.tolist()
+    return [c for a_prime in (values if targets is None else targets)
+            for c in _inner_strategies(params, values, probs, ea2, a_prime)]
 
 
 def inner_mass_half(params: ChannelParams, dist: Discrete, mp: MassHalfParams) -> RateBound:
-    bits, tag = _best_strategy(params, dist.values, dist.probs, [mp.a_prime])
-    return RateBound(bits=float(bits), theorem="mass-half-inner", branch=tag,
-                     assumptions_ok={"dominant_mass": _dominant(mp.P_prime)})
+    return pick("mass-half-inner", _strategies(params, dist, [mp.a_prime]),
+                {"dominant_mass": _dominant(mp.P_prime)}, best=max)
 
 
 # ---------------------------------------------------------------------------
@@ -282,22 +268,18 @@ def outer_strong(params: ChannelParams, sp: StrongFadingParams) -> RateBound:
     k2 = finite_square(params.c, "c") * (1.0 + sp.mu_A ** 2)
     w = (M - 1) / (2.0 * M)
     branches = [
-        (0.5 * math.log2(P + k2 + 1) - w * math.log2(k2) - w * math.log2(al) + 0.5,
-         "pre-optimized", k2 / M <= (M - 1) / M * (P + 1)),
         (1 / (2.0 * M) * math.log2(1 + P) - w * math.log2(al) + 1.5,
          "large-gain", k2 / M > (M - 1) / M * (P + 1)),
+        (0.5 * math.log2(P + k2 + 1) - w * math.log2(k2) - w * math.log2(al) + 0.5,
+         "pre-optimized", k2 / M <= (M - 1) / M * (P + 1)),
     ]
-    return _min_branch("strong-outer", branches,
-                       {"condition": sp.condition_ok, "uniform": True})
+    return pick("strong-outer", branches, {"condition": sp.condition_ok, "uniform": True})
 
 
 def inner_strong(params: ChannelParams, support: Discrete) -> RateBound:
     """Best of the three strategies, maximized over the precoding target."""
-    vals, probs = support.values, support.probs
-    _check_equiprobable(probs)
-    bits, tag = _best_strategy(params, vals, probs)
-    return RateBound(bits=float(bits), theorem="strong-inner", branch=tag,
-                     assumptions_ok={"uniform": True})
+    _check_equiprobable(support.probs)
+    return pick("strong-inner", _strategies(params, support), {"uniform": True}, best=max)
 
 
 # ---------------------------------------------------------------------------
@@ -326,26 +308,31 @@ def continuous_interval_params(dist: FadingDistribution, interval) -> Continuous
 
     target = prob_i / (b - a)
     xs = np.linspace(a, b, 2001)  # xs[-1] is b exactly
-    fs = np.asarray(dist.pdf(xs), dtype=float) - target
-    # grid points that solve the equation or open a sign change; the first wins
-    hits = np.flatnonzero((fs == 0.0) | np.append(fs[:-1] * fs[1:] < 0, False))
-    if np.max(np.abs(fs)) < 1e-12:
-        a_prime = a  # constant density: every point solves the equation
-    elif len(hits) == 0:
-        raise RootNotFound("density never crosses P(I)/(b-a) on [a,b]")
-    elif fs[hits[0]] == 0.0:
-        a_prime = float(xs[hits[0]])
-    else:
-        i = hits[0]
-        lo, hi = xs[i], xs[i + 1]
-        for _ in range(100):
-            mid = 0.5 * (lo + hi)
-            fm = dist.density(mid) - target
-            if fs[i] * fm <= 0:
-                hi = mid
-            else:
-                lo = mid
-        a_prime = 0.5 * (lo + hi)
+    # far past the support a density's square may overflow; a root found
+    # there lies past the support and is rejected below
+    with np.errstate(over="ignore"):
+        fs = np.asarray(dist.pdf(xs), dtype=float) - target
+        # grid points that solve the equation or open a sign change; the first wins
+        hits = np.flatnonzero((fs == 0.0) | np.append(fs[:-1] * fs[1:] < 0, False))
+        if np.max(np.abs(fs)) < 1e-12:
+            a_prime = a  # constant density: every point solves the equation
+        elif len(hits) == 0:
+            raise RootNotFound("density never crosses P(I)/(b-a) on [a,b]")
+        elif fs[hits[0]] == 0.0:
+            a_prime = float(xs[hits[0]])
+        else:
+            # bisect until the midpoint meets an end: one ulp, however wide the cell
+            i = hits[0]
+            lo, hi = xs[i], xs[i + 1]
+            while lo < (a_prime := 0.5 * (lo + hi)) < hi:
+                if fs[i] * (dist.density(a_prime) - target) <= 0:
+                    hi = a_prime
+                else:
+                    lo = a_prime
+    if not lo_s <= a_prime <= hi_s:
+        # P(I) and G-tilde read the law on its support only, where its mass lies
+        raise RootNotFound(f"the density meets P(I)/(b-a) at a' = {float(a_prime)!r}, "
+                           f"past the support [{lo_s!r}, {hi_s!r}]")
 
     g = 0.0
     for lo, hi in ((lo_s, a), (b, hi_s)):  # the complement of I, left side first
@@ -362,13 +349,13 @@ def outer_continuous(params: ChannelParams, cp: ContinuousOuterParams) -> RateBo
     P, c2 = params.P, finite_square(params.c, "c")
     mass, rest, G = cp.prob_I, 1.0 - cp.prob_I, cp.G_tilde_cont
     branches = [
-        (0.5 * math.log2(1 + P) + 1.0, "treat-as-noise", rest <= mass * c2),
+        (mass / 2 * math.log2(1 + P) + 1.0 - G / 2, "large-gain", mass * c2 > rest * (P + 1)),
         (mass / 2 * math.log2(1 + P) + rest / 2 * math.log2(P * c2) + 1 - G / 2
          if P * c2 > 0 else math.inf,
          "moderate-gain", P * c2 > 0 and mass * c2 <= rest * (P + 1)),
-        (mass / 2 * math.log2(1 + P) + 1.0 - G / 2, "large-gain", mass * c2 > rest * (P + 1)),
+        (0.5 * math.log2(1 + P) + 1.0, "treat-as-noise", rest <= mass * c2),
     ]
-    return _min_branch("continuous-outer", branches, {"prob_I_half": _half_interval(cp.prob_I)})
+    return pick("continuous-outer", branches, {"prob_I_half": _half_interval(cp.prob_I)})
 
 
 def inner_continuous(params: ChannelParams, dist: FadingDistribution, a_prime: float) -> RateBound:
@@ -382,5 +369,4 @@ def inner_continuous(params: ChannelParams, dist: FadingDistribution, a_prime: f
     loss = integrate(dist, lambda x, p: p * math.log2(
         P * c2 / (P + c2 * x * x + 1) * (x - a_prime) ** 2 + 1.0), lo, hi, 1e-8)[0]
     bits = max(0.0, 0.5 * math.log2(1 + P) - 0.5 * loss)
-    return RateBound(bits=bits, theorem="continuous-inner", branch="costa",
-                     assumptions_ok={})
+    return pick("continuous-inner", [(bits, "costa", True)], {})

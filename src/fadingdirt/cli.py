@@ -26,9 +26,23 @@ from .harness import verify_claims
 _EXIT_PRECONDITION = 3
 
 
+class _Parser(argparse.ArgumentParser):
+    """A parser that reads every token float() accepts, such as -1e-3 or
+    -inf, as a value: argparse's own negative-number pattern has no exponent
+    or infinity form, so it took those for unknown flags.  Subparsers are
+    built from the parent's class."""
+
+    def _parse_optional(self, arg_string):  # argparse's token classifier: None marks a value
+        try:
+            float(arg_string)
+        except ValueError:
+            return super()._parse_optional(arg_string)
+        return None
+
+
 @functools.cache  # parsing reads the parser and does not change it
 def _build_parser():
-    p = argparse.ArgumentParser(
+    p = _Parser(
         prog="fadingdirt",
         description="Capacity bound toolkit for channels with fast-fading "
                     "interference known at the transmitter.")

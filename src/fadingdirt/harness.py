@@ -105,8 +105,8 @@ def _no_rcsi_points(dist, strict=False, **_):
         except ZeroGain:
             if strict:
                 raise
-            outer = bn.RateBound(bits=0.5 * math.log2(1 + params.P), theorem="no-rcsi-outer",
-                                 branch="awgn-fallback", assumptions_ok={})
+            outer = bn.pick("no-rcsi-outer",
+                            [(0.5 * math.log2(1 + params.P), "awgn-fallback", True)], {})
             ok = False
         return inner, outer, claimed, ok
     return _Points(point, dist.mean, dist.label())

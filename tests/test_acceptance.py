@@ -148,7 +148,7 @@ def test_acceptance_4_oracle_equivalence():
                 params = ChannelParams(P=P, c=c)
                 strategy_ii = _inner_strategies(params, d.values.tolist(), d.probs.tolist(),
                                                 float(np.dot(d.values ** 2, d.probs)),
-                                                mp.a_prime)[1]
+                                                mp.a_prime)[1][0]
                 oracle = costa_rate_exact(params, d,
                                           CostaAssignment(a_target=mp.a_prime))
                 worst = max(worst, abs(strategy_ii - oracle))

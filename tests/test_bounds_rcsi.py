@@ -8,7 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from fadingdirt import bounds_rcsi
-from fadingdirt.bounds_norcsi import ChannelParams, RateBound, finite_square
+from fadingdirt.bounds_norcsi import ChannelParams, RateBound, finite_square, pick
 from fadingdirt.bounds_rcsi import (
     continuous_interval_params,
     inner_continuous,
@@ -30,6 +30,7 @@ from fadingdirt.errors import (
     NotUniform,
     QuadratureFailure,
     QuadratureWarning,
+    RootNotFound,
     ToolkitError,
     ZeroAtomCollision,
     ZeroGain,
@@ -341,6 +342,104 @@ def test_inner_strong_equals_array_oracle(M, ratio, P, c):
                key=lambda rate_tag: rate_tag[0])
     assert (got.bits, got.branch) == want
 
+
+# The two choosers that `pick` replaced, kept as its oracles.  An outer bound
+# was min((bits, branch)) over the branches whose condition holds, so a tie
+# in bits went to the smaller branch name; an inner bound took the first best
+# strategy at each precoding target, then the first best target.
+
+def _min_branch(theorem, branches, assumptions):
+    valid = [(v, tag) for v, tag, ok in branches if ok]
+    if not valid:
+        raise ZeroGain(f"{theorem}: no branch condition holds (c too small?)")
+    bits, tag = min(valid)
+    return RateBound(bits=float(bits), theorem=theorem, branch=tag, assumptions_ok=assumptions)
+
+
+_STRATEGIES = ("treat-as-noise", "costa", "power-split")
+
+
+def _best_strategy(params, values, probs, targets=None):
+    ea2 = float(np.dot(values ** 2, probs))
+    values, probs = values.tolist(), probs.tolist()
+    best = None
+    for a_prime in values if targets is None else targets:
+        rates = [bits for bits, _, _ in
+                 bounds_rcsi._inner_strategies(params, values, probs, ea2, a_prime)]
+        i = max(range(3), key=rates.__getitem__)
+        if best is None or rates[i] > best[0]:
+            best = rates[i], _STRATEGIES[i]
+    return best
+
+
+_BRANCH_NAMES = ("large-gain", "moderate-gain", "pre-optimized", "treat-as-noise")
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from([0.5, 1.0, 2.0, math.inf]), st.booleans()),
+                min_size=1, max_size=len(_BRANCH_NAMES)))
+def test_pick_equals_min_branch_oracle_on_branches_listed_by_name(drawn):
+    # few distinct bits, so that ties between branches are common
+    branches = [(bits, name, holds) for (bits, holds), name in zip(drawn, _BRANCH_NAMES)]
+    assert (_bound_or_error(pick, "t", branches, {"x": True})
+            == _bound_or_error(_min_branch, "t", branches, {"x": True}))
+
+
+def _outer_equals_oracle(got):
+    """The bound equals the old chooser over its own candidates, which are
+    listed by branch name; at P, c > 0 some condition holds."""
+    names = [branch for _, branch, _ in got.candidates]
+    assert names == sorted(names)
+    want = _min_branch(got.theorem, got.candidates, got.assumptions_ok)
+    assert ((got.bits, got.branch, got.theorem, got.assumptions_ok)
+            == (want.bits, want.branch, want.theorem, want.assumptions_ok))
+
+
+@settings(max_examples=75, deadline=None)
+@given(mass_half_literals(), st.floats(1e-3, 1e6), st.floats(1e-3, 100.0))
+def test_outer_mass_half_equals_min_branch_oracle(law, P, c):
+    _outer_equals_oracle(outer_mass_half(ChannelParams(P=P, c=c), mass_half_params(law)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(2, 6), st.floats(1.5, 8.0), st.floats(1e-3, 1e6), st.floats(1e-3, 100.0))
+def test_outer_strong_equals_min_branch_oracle(M, ratio, P, c):
+    sp = strong_params(strong_support(M, ratio), c * c)
+    _outer_equals_oracle(outer_strong(ChannelParams(P=P, c=c), sp))
+
+
+_CONTINUOUS_PARAMS = {law: continuous_interval_params(parse_distribution(law), (-1.0, 1.0))
+                      for law in ("gaussian", "uniform", "rayleigh")}
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(sorted(_CONTINUOUS_PARAMS)), st.floats(1e-3, 1e6), st.floats(1e-3, 100.0))
+def test_outer_continuous_equals_min_branch_oracle(law, P, c):
+    _outer_equals_oracle(outer_continuous(ChannelParams(P=P, c=c), _CONTINUOUS_PARAMS[law]))
+
+
+@settings(max_examples=75, deadline=None)
+@given(mass_half_literals(), _POWERS, _GAINS)
+def test_inner_mass_half_equals_best_strategy_oracle(law, P, c):
+    params = ChannelParams(P=P, c=c)
+    mp_ = mass_half_params(law)
+    got = inner_mass_half(params, law, mp_)
+    bits, branch = _best_strategy(params, law.values, law.probs, [mp_.a_prime])
+    assert ((got.bits, got.branch, got.theorem, got.assumptions_ok)
+            == (bits, branch, "mass-half-inner", {"dominant_mass": True}))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(2, 6), st.floats(1.5, 8.0), _POWERS, _GAINS)
+def test_inner_strong_equals_best_strategy_oracle(M, ratio, P, c):
+    params = ChannelParams(P=P, c=c)
+    support = strong_support(M, ratio)
+    got = inner_strong(params, support)
+    bits, branch = _best_strategy(params, support.values, support.probs)
+    assert ((got.bits, got.branch, got.theorem, got.assumptions_ok)
+            == (bits, branch, "strong-inner", {"uniform": True}))
+
+
 class TestStrongCondition:
     @pytest.mark.parametrize("M", [3, 4, 5])
     @pytest.mark.parametrize("c", [2.0, 4.0, 8.0])
@@ -482,6 +581,22 @@ class TestContinuous:
                 == continuous_interval_params(u, (-1.0, u.hi)).prob_I)
         with pytest.raises(IntervalMassTooSmall, match=r"P\(I\) = 0\.0 < 1/2"):
             continuous_interval_params(u, (2.0, 3.0))
+
+    def test_a_prime_solves_its_equation_on_wide_intervals(self):
+        # a fixed 100 halvings of a grid cell of width (b - a)/2000 left a' with
+        # pdf(a')(b - a)/P(I) = 1.0009 at b = 1e30 and 3.7e-42 at b = 1e35; past
+        # b ~ 4e31 the root lies beyond the support, where the law has no mass
+        g = Gaussian(0.0, 1.0)
+        solved = []
+        for e in range(5, 301, 5):
+            b = 10.0 ** e
+            try:
+                cp = continuous_interval_params(g, (-1.0, b))
+            except RootNotFound:
+                continue
+            assert float(g.pdf(cp.a_prime)) * (b + 1.0) / cp.prob_I == pytest.approx(1.0, rel=1e-9)
+            solved.append(e)
+        assert solved == list(range(5, 31, 5))
 
     @pytest.mark.parametrize("interval", [(0.0, math.inf), (-math.inf, 1.0), (0.0, math.nan)],
                              ids=["inf", "minus-inf", "nan"])

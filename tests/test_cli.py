@@ -227,6 +227,10 @@ _BAD_INPUT = {
                                  "--interval", "0", "inf"],
     "bounds-nan-interval": ["bounds", "--theorem", "continuous", "--P", "10", "--c", "3",
                             "--interval", "0", "nan"],
+    # the gaussian density's square overflowed on the a' grid, and 100 halvings
+    # of a cell 5e196 wide left a' at 1.97e66; its root lies past the support
+    "bounds-wide-interval": ["bounds", "--theorem", "continuous", "--P", "10", "--c", "3",
+                             "--interval", "-1", "1e200"],
 }
 # a NaN mass passed every check of its law before the pairs were checked finite
 _NAN_MASS = '{"kind":"discrete","atoms":[[0,NaN],[1,1]]}'
@@ -307,6 +311,7 @@ _EXPECTED_KIND = {
     "instance-nan-kernel": "NonFinite",
     "bounds-infinite-interval": "NonFinite",
     "bounds-nan-interval": "NonFinite",
+    "bounds-wide-interval": "RootNotFound",
 }
 for _name, (_law, _kind) in _BAD_LITERALS.items():
     _BAD_INPUT[_name] = ["bounds", "--theorem", "no-rcsi", "--P", "1", "--dist", _law]
@@ -350,6 +355,43 @@ def test_bad_input_exit_3(capsys, tmp_path, name):
     assert issubclass(getattr(errors, kind), errors.ToolkitError), err
     assert kind == _EXPECTED_KIND.get(name, kind), err
     assert "np.float64(" not in err
+
+
+def _exit_and_output(capsys, argv):
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+# numbers that float() reads but argparse's negative-number pattern does not
+# (it has no exponent or infinity), each against a spelling argparse reads:
+# the `=` form, or for the two values of --interval the plain decimal
+_EXPONENT_FORMS = {
+    "bounds-gain": (["bounds", "--theorem", "no-rcsi", "--P", "10", "--c", "-1e-3"],
+                    ["bounds", "--theorem", "no-rcsi", "--P", "10", "--c=-1e-3"]),
+    "bounds-infinite-gain": (["bounds", "--theorem", "no-rcsi", "--P", "10", "--c", "-inf"],
+                             ["bounds", "--theorem", "no-rcsi", "--P", "10", "--c=-inf"]),
+    "bounds-interval": (["bounds", "--theorem", "continuous", "--P", "10", "--c", "3",
+                         "--interval", "-1e0", "1"],
+                        ["bounds", "--theorem", "continuous", "--P", "10", "--c", "3",
+                         "--interval", "-1", "1"]),
+    "sweep-delta": (["sweep", "--theorem", "phase-binomial", "--delta", "-1e-1"],
+                    ["sweep", "--theorem", "phase-binomial", "--delta=-1e-1"]),
+    "mi-a-target": (["mi", "--P", "3", "--a-target", "-1e-1", "--n", "10000"],
+                    ["mi", "--P", "3", "--a-target=-1e-1", "--n", "10000"]),
+    "mi-int-seed": (["mi", "--P", "3", "--seed", "-1e0"], ["mi", "--P", "3", "--seed=-1e0"]),
+    "gp-tol": (["gp", "--example", "binary-nonoise", "--restarts", "2", "--tol", "-1E-3"],
+               ["gp", "--example", "binary-nonoise", "--restarts", "2", "--tol=-1E-3"]),
+}
+
+
+@pytest.mark.parametrize("name", list(_EXPONENT_FORMS))
+def test_exponent_negative_reads_as_its_value(capsys, name):
+    spaced, joined = _EXPONENT_FORMS[name]
+    assert _exit_and_output(capsys, spaced) == _exit_and_output(capsys, joined)
 
 
 # laws of non-zero mean: the golden three-atom law (mean -0.25), the shifted
