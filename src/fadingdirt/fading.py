@@ -154,7 +154,7 @@ class Discrete(FadingDistribution, kind="discrete", keys=("atoms",)):
         if abs(probs.sum() - 1.0) > _ATOM_PROB_TOL:
             raise InvalidP(f"atom probabilities sum to {float(probs.sum())!r}, not 1")
         if np.any(np.diff(vals) <= 0):
-            raise NonFinite("atom values must be strictly increasing")
+            raise SpecInvalid("atom values must be strictly increasing")
         object.__setattr__(self, "_values", vals)
         object.__setattr__(self, "_probs", probs)
 
@@ -288,7 +288,10 @@ class Rayleigh(FadingDistribution, kind="rayleigh", keys=("sigma", "loc", "scale
     def pdf(self, x):
         r = (np.asarray(x, dtype=float) - self.loc) / self.scale
         s2 = self.sigma ** 2
-        out = np.where(r > 0, r / s2 * np.exp(-np.minimum(r * r / (2 * s2), 745.0)), 0.0)
+        # past 40 sigma the exponent underflows to 0, so |r| stops there and
+        # its square stays finite
+        t = np.minimum(np.abs(r), 40 * self.sigma)
+        out = np.where(r > 0, t / s2 * np.exp(-(t * t / (2 * s2))), 0.0)
         return out / abs(self.scale)
 
     def support(self):
@@ -363,7 +366,7 @@ class TabulatedDensity(FadingDistribution, kind="tabulated", keys=("grid",)):
         if len(xs) < 3:
             raise ZeroVariance("tabulated density needs at least 3 grid points")
         if np.any(np.diff(xs) <= 0):
-            raise NonFinite("grid values must be strictly increasing")
+            raise SpecInvalid("grid values must be strictly increasing")
         if np.any(ds < 0):
             raise InvalidP("negative density value")
         z = np.trapezoid(ds, xs)

@@ -43,7 +43,6 @@ class GPInstance:
     aux_size: int
     outputs: tuple
     kernel: tuple  # nested (nx, ns, ny) probability table W(y | x, s)
-    rcsi: bool = False
 
     def __post_init__(self):
         pr = _frozen_array(self.prior)
@@ -79,14 +78,14 @@ class GPInstance:
             "aux_size": self.aux_size,
             "outputs": [list(y) if isinstance(y, tuple) else y for y in self.outputs],
             "kernel": self.kernel_array.tolist(),
-            "rcsi": self.rcsi,
         }
 
     @staticmethod
     def from_json(obj):
         """Instance from a JSON object or its text (str or bytes); a missing
         key, a value of the wrong type, bad JSON or bad UTF-8 raises
-        SpecInvalid."""
+        SpecInvalid.  Other keys, such as the `rcsi` flag of older instance
+        files, are ignored."""
         with malformed("GP instance"):
             if isinstance(obj, (str, bytes)):
                 obj = json.loads(obj)
@@ -99,7 +98,6 @@ class GPInstance:
                 aux_size=int(obj["aux_size"]),
                 outputs=outputs,
                 kernel=kernel,
-                rcsi=bool(obj.get("rcsi", False)),
             )
 
 
@@ -273,5 +271,4 @@ def binary_nonoise_instance(a_atoms, rcsi: bool = True, aux_size: int = 4) -> GP
         aux_size=aux_size,
         outputs=tuple(out),
         kernel=tuple(tuple(tuple(row) for row in plane) for plane in W),
-        rcsi=rcsi,
     )

@@ -2,6 +2,7 @@ import itertools
 import json
 import math
 import os
+import re
 import shlex
 import subprocess
 import sys
@@ -14,7 +15,9 @@ import pytest
 import fadingdirt
 from fadingdirt import cli, errors, harness
 from fadingdirt.cli import main
-from fadingdirt.fading import strong_support
+from fadingdirt.bounds_norcsi import ChannelParams
+from fadingdirt.fading import parse_distribution, strong_support
+from fadingdirt.gauss_mi import CostaAssignment, costa_rate_exact
 
 from laws import TABULATED_0
 
@@ -133,9 +136,26 @@ _WIDEST_LOGNORMAL = '{"kind":"lognormal","sigma2":1000}'
 
 # four atoms, none of mass >= 1/2
 _NO_DOMINANT = '{"kind":"discrete","atoms":[[-1.5,0.3],[-0.5,0.2],[0.5,0.2],[1.5,0.3]]}'
-# a two-symbol GP instance with the prior's first entry and one kernel entry to fill in
-_GP_INSTANCE = ('{"states":[0,1],"prior":[%s,0.5],"inputs":[0,1],"aux_size":2,'
-                '"outputs":[0,1],"kernel":[[[1,0],[1,0]],[[0,1],[%s,1]]]}')
+
+
+def _gp_instance(prior="[0.5,0.5]", aux_size=2, kernel="[[[1,0],[1,0]],[[0,1],[0,1]]]"):
+    """A two-symbol GP instance literal, with any of three fields replaced."""
+    return ('{"states":[0,1],"prior":%s,"inputs":[0,1],"aux_size":%s,"outputs":[0,1],'
+            '"kernel":%s}' % (prior, aux_size, kernel))
+
+
+# the files that the `gp --instance` rows read, by the placeholder of their path
+_INSTANCE_FILES = {
+    "{instance}": b'{"states": [0, 1]}',
+    "{binary}": b'{"states": "\xff"}',
+    "{nan-prior}": _gp_instance(prior="[NaN,0.5]").encode(),
+    "{nan-kernel}": _gp_instance(kernel="[[[1,0],[1,0]],[[0,1],[NaN,1]]]").encode(),
+    "{short-prior}": _gp_instance(prior="[1]").encode(),
+    "{zero-aux}": _gp_instance(aux_size=0).encode(),
+    "{short-kernel}": _gp_instance(kernel="[[[1,0],[1,0]]]").encode(),
+}
+# a NaN mass passed every check of its law before the pairs were checked finite
+_NAN_MASS = '{"kind":"discrete","atoms":[[0,NaN],[1,1]]}'
 
 # outside input the theorems cannot take: malformed literals and files, and
 # laws of the wrong kind
@@ -222,6 +242,9 @@ _BAD_INPUT = {
                          "--atoms", "[[Infinity,0.5],[-1,0.5]]"],
     "instance-nan-prior": ["gp", "--instance", "{nan-prior}"],
     "instance-nan-kernel": ["gp", "--instance", "{nan-kernel}"],
+    "instance-short-prior": ["gp", "--instance", "{short-prior}"],
+    "instance-zero-aux": ["gp", "--instance", "{zero-aux}"],
+    "instance-short-kernel": ["gp", "--instance", "{short-kernel}"],
     # QUADPACK returned nan on an infinite end; a NaN end read as an empty interval
     "bounds-infinite-interval": ["bounds", "--theorem", "continuous", "--P", "10", "--c", "3",
                                  "--interval", "0", "inf"],
@@ -231,9 +254,32 @@ _BAD_INPUT = {
     # of a cell 5e196 wide left a' at 1.97e66; its root lies past the support
     "bounds-wide-interval": ["bounds", "--theorem", "continuous", "--P", "10", "--c", "3",
                              "--interval", "-1", "1e200"],
+    # the density's spike, 1e-7 wide at 0.00025, falls between two points of
+    # the a' grid, which never sees it cross P(I)/(b - a)
+    "bounds-never-crosses": ["bounds", "--theorem", "continuous", "--P", "1", "--c", "1",
+                             "--dist", '{"kind":"gaussian","mean":0.00025,"var":1e-14}',
+                             "--interval", "-1", "1"],
+    # gains and powers whose squares or products leave the float range
+    "overflow-continuous-gain": ["bounds", "--theorem", "continuous", "--P", "10",
+                                 "--c", "1e200", "--dist", "gaussian"],
+    # c^2 is finite but P c^2 is not, which quad would turn into a silent 0 bits
+    "overflow-continuous-power-gain": ["bounds", "--theorem", "continuous", "--P", "10",
+                                       "--c", "1e154", "--dist", "gaussian"],
+    "overflow-continuous-sweep-power-gain": ["sweep", "--theorem", "continuous",
+                                             "--dist", "gaussian", "--P-grid", "10",
+                                             "--c2-grid", "1e308"],
+    "overflow-strong-gain": ["bounds", "--theorem", "strong", "--P", "10", "--c", "1e200",
+                             "--dist", _STRONG4],
+    "overflow-phase-binomial-power": ["bounds", "--theorem", "phase-binomial", "--P", "1e308",
+                                      "--c", "1e154", "--delta", "1.5"],
+    "overflow-mass-half-gain": ["bounds", "--theorem", "mass-half", "--P", "10",
+                                "--c", "1e200", "--dist", "two-point"],
+    "overflow-mi-norcsi-gain": ["mi", "--no-rcsi", "--P", "3", "--c", "1e200",
+                                "--dist", "gaussian", "--n", "10000"],
+    # numpy's ValueError and min() of an empty sequence ended in a traceback
+    "nan-mass-mi": ["mi", "--P", "3", "--n", "10000", "--dist", _NAN_MASS],
+    "nan-mass-sweep": ["sweep", "--theorem", "mass-half", "--dist", _NAN_MASS],
 }
-# a NaN mass passed every check of its law before the pairs were checked finite
-_NAN_MASS = '{"kind":"discrete","atoms":[[0,NaN],[1,1]]}'
 # law literals that fail their own checks, read by `bounds --theorem no-rcsi`
 _BAD_LITERALS = {
     "discrete-no-atoms": ('{"kind":"discrete","atoms":[]}', "ZeroVariance"),
@@ -241,7 +287,8 @@ _BAD_LITERALS = {
     "discrete-nan-atom": ('{"kind":"discrete","atoms":[[NaN,1]]}', "NonFinite"),
     "uniform-point": ('{"kind":"uniform","lo":1,"hi":1}', "ZeroVariance"),
     "tabulated-two-nodes": ('{"kind":"tabulated","grid":[[0,1],[1,1]]}', "ZeroVariance"),
-    "tabulated-unsorted": ('{"kind":"tabulated","grid":[[0,1],[2,1],[1,1]]}', "NonFinite"),
+    "discrete-unsorted": ('{"kind":"discrete","atoms":[[1,0.5],[-1,0.5]]}', "SpecInvalid"),
+    "tabulated-unsorted": ('{"kind":"tabulated","grid":[[0,1],[2,1],[1,1]]}', "SpecInvalid"),
     "tabulated-negative-density": ('{"kind":"tabulated","grid":[[0,1],[1,-1],[2,1]]}',
                                    "InvalidP"),
     "rayleigh-zero-sigma": ('{"kind":"rayleigh","sigma":0}', "ZeroVariance"),
@@ -309,9 +356,22 @@ _EXPECTED_KIND = {
     "gp-infinite-atom": "NonFinite",
     "instance-nan-prior": "NonFinite",
     "instance-nan-kernel": "NonFinite",
+    "instance-short-prior": "SpecInvalid",
+    "instance-zero-aux": "SpecInvalid",
+    "instance-short-kernel": "SpecInvalid",
     "bounds-infinite-interval": "NonFinite",
     "bounds-nan-interval": "NonFinite",
     "bounds-wide-interval": "RootNotFound",
+    "bounds-never-crosses": "RootNotFound",
+    "overflow-continuous-gain": "NonFinite",
+    "overflow-continuous-power-gain": "NonFinite",
+    "overflow-continuous-sweep-power-gain": "NonFinite",
+    "overflow-strong-gain": "NonFinite",
+    "overflow-phase-binomial-power": "NonFinite",
+    "overflow-mass-half-gain": "NonFinite",
+    "overflow-mi-norcsi-gain": "NonFinite",
+    "nan-mass-mi": "NonFinite",
+    "nan-mass-sweep": "NonFinite",
 }
 for _name, (_law, _kind) in _BAD_LITERALS.items():
     _BAD_INPUT[_name] = ["bounds", "--theorem", "no-rcsi", "--P", "1", "--dist", _law]
@@ -327,7 +387,7 @@ for _name, (_law, _kind) in _BAD_LAWS.items():
 def test_gp_instance_template_runs(capsys, tmp_path):
     # the instance-nan-* cases fail on their NaN alone
     path = tmp_path / "inst.json"
-    path.write_text(_GP_INSTANCE % ("0.5", "0"))
+    path.write_text(_gp_instance())
     code, out, _ = run_cli(capsys, "gp", "--instance", str(path), "--restarts", "2")
     assert code == 0
     assert math.isfinite(json.loads(out)["value_bits"])
@@ -335,23 +395,21 @@ def test_gp_instance_template_runs(capsys, tmp_path):
 
 @pytest.mark.parametrize("name", list(_BAD_INPUT))
 def test_bad_input_exit_3(capsys, tmp_path, name):
-    instance = tmp_path / "inst.json"
-    instance.write_text('{"states": [0, 1]}')
-    binary = tmp_path / "inst.bin"
-    binary.write_bytes(b'{"states": "\xff"}')
-    nan_prior = tmp_path / "nan-prior.json"
-    nan_prior.write_text(_GP_INSTANCE % ("NaN", "0"))
-    nan_kernel = tmp_path / "nan-kernel.json"
-    nan_kernel.write_text(_GP_INSTANCE % ("0.5", "NaN"))
-    paths = {"{instance}": instance, "{binary}": binary, "{missing}": tmp_path / "missing",
-             "{nan-prior}": nan_prior, "{nan-kernel}": nan_kernel}
+    paths = {"{missing}": tmp_path / "missing"}
+    for i, (key, data) in enumerate(_INSTANCE_FILES.items()):
+        paths[key] = tmp_path / f"inst{i}.json"
+        paths[key].write_bytes(data)
     argv = list(_BAD_INPUT[name])
     for key, path in paths.items():
         argv = [a.replace(key, str(path)) for a in argv]
     code, out, err = run_cli(capsys, *argv)
     assert code == 3
     assert out == ""
-    kind = err.split(":")[1].strip()
+    # one line: under warnings-as-errors a warning raises where it is issued,
+    # and the traceback it starts escapes `main`
+    line = re.fullmatch(r"error: (\w+): .*\n", err)
+    assert line, err
+    kind = line.group(1)
     assert issubclass(getattr(errors, kind), errors.ToolkitError), err
     assert kind == _EXPECTED_KIND.get(name, kind), err
     assert "np.float64(" not in err
@@ -424,26 +482,6 @@ def test_bounds_agrees_with_the_sweep_row(capsys, theorem, c):
     assert "%.12g" % payload["outer"]["bits"] == row["outer_bits"]
 
 
-# gains and powers whose squares or products leave the float range
-_OVERFLOW = {
-    "continuous-gain": ["bounds", "--theorem", "continuous", "--P", "10", "--c", "1e200",
-                        "--dist", "gaussian"],
-    # c^2 is finite but P c^2 is not, which quad would turn into a silent 0 bits
-    "continuous-power-gain": ["bounds", "--theorem", "continuous", "--P", "10", "--c", "1e154",
-                              "--dist", "gaussian"],
-    "continuous-sweep-power-gain": ["sweep", "--theorem", "continuous", "--dist", "gaussian",
-                                    "--P-grid", "10", "--c2-grid", "1e308"],
-    "strong-gain": ["bounds", "--theorem", "strong", "--P", "10", "--c", "1e200",
-                    "--dist", _STRONG4],
-    "phase-binomial-power": ["bounds", "--theorem", "phase-binomial", "--P", "1e308",
-                             "--c", "1e154", "--delta", "1.5"],
-    "mass-half-gain": ["bounds", "--theorem", "mass-half", "--P", "10", "--c", "1e200",
-                       "--dist", "two-point"],
-    "mi-norcsi-gain": ["mi", "--no-rcsi", "--P", "3", "--c", "1e200", "--dist", "gaussian",
-                       "--n", "10000"],
-}
-
-
 def run_fresh_cli(*argv):
     """The command in a fresh interpreter that shows warnings: a traceback
     or a warning reaches stderr, where in process they raise."""
@@ -452,26 +490,6 @@ def run_fresh_cli(*argv):
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     return subprocess.run([sys.executable, "-W", "default", "-m", "fadingdirt", *argv],
                           capture_output=True, env=env, timeout=120)
-
-
-@pytest.mark.parametrize("name", list(_OVERFLOW))
-def test_overflow_exits_3_with_only_the_error_line(name):
-    proc = run_fresh_cli(*_OVERFLOW[name])
-    assert proc.returncode == 3, proc.stderr
-    assert proc.stdout == b""
-    lines = proc.stderr.decode().splitlines()
-    assert len(lines) == 1 and lines[0].startswith("error: NonFinite: "), lines
-
-
-@pytest.mark.parametrize("argv", [["mi", "--P", "3", "--n", "10000"],
-                                  ["sweep", "--theorem", "mass-half"]], ids=["mi", "sweep"])
-def test_nan_mass_exits_3_with_only_the_error_line(argv):
-    # numpy's ValueError and min() of an empty sequence ended in a traceback
-    proc = run_fresh_cli(*argv, "--dist", _NAN_MASS)
-    assert proc.returncode == 3, proc.stderr
-    assert proc.stdout == b""
-    lines = proc.stderr.decode().splitlines()
-    assert len(lines) == 1 and lines[0].startswith("error: NonFinite: "), lines
 
 
 def test_quadpack_code_warns_and_exits_0(capsys):
@@ -694,6 +712,18 @@ class TestMiGp:
         payload = json.loads(out)
         assert payload["stderr_bits"] > 0
         assert math.isfinite(payload["estimate_bits"])
+
+    def test_mi_power_split_matches_the_exact_rate(self, capsys):
+        # X2 decoded first, then U with X2 stripped: with the fading known the
+        # two-stage rate is exact
+        code, out, _ = run_cli(capsys, "mi", "--P", "10", "--c", "2", "--dist", "two-point",
+                               "--a-target", "1", "--split", "0.25", "--n", "200000",
+                               "--seed", "0")
+        assert code == 0
+        payload = json.loads(out)
+        exact = costa_rate_exact(ChannelParams(P=10, c=2), parse_distribution("two-point"),
+                                 CostaAssignment(a_target=1.0, split_delta=0.25))
+        assert abs(payload["estimate_bits"] - exact) < 5 * payload["stderr_bits"]
 
     def test_mi_rejects_small_n(self, capsys):
         code, _, err = run_cli(capsys, "mi", "--P", "1", "--n", "100")

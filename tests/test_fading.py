@@ -468,8 +468,10 @@ class TestValidation:
             Discrete(((-1.0, 0.6), (1.0, 0.5)))
 
     def test_discrete_ordering(self):
-        with pytest.raises(NonFinite):
-            Discrete(((1.0, 0.5), (-1.0, 0.5)))
+        # unsorted or repeated atoms are a bad literal, not a non-finite number
+        for atoms in (((1.0, 0.5), (-1.0, 0.5)), ((1.0, 0.5), (1.0, 0.5))):
+            with pytest.raises(SpecInvalid, match="strictly increasing"):
+                Discrete(atoms)
 
     def test_tabulated_normalization(self):
         xs = np.linspace(-1, 1, 101)
@@ -517,6 +519,31 @@ class TestValidation:
     def test_continuous_parameters_finite_and_positive(self, make, error):
         with pytest.raises(error):
             make()
+
+
+def _clamped_rayleigh_pdf(law, x):
+    """The Rayleigh density as it was when r^2/(2 sigma^2) was clamped at 745."""
+    r = (np.asarray(x, dtype=float) - law.loc) / law.scale
+    s2 = law.sigma ** 2
+    out = np.where(r > 0, r / s2 * np.exp(-np.minimum(r * r / (2 * s2), 745.0)), 0.0)
+    return out / abs(law.scale)
+
+
+class TestRayleighTail:
+    @pytest.mark.parametrize("x", [100.0, 1e10, 1e200, 1e308, -1e308])
+    def test_zero_far_past_the_support(self, x):
+        # the clamp read 2.2e-322 at 100 and 2.1e-314 at 1e10, and r * r
+        # overflowed past 1.3e154; warnings are errors here
+        law = parse_distribution("rayleigh")
+        assert law.pdf(x) == 0.0
+        assert law.pdf(np.array([0.0, x]))[1] == 0.0
+
+    @pytest.mark.parametrize("law", [parse_distribution("rayleigh"), Rayleigh(1.0),
+                                     Rayleigh(1.5, 0.1, 2.0), Rayleigh(1.0, 0.0, -1.0)],
+                             ids=["unit", "sigma-1", "shifted", "mirrored"])
+    def test_support_values_unchanged(self, law):
+        xs = np.linspace(*law.support(), 200001)
+        np.testing.assert_array_equal(law.pdf(xs), _clamped_rayleigh_pdf(law, xs))
 
 
 class TestMirroredRayleigh:

@@ -160,6 +160,12 @@ class TestCostaExact:
         with pytest.raises(SingularCovariance):
             CostaAssignment(a_target=0.0, split_delta=1.5)
 
+    def test_rejects_singular_covariance(self):
+        # at P = 1e20 with k = 1 on the atom a = 1, det(U, Y) rounds to 0
+        with pytest.raises(SingularCovariance, match="singular"):
+            costa_rate_exact(ChannelParams(P=1e20, c=1), TWO_POINT,
+                             CostaAssignment(a_target=1.0, inflation_k=1.0))
+
 
 # The exact rate as it was before its two receiver routes became one
 # per-atom formula, kept as its oracle: a first stage on E[A^2] for both
@@ -368,6 +374,10 @@ _SPLIT_ONE_PINS = [
                  (0.47425585337624926, 0.0033359144067347983), id="norcsi-geometric"),
     pytest.param(Discrete(((-1.0, 0.3), (1.0, 0.7))), CostaAssignment(rcsi=False),
                  (0.37765189535539995, 0.003037194723486238), id="norcsi-per-atom"),
+    # `mi` on the log-normal law at its default a' = 0: only the drawn fading
+    # values are read, so a law whose mass the 401-node grid misses runs
+    pytest.param(LogNormal(0.0, 0.25, 0.0, 1.6559018331762287), CostaAssignment(),
+                 (0.1962446790257961, 0.002221144891952048), id="rcsi-lognormal-default"),
 ]
 
 

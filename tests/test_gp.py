@@ -231,6 +231,8 @@ class TestEvaluate:
 
     def test_malformed_assignment(self):
         inst = binary_nonoise_instance(ATOMS_2)
+        with pytest.raises(MalformedAssignment, match=r"p\(u\|s\) must have shape"):
+            evaluate_assignment(inst, np.full((2, 4), 0.5), np.zeros((4, 2), int))
         with pytest.raises(MalformedAssignment):
             evaluate_assignment(inst, np.full((4, 2), 0.5), np.zeros((4, 2), int))
         with pytest.raises(MalformedAssignment):
@@ -439,3 +441,11 @@ class TestInstance:
         import json
         inst = binary_nonoise_instance(ATOMS_2)
         assert GPInstance.from_json(json.dumps(inst.to_json())) == inst
+
+    @pytest.mark.parametrize("rcsi", [True, False])
+    def test_json_rcsi_key_still_loads(self, rcsi):
+        # instance files once carried the receiver flag, which no solver read;
+        # the kernel alone says what the receiver sees
+        inst = binary_nonoise_instance(ATOMS_2, rcsi=rcsi)
+        assert "rcsi" not in inst.to_json()
+        assert GPInstance.from_json({**inst.to_json(), "rcsi": rcsi}) == inst
