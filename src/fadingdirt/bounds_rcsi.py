@@ -222,15 +222,15 @@ def _check_equiprobable(probs):
         raise NotUniform("support must be equiprobable")
 
 
-def strong_condition_check(support: Discrete, c2: float, alpha_sf: float) -> bool:
-    """Spacing condition of the strong-fading theorem at gain c, c2 = c^2.
+def strong_condition_check(support: Discrete, c2: float) -> bool:
+    """Spacing condition of the strong-fading theorem at gain c, c2 = c^2,
+    with alpha = c^2/(c^2+1).
 
     Checks the homogeneous part of the printed condition: for every gap
     beyond the second, gap_{i+1}^2 >= (alpha c^2 - 1) * sum of the squared
     gaps up to i-1.  The printed additive constant (and the Delta_1 > alpha
     clause) cannot hold for any unit-variance support with M >= 4 and is
-    dropped; the worked construction then satisfies the condition for
-    alpha = c^2/(c^2+1) as claimed.
+    dropped; the worked construction then satisfies the condition as claimed.
     """
     if not support.is_discrete:
         raise NotUniform("strong-fading support must be discrete")
@@ -238,7 +238,7 @@ def strong_condition_check(support: Discrete, c2: float, alpha_sf: float) -> boo
     if len(support.values) < 2:
         raise NotUniform("strong-fading support needs at least 2 atoms")
     gaps = np.diff(support.values)
-    k = alpha_sf * c2 - 1.0
+    k = c2 / (c2 + 1.0) * c2 - 1.0
     for m in range(2, len(gaps)):
         if gaps[m] ** 2 < k * float(np.sum(gaps[:m - 1] ** 2)):
             return False
@@ -250,13 +250,12 @@ def strong_params(support: Discrete, c2: float) -> StrongFadingParams:
     (a sweep's grid value, not sqrt(c2)**2): alpha_sf = c2/(c2 + 1), the
     spacing condition, the support size and mean, and G-tilde with a' the
     atom nearest 0."""
-    alpha_sf = c2 / (c2 + 1.0)
-    ok = strong_condition_check(support, c2, alpha_sf)
+    ok = strong_condition_check(support, c2)
     vals = support.values
     a_prime = float(min(vals, key=abs))
     rest = [v for v in vals if v != a_prime]
     g_tilde = float(sum(_spread_terms(rest, a_prime, "G-tilde")))
-    return StrongFadingParams(M=len(vals), alpha_sf=alpha_sf, G_tilde=g_tilde,
+    return StrongFadingParams(M=len(vals), alpha_sf=c2 / (c2 + 1.0), G_tilde=g_tilde,
                               mu_A=support.mean, condition_ok=ok)
 
 

@@ -271,7 +271,9 @@ class Rayleigh(FadingDistribution, kind="rayleigh", keys=("sigma", "loc", "scale
     scale: float = 1.0
 
     def __post_init__(self):
-        _check_law(self, self.sigma > 0 and self.scale != 0, "sigma > 0 and scale != 0")
+        # a sigma whose square underflows leaves the density dividing by 0
+        _check_law(self, self.sigma > 0 and self.sigma * self.sigma > 0 and self.scale != 0,
+                   "sigma > 0, sigma^2 > 0 and scale != 0")
 
     @property
     def mean(self):

@@ -328,11 +328,13 @@ def test_inner_mass_half_equals_array_oracle(law, P, c):
     params = ChannelParams(P=P, c=c)
     mp_ = mass_half_params(law)
     got = inner_mass_half(params, law, mp_)
-    assert (got.bits, got.branch) == _array_best(params, law, mp_.a_prime)
+    assert ((got.bits, got.branch, got.theorem, got.assumptions_ok)
+            == (*_array_best(params, law, mp_.a_prime), "mass-half-inner",
+                {"dominant_mass": True}))
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.integers(2, 6), st.floats(1.05, 4.0), _POWERS, _GAINS)
+@given(st.integers(2, 6), st.floats(1.05, 8.0), _POWERS, _GAINS)
 def test_inner_strong_equals_array_oracle(M, ratio, P, c):
     params = ChannelParams(P=P, c=c)
     support = strong_support(M, ratio)
@@ -340,7 +342,8 @@ def test_inner_strong_equals_array_oracle(M, ratio, P, c):
     # the first target wins ties
     want = max((_array_best(params, support, float(a)) for a in support.values),
                key=lambda rate_tag: rate_tag[0])
-    assert (got.bits, got.branch) == want
+    assert ((got.bits, got.branch, got.theorem, got.assumptions_ok)
+            == (*want, "strong-inner", {"uniform": True}))
 
 
 # The two choosers that `pick` replaced, kept as its oracles.  An outer bound
@@ -354,22 +357,6 @@ def _min_branch(theorem, branches, assumptions):
         raise ZeroGain(f"{theorem}: no branch condition holds (c too small?)")
     bits, tag = min(valid)
     return RateBound(bits=float(bits), theorem=theorem, branch=tag, assumptions_ok=assumptions)
-
-
-_STRATEGIES = ("treat-as-noise", "costa", "power-split")
-
-
-def _best_strategy(params, values, probs, targets=None):
-    ea2 = float(np.dot(values ** 2, probs))
-    values, probs = values.tolist(), probs.tolist()
-    best = None
-    for a_prime in values if targets is None else targets:
-        rates = [bits for bits, _, _ in
-                 bounds_rcsi._inner_strategies(params, values, probs, ea2, a_prime)]
-        i = max(range(3), key=rates.__getitem__)
-        if best is None or rates[i] > best[0]:
-            best = rates[i], _STRATEGIES[i]
-    return best
 
 
 _BRANCH_NAMES = ("large-gain", "moderate-gain", "pre-optimized", "treat-as-noise")
@@ -418,26 +405,39 @@ def test_outer_continuous_equals_min_branch_oracle(law, P, c):
     _outer_equals_oracle(outer_continuous(ChannelParams(P=P, c=c), _CONTINUOUS_PARAMS[law]))
 
 
+_STRATEGIES = ("treat-as-noise", "costa", "power-split")
+
+
+def _first_best_strategy(candidates):
+    """The old inner chooser over a bound's own candidates, which list the
+    three strategies at each precoding target in turn."""
+    assert [branch for _, branch, _ in candidates] == list(_STRATEGIES) * (len(candidates) // 3)
+    best = None
+    for at in range(0, len(candidates), 3):
+        rates = [bits for bits, _, _ in candidates[at:at + 3]]
+        i = max(range(3), key=rates.__getitem__)
+        if best is None or rates[i] > best[0]:
+            best = rates[i], _STRATEGIES[i]
+    return best
+
+
 @settings(max_examples=75, deadline=None)
 @given(mass_half_literals(), _POWERS, _GAINS)
 def test_inner_mass_half_equals_best_strategy_oracle(law, P, c):
-    params = ChannelParams(P=P, c=c)
-    mp_ = mass_half_params(law)
-    got = inner_mass_half(params, law, mp_)
-    bits, branch = _best_strategy(params, law.values, law.probs, [mp_.a_prime])
+    got = inner_mass_half(ChannelParams(P=P, c=c), law, mass_half_params(law))
+    assert len(got.candidates) == 3
     assert ((got.bits, got.branch, got.theorem, got.assumptions_ok)
-            == (bits, branch, "mass-half-inner", {"dominant_mass": True}))
+            == (*_first_best_strategy(got.candidates), "mass-half-inner",
+                {"dominant_mass": True}))
 
 
 @settings(max_examples=100, deadline=None)
 @given(st.integers(2, 6), st.floats(1.5, 8.0), _POWERS, _GAINS)
 def test_inner_strong_equals_best_strategy_oracle(M, ratio, P, c):
-    params = ChannelParams(P=P, c=c)
-    support = strong_support(M, ratio)
-    got = inner_strong(params, support)
-    bits, branch = _best_strategy(params, support.values, support.probs)
+    got = inner_strong(ChannelParams(P=P, c=c), strong_support(M, ratio))
+    assert len(got.candidates) == 3 * M
     assert ((got.bits, got.branch, got.theorem, got.assumptions_ok)
-            == (bits, branch, "strong-inner", {"uniform": True}))
+            == (*_first_best_strategy(got.candidates), "strong-inner", {"uniform": True}))
 
 
 class TestStrongCondition:
@@ -445,20 +445,20 @@ class TestStrongCondition:
     @pytest.mark.parametrize("c", [2.0, 4.0, 8.0])
     def test_construction_passes(self, M, c):
         d = strong_support(M, c)
-        assert strong_condition_check(d, c * c, c * c / (c * c + 1.0))
+        assert strong_condition_check(d, c * c)
 
     def test_equally_spaced_fails_at_large_gain(self):
         vals = np.linspace(-1, 1, 5)
         vals = (vals - vals.mean()) / vals.std()
         d = Discrete(tuple((float(v), 0.2) for v in vals))
-        assert not strong_condition_check(d, 400.0, 400.0 / 401.0)
+        assert not strong_condition_check(d, 400.0)
 
     def test_m2_vacuous(self):
-        assert strong_condition_check(TWO_POINT, 1e4, 0.99)
+        assert strong_condition_check(TWO_POINT, 1e4)
 
     def test_not_uniform(self):
         with pytest.raises(NotUniform):
-            strong_condition_check(Discrete(((-1.0, 0.7), (1.0, 0.3))), 4.0, 0.8)
+            strong_condition_check(Discrete(((-1.0, 0.7), (1.0, 0.3))), 4.0)
 
     @pytest.mark.parametrize("c", [2.0, 8.0])
     def test_params_carry_the_condition_and_the_mean(self, c):
@@ -466,7 +466,7 @@ class TestStrongCondition:
         shifted = Discrete(tuple((float(v) + 1.0, 0.25) for v in base.values))
         sp = strong_params(shifted, c * c)
         assert sp.alpha_sf == c * c / (c * c + 1.0)
-        assert sp.condition_ok is strong_condition_check(shifted, c * c, sp.alpha_sf)
+        assert sp.condition_ok is strong_condition_check(shifted, c * c)
         assert sp.condition_ok is (c == 2.0)
         assert sp.mu_A == pytest.approx(1.0, abs=1e-12)
 
