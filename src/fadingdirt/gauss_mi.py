@@ -192,11 +192,18 @@ def mi_monte_carlo(params: ChannelParams, dist: FadingDistribution,
     log p(y | u, x2) - log p(y) - [log p(u | s) - log p(u)]: the laws of Y
     given (U, X2) and of Y are Gaussian mixtures over the fading atoms with
     closed-form component moments (single Gaussians given A), and the (U, S)
-    pair is exactly jointly Gaussian.  Samples are partitioned into fixed
+    pair is exactly jointly Gaussian.  At k = 0, U = X1 and the U-term is
+    exactly 0, so it is not formed.  Samples are partitioned into fixed
     independent streams whose running moments are merged, so the result
     depends on (seed, n) only.  A stream's draws are held whole, in buffers
     the streams share; its ratios are scored in chunks of `_CHUNK_DOUBLES`
     doubles of scratch.
+
+    The scoring reads per-atom columns: c a and, with side information,
+    the posterior-mean coefficient, 2 v and 2 v_y of the two Gaussians and
+    log(v_y / v) / 2.  A discrete law builds them once per call, draws one
+    atom index per sample and gathers them per chunk; a density builds them
+    per chunk from the drawn values.
     """
     n = int(n)
     if n < 10 ** 4:
@@ -213,17 +220,22 @@ def mi_monte_carlo(params: ChannelParams, dist: FadingDistribution,
         coef = (P1 + c * a * k) / var_u
         return coef, P1 + c * c * a * a - (P1 + c * a * k) ** 2 / var_u + 1.0
 
-    # score(a, y1, y, u, mix) is log p(y1 | u[, a]) - log p(y[, a]) per sample
-    # of a chunk, with y1 = y - x2 and mix a (rows x cols) scratch buffer
+    # score(cols, y1, y, u, mix) is log p(y1 | u[, a]) - log p(y[, a]) per
+    # sample of a chunk, with cols = columns(a), y1 = y - x2 and mix a
+    # (rows x width) scratch buffer
     if asg.rcsi:
         # reads only the drawn fading values
         _check_range(params, P1, k, *dist.support())
-        rows, cols = max(1, _CHUNK_DOUBLES // 8), 0
+        rows, width = max(1, _CHUNK_DOUBLES // 8), 0
 
-        def score(a, y1, y, u, mix):
+        def columns(a):
             coef, v = moments(a)
             vy = P + c * c * a * a + 1.0
-            return 0.5 * np.log(vy / v) - (y1 - coef * u) ** 2 / (2.0 * v) + y * y / (2.0 * vy)
+            return c * a, coef, 2.0 * v, 2.0 * vy, 0.5 * np.log(vy / v)
+
+        def score(cols, y1, y, u, mix):
+            _, coef, two_v, two_vy, half_log = cols
+            return half_log - (y1 - coef * u) ** 2 / two_v + y * y / two_vy
     else:
         # reads the law through its atoms or a grid
         av, aw = _mixture_atoms(dist)
@@ -235,11 +247,22 @@ def mi_monte_carlo(params: ChannelParams, dist: FadingDistribution,
         log_aw = np.log(aw)
         given_u = (-0.5 / v, log_aw - 0.5 * np.log(2.0 * math.pi * v))
         marginal = (-0.5 / vy, log_aw - 0.5 * np.log(2.0 * math.pi * vy))
-        rows, cols = max(1, _CHUNK_DOUBLES // len(av)), len(av)
+        rows, width = max(1, _CHUNK_DOUBLES // len(av)), len(av)
 
-        def score(a, y1, y, u, mix):
+        def columns(a):
+            return (c * a,)
+
+        def score(cols, y1, y, u, mix):
             return (_log_mixture(mix, y1, *given_u, u, coef)
                     - _log_mixture(mix, y, *marginal, u, 0.0))
+    if dist.is_discrete:  # columns per atom, gathered by each sample's atom index
+        table = columns(dist.values)
+
+        def gather(index):
+            index = index.astype(np.intp, copy=False)
+            return [col.take(index) for col in table]
+    else:
+        gather = columns
     # log(P1 / var_u) / 2 from the log-densities of U given S and of U
     lr_u = 0.5 * math.log(P1 / var_u)
 
@@ -253,10 +276,13 @@ def mi_monte_carlo(params: ChannelParams, dist: FadingDistribution,
     mean, m2, cnt = 0.0, 0.0, 0.0
     for j, rng in enumerate(rngs):
         nj = int(counts[j])
-        a = dist._draw(rng, nj)
+        if dist.is_discrete:  # the uniforms fill the ratios' buffer, unread until scored
+            drawn = dist._draw_index(rng, nj, r_buf[:nj])
+        else:
+            drawn = dist._draw(rng, nj)
         # made after the law's draw, so that the draw's temporaries and this
         # buffer are never held at once
-        mix = np.empty((rows, cols))
+        mix = np.empty((rows, width))
         s = rng.standard_normal(out=s_buf[:nj])
         x1 = rng.standard_normal(out=x1_buf[:nj])
         x1 *= math.sqrt(P1)
@@ -267,13 +293,15 @@ def mi_monte_carlo(params: ChannelParams, dist: FadingDistribution,
         ratio = r_buf[:nj]
         for lo in range(0, nj, rows):
             cut = slice(lo, lo + rows)
-            u = x1[cut] + k * s[cut]
-            y1 = x1[cut] + c * a[cut] * s[cut] + z[cut]
+            cols = gather(drawn[cut])
+            u = x1[cut] + k * s[cut] if k else x1[cut]
+            y1 = x1[cut] + cols[0] * s[cut] + z[cut]
             y = y1 + x2[cut] if P2 > 0 else y1
-            r = score(a[cut], y1, y, u, mix)
-            r += x1[cut] * x1[cut] / (2.0 * P1) - u * u / (2.0 * var_u) + lr_u
+            r = score(cols, y1, y, u, mix)
+            if k:  # at k = 0, U = X1 and the U-term is exactly 0
+                r += x1[cut] * x1[cut] / (2.0 * P1) - u * u / (2.0 * var_u) + lr_u
             np.divide(r, LN2, out=ratio[cut])
-        del a, mix  # before the next stream draws its own
+        del drawn, mix  # before the next stream draws its own
 
         mean_j = ratio.mean()
         np.subtract(ratio, mean_j, out=ratio)

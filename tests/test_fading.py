@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fadingdirt import fading
 from fadingdirt.cli import main
 from fadingdirt.errors import (
     DiscreteUnsupported,
@@ -40,6 +41,7 @@ from fadingdirt.fading import (
     normalize_unit_variance,
     parse_distribution,
     sample,
+    seeded_rng,
     strong_support,
     unit_rayleigh,
 )
@@ -364,6 +366,41 @@ class TestConstructions:
             strong_support(1, 2.0)
         with pytest.raises(InvalidC):
             strong_support(3, 1.0)
+
+
+_CATALOG_LAWS = st.one_of(
+    st.just(parse_distribution("two-point")),
+    st.builds(geometric_fading, st.floats(0.05, 0.95)),
+    st.builds(binomial_fading, st.integers(1, 160), st.floats(0.05, 0.95)),
+    st.builds(strong_support, st.integers(2, 8), st.floats(1.5, 4.0)))
+
+
+@st.composite
+def literal_laws(draw):
+    """Laws on 0, 1, 2, ... with random masses, some of them 0, of 2 atoms up
+    to fading._COMPARE_ATOMS (counted by comparisons) or of up to 44 more
+    (found by binary search)."""
+    top = fading._COMPARE_ATOMS
+    m = draw(st.one_of(st.integers(2, top), st.integers(top + 1, top + 44)))
+    gen = np.random.default_rng(draw(st.integers(0, 2 ** 32)))
+    w = gen.random(m) * (gen.random(m) >= draw(st.floats(0.0, 0.9)))
+    w[gen.integers(m)] += 1.0
+    return Discrete(tuple(zip(np.arange(m, dtype=float).tolist(), (w / w.sum()).tolist())))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(_CATALOG_LAWS, literal_laws()), st.integers(1, 3000),
+       st.integers(0, 2 ** 32), st.booleans())
+def test_index_draw_replays_generator_choice(law, n, seed, scratch):
+    # the same indices and values as Generator.choice, leaving the generator
+    # where choice leaves it
+    draws = [(lambda g: law._draw_index(g, n, np.empty(n) if scratch else None),
+              lambda g: g.choice(len(law.values), n, p=law.probs)),
+             (lambda g: law._draw(g, n), lambda g: g.choice(law.values, n, p=law.probs))]
+    for draw, choice in draws:
+        a, b = seeded_rng(seed), seeded_rng(seed)
+        assert np.array_equal(draw(a), choice(b))
+        assert a.random() == b.random()
 
 
 class TestSampler:

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fadingdirt import gauss_mi
+from fadingdirt import fading, gauss_mi
 from fadingdirt.bounds_norcsi import ChannelParams, k_star
 from fadingdirt.bounds_rcsi import inner_continuous
 from fadingdirt.errors import (
@@ -338,7 +338,8 @@ class TestMonteCarlo:
     def test_overflowing_atoms_fail_before_sampling(self, monkeypatch, rcsi):
         # c^2 a^2 overflows at atoms of +-1e170: the moments would warn
         law = Discrete(((-1e170, 0.5), (1e170, 0.5)))
-        monkeypatch.setattr(Discrete, "_draw", lambda *_: pytest.fail("sampled"))
+        for draw in ("_draw", "_draw_index"):
+            monkeypatch.setattr(Discrete, draw, lambda *_: pytest.fail("sampled"))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(NonFinite, match="overflows"):
@@ -354,7 +355,8 @@ class TestMonteCarlo:
     def test_overflowing_moments_fail_before_sampling(self, monkeypatch, params, asg):
         # var(U) = P1 + k^2, the variance of Y or the (U, Y) covariance would
         # overflow once squared normal draws meet them
-        monkeypatch.setattr(Discrete, "_draw", lambda *_: pytest.fail("sampled"))
+        for draw in ("_draw", "_draw_index"):
+            monkeypatch.setattr(Discrete, draw, lambda *_: pytest.fail("sampled"))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(NonFinite, match="overflows"):
@@ -387,6 +389,31 @@ def test_split_one_estimates_are_pinned(law, asg, want):
 
 
 _STRONG4 = strong_support(4, 2.0)
+# 286 atoms, more than fading._COMPARE_ATOMS: its atom indices come from a
+# binary search of the cdf, not from one comparison pass per atom
+_WIDE = geometric_fading(0.1)
+
+# (estimate, stderr) at P=3, c=2, n=1e4+7, seed 4, recorded before a discrete
+# law drew atom indices and scored from per-atom columns, and before the
+# U-term was skipped at k = 0
+_INDEX_DRAW_PINS = [
+    pytest.param(TWO_POINT, CostaAssignment(split_delta=0.5),
+                 (0.32832717560357866, 0.008854728082935942), id="rcsi-two-point-k0-split0.5"),
+    pytest.param(_STRONG4, CostaAssignment(a_target=float(_STRONG4.values[0])),
+                 (0.16673015846210656, 0.0135877522787774), id="rcsi-strong4-atom"),
+    pytest.param(_STRONG4, CostaAssignment(a_target=float(_STRONG4.values[0]), inflation_k=0.75),
+                 (0.33601967291054, 0.01086098627216242), id="rcsi-strong4-atom-k"),
+    pytest.param(_WIDE, CostaAssignment(a_target=1.0),
+                 (0.0041185446591721795, 0.012747531191949445), id="rcsi-wide"),
+    pytest.param(_WIDE, CostaAssignment(rcsi=False),
+                 (0.46934164820210283, 0.010450899298616277), id="norcsi-wide"),
+]
+
+
+@pytest.mark.parametrize("law, asg, want", _INDEX_DRAW_PINS)
+def test_index_draw_estimates_are_pinned(law, asg, want):
+    assert len(_WIDE.values) > fading._COMPARE_ATOMS
+    assert mi_monte_carlo(ChannelParams(P=3, c=2), law, asg, 10 ** 4 + 7, 4) == want
 
 
 @pytest.mark.parametrize("delta", [1.0, 0.5, 0.25])
@@ -526,7 +553,9 @@ class TestMixtureKernel:
         params = ChannelParams(P=3, c=2)
         cases = [(TWO_POINT, CostaAssignment(a_target=1.0, split_delta=0.5), 8),
                  (Gaussian(0.0, 1.0), CostaAssignment(split_delta=0.5, rcsi=False),
-                  len(gauss_mi._mixture_atoms(Gaussian(0.0, 1.0))[0]))]
+                  len(gauss_mi._mixture_atoms(Gaussian(0.0, 1.0))[0])),
+                 (_WIDE, CostaAssignment(a_target=1.0, split_delta=0.5), 8),
+                 (_WIDE, CostaAssignment(split_delta=0.5, rcsi=False), len(_WIDE.values))]
         for law, asg, width in cases:
             want = mi_monte_carlo(params, law, asg, 10 ** 4, 2)
             for rows in (1, 7, 10 ** 4 // 16 + 1):
@@ -537,7 +566,8 @@ class TestMixtureKernel:
     def test_memory_bounded_in_n(self):
         # the draws of one stream (about 4 doubles per sample / 16) plus one
         # chunk of scoring: 8.8 and 10.7 MiB when each stream scored whole,
-        # 4.07 and 4.43 MiB measured with numpy 2.4
+        # 4.07 and 4.43 MiB measured with numpy 2.4, and 3.52 and 4.43 MiB
+        # once a discrete law drew atom indices
         cases = [(TWO_POINT, CostaAssignment(), 10 ** 6, 4.4),
                  (Gaussian(0.0, 1.0), CostaAssignment(rcsi=False), 16 * 10 ** 5, 4.65)]
         for law, asg, n, mib in cases:
