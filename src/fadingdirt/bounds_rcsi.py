@@ -328,9 +328,16 @@ def continuous_interval_params(dist: FadingDistribution, interval) -> Continuous
                     hi = a_prime
                 else:
                     lo = a_prime
+            a_prime = float(a_prime)
+            # a density that jumps across the level has no root there: the
+            # bisection ends on the jump, off the level
+            level = dist.density(a_prime) / target
+            if not abs(level - 1.0) <= 1e-6:
+                raise RootNotFound(f"the density jumps across P(I)/(b-a) at a' = {a_prime!r}, "
+                                   f"where pdf(a')(b-a)/P(I) = {level!r}")
     if not lo_s <= a_prime <= hi_s:
         # P(I) and G-tilde read the law on its support only, where its mass lies
-        raise RootNotFound(f"the density meets P(I)/(b-a) at a' = {float(a_prime)!r}, "
+        raise RootNotFound(f"the density meets P(I)/(b-a) at a' = {a_prime!r}, "
                            f"past the support [{lo_s!r}, {hi_s!r}]")
 
     g = 0.0

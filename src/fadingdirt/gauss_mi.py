@@ -117,8 +117,9 @@ def costa_rate_exact(params: ChannelParams, dist: FadingDistribution,
 _N_STREAMS = 16
 _GRID_POINTS = 401
 _GRID_MASS_TOL = 0.01  # the end weights of np.gradient alone leave 0.25% on a uniform law
-# doubles of scratch per scored chunk (512 KiB): about 8 per sample with RCSI,
-# one per atom in the (samples x atoms) buffer of a mixture without
+# doubles of scratch per scored chunk (512 KiB): one per atom in the
+# (samples x atoms) buffer of a mixture without RCSI; with it, a sample's
+# columns, z draw and temporaries hold about 14, so a chunk has 1/16 as many rows
 _CHUNK_DOUBLES = 2 ** 16
 _DRAW_ROOM = 1e6  # room left under the float range for the squares of normal draws
 
@@ -195,9 +196,12 @@ def mi_monte_carlo(params: ChannelParams, dist: FadingDistribution,
     pair is exactly jointly Gaussian.  At k = 0, U = X1 and the U-term is
     exactly 0, so it is not formed.  Samples are partitioned into fixed
     independent streams whose running moments are merged, so the result
-    depends on (seed, n) only.  A stream's draws are held whole, in buffers
-    the streams share; its ratios are scored in chunks of `_CHUNK_DOUBLES`
-    doubles of scratch.
+    depends on (seed, n) only.  A stream holds whole, in buffers the streams
+    share, only s and x1 (and x2 at split < 1) and its fading draw: a
+    discrete law's atom index, whose uniforms fill x1's buffer before x1 is
+    drawn, or a density's values.  z, its last draw, comes a chunk at a
+    time, and each chunk's ratios overwrite the slice of s it has read.  Its
+    ratios are scored in chunks of `_CHUNK_DOUBLES` doubles of scratch.
 
     The scoring reads per-atom columns: c a and, with side information,
     the posterior-mean coefficient, 2 v and 2 v_y of the two Gaussians and
@@ -226,7 +230,7 @@ def mi_monte_carlo(params: ChannelParams, dist: FadingDistribution,
     if asg.rcsi:
         # reads only the drawn fading values
         _check_range(params, P1, k, *dist.support())
-        rows, width = max(1, _CHUNK_DOUBLES // 8), 0
+        rows, width = max(1, _CHUNK_DOUBLES // 16), 0
 
         def columns(a):
             coef, v = moments(a)
@@ -269,15 +273,17 @@ def mi_monte_carlo(params: ChannelParams, dist: FadingDistribution,
     counts = np.full(_N_STREAMS, n // _N_STREAMS)
     counts[: n % _N_STREAMS] += 1
     # draw buffers shared by the streams; a stream of nj samples uses [:nj]
+    # of each whole-stream one, and each chunk a prefix of z's
     size = int(counts[0])
-    s_buf, x1_buf, z_buf, r_buf = (np.empty(size) for _ in range(4))
+    s_buf, x1_buf = np.empty(size), np.empty(size)
     x2_buf = np.empty(size if P2 > 0 else 0)
+    z_buf = np.empty(min(rows, size))
     # Welford/Chan merge of each stream's moments as it finishes
     mean, m2, cnt = 0.0, 0.0, 0.0
     for j, rng in enumerate(rngs):
         nj = int(counts[j])
-        if dist.is_discrete:  # the uniforms fill the ratios' buffer, unread until scored
-            drawn = dist._draw_index(rng, nj, r_buf[:nj])
+        if dist.is_discrete:  # the uniforms fill x1's buffer before x1 is drawn
+            drawn = dist._draw_index(rng, nj, x1_buf[:nj])
         else:
             drawn = dist._draw(rng, nj)
         # made after the law's draw, so that the draw's temporaries and this
@@ -289,13 +295,15 @@ def mi_monte_carlo(params: ChannelParams, dist: FadingDistribution,
         if P2 > 0:
             x2 = rng.standard_normal(out=x2_buf[:nj])
             x2 *= math.sqrt(P2)
-        z = rng.standard_normal(out=z_buf[:nj])
-        ratio = r_buf[:nj]
+        ratio = s  # each chunk's ratios overwrite the slice of s it has read
         for lo in range(0, nj, rows):
             cut = slice(lo, lo + rows)
+            # the generator fills its draws in sequence, so z drawn a chunk at
+            # a time holds the values of one call
+            z = rng.standard_normal(out=z_buf[:min(rows, nj - lo)])
             cols = gather(drawn[cut])
             u = x1[cut] + k * s[cut] if k else x1[cut]
-            y1 = x1[cut] + cols[0] * s[cut] + z[cut]
+            y1 = x1[cut] + cols[0] * s[cut] + z
             y = y1 + x2[cut] if P2 > 0 else y1
             r = score(cols, y1, y, u, mix)
             if k:  # at k = 0, U = X1 and the U-term is exactly 0

@@ -576,9 +576,12 @@ class TestContinuous:
         # QUADPACK missed the mass near 0 on [-1, 1e5] and read P(I) = 0
         cp = continuous_interval_params(Gaussian(0.0, 1.0), (-1.0, 1e5))
         assert cp.prob_I == pytest.approx(0.5 * (1 + math.erf(1 / math.sqrt(2))), abs=1e-12)
+        # a density that falls to 0 at its support's end, so that a' exists
+        # on an interval past it
+        tri = TabulatedDensity(((-1.0, 0.0), (0.0, 1.0), (1.0, 0.0)))
+        assert (continuous_interval_params(tri, (-0.5, 100.0)).prob_I
+                == continuous_interval_params(tri, (-0.5, 1.0)).prob_I)
         u = Uniform(-math.sqrt(3), math.sqrt(3))
-        assert (continuous_interval_params(u, (-1.0, 100.0)).prob_I
-                == continuous_interval_params(u, (-1.0, u.hi)).prob_I)
         with pytest.raises(IntervalMassTooSmall, match=r"P\(I\) = 0\.0 < 1/2"):
             continuous_interval_params(u, (2.0, 3.0))
 
@@ -619,7 +622,15 @@ class TestContinuous:
         # sign change, found by a plain scan over the 2001-point grid
         dist = parse_distribution(law)
         a, b = interval or dist.support()
+        if (law, interval) == ("uniform", (-1.8, 1.8)):
+            # I reaches past the support, where the density jumps from 0 to
+            # 1.039 P(I)/(b - a): the level has no root, and the bisection
+            # ended on the jump at a' = -sqrt(3)
+            with pytest.raises(RootNotFound, match="jumps across"):
+                continuous_interval_params(dist, (a, b))
+            return
         cp = continuous_interval_params(dist, (a, b))
+        assert type(cp.a_prime) is float
         target = cp.prob_I / (b - a)
         xs = np.linspace(a, b, 2001)
         fs = dist.pdf(xs) - target

@@ -268,6 +268,11 @@ _BAD_INPUT = {
     "bounds-never-crosses": ("RootNotFound", [
         "bounds", "--theorem", "continuous", "--P", "1", "--c", "1",
         "--dist", '{"kind":"gaussian","mean":0.00025,"var":1e-14}', "--interval", "-1", "1"]),
+    # I reaches past the uniform law's support, where its density jumps
+    # across P(I)/(b - a) instead of meeting it
+    "bounds-density-jump": ("RootNotFound", ["bounds", "--theorem", "continuous", "--P", "10",
+                                             "--c", "3", "--dist", "uniform",
+                                             "--interval", "-1.8", "1.8"]),
     # gains and powers whose squares or products leave the float range
     "overflow-continuous-gain": ("NonFinite", ["bounds", "--theorem", "continuous", "--P", "10",
                                                "--c", "1e200", "--dist", "gaussian"]),

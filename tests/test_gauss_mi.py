@@ -548,13 +548,14 @@ class TestMixtureKernel:
         assert peak <= buf.nbytes / 8, peak / 2 ** 20
 
     def test_chunk_size_does_not_change_estimate(self, monkeypatch):
-        # chunks of 1 and 7 samples, and one chunk per stream; the RCSI ratio
-        # budgets 8 doubles per sample, a mixture one per atom
+        # chunks of 1 and 7 samples, and one chunk per stream, both of the
+        # scoring and of the z draws; the RCSI ratio budgets 16 doubles per
+        # sample, a mixture one per atom
         params = ChannelParams(P=3, c=2)
-        cases = [(TWO_POINT, CostaAssignment(a_target=1.0, split_delta=0.5), 8),
+        cases = [(TWO_POINT, CostaAssignment(a_target=1.0, split_delta=0.5), 16),
                  (Gaussian(0.0, 1.0), CostaAssignment(split_delta=0.5, rcsi=False),
                   len(gauss_mi._mixture_atoms(Gaussian(0.0, 1.0))[0])),
-                 (_WIDE, CostaAssignment(a_target=1.0, split_delta=0.5), 8),
+                 (_WIDE, CostaAssignment(a_target=1.0, split_delta=0.5), 16),
                  (_WIDE, CostaAssignment(split_delta=0.5, rcsi=False), len(_WIDE.values))]
         for law, asg, width in cases:
             want = mi_monte_carlo(params, law, asg, 10 ** 4, 2)
@@ -564,12 +565,21 @@ class TestMixtureKernel:
             monkeypatch.undo()
 
     def test_memory_bounded_in_n(self):
-        # the draws of one stream (about 4 doubles per sample / 16) plus one
-        # chunk of scoring: 8.8 and 10.7 MiB when each stream scored whole,
-        # 4.07 and 4.43 MiB measured with numpy 2.4, and 3.52 and 4.43 MiB
-        # once a discrete law drew atom indices
-        cases = [(TWO_POINT, CostaAssignment(), 10 ** 6, 4.4),
-                 (Gaussian(0.0, 1.0), CostaAssignment(rcsi=False), 16 * 10 ** 5, 4.65)]
+        # the whole-stream draws of one stream (s, x1, x2 at split < 1 and the
+        # fading draw: per sample / 16, 2 doubles and an index or 3 doubles)
+        # plus one chunk of scoring and z, measured with numpy 2.4.  Two-point
+        # and gaussian: 8.8 and 10.7 MiB when each stream scored whole, 4.07
+        # and 4.43 MiB with whole-stream z and ratio buffers, 3.52 and 4.43 MiB
+        # once a discrete law drew atom indices, and 1.47 and 2.90 MiB with z
+        # drawn a chunk at a time.  Split 0.5, the log-normal law and the
+        # 286-atom law (intp indices) went 3.34, 3.34 and 3.23 MiB -> 1.98,
+        # 2.01 and 1.90 MiB
+        lognormal = LogNormal(0.0, 0.25, 0.0, 1.6559018331762287)
+        cases = [(TWO_POINT, CostaAssignment(), 10 ** 6, 1.57),
+                 (Gaussian(0.0, 1.0), CostaAssignment(rcsi=False), 16 * 10 ** 5, 3.1),
+                 (TWO_POINT, CostaAssignment(split_delta=0.5), 10 ** 6, 2.12),
+                 (lognormal, CostaAssignment(), 10 ** 6, 2.15),
+                 (_WIDE, CostaAssignment(a_target=1.0), 10 ** 6, 2.03)]
         for law, asg, n, mib in cases:
             tracemalloc.start()
             try:
@@ -578,6 +588,22 @@ class TestMixtureKernel:
             finally:
                 tracemalloc.stop()
             assert peak <= mib * 2 ** 20, (law, peak / 2 ** 20)
+
+    @pytest.mark.parametrize("chunk", [1, 7, 4096])
+    def test_z_drawn_in_chunks_equals_one_draw(self, chunk):
+        # the kernel draws a stream's z a chunk at a time, into a chunk-sized
+        # buffer, after the stream's other draws
+        nj = 10 ** 4 + 7
+        for seed, j in [(0, 0), (4, 15)]:
+            whole, chunked = seeded_rng(seed, j), seeded_rng(seed, j)
+            for rng in (whole, chunked):
+                rng.random(3)
+                rng.standard_normal(5)
+            want = whole.standard_normal(nj)
+            buf, got = np.empty(chunk), np.empty(nj)
+            for lo in range(0, nj, chunk):
+                got[lo:lo + chunk] = chunked.standard_normal(out=buf[:min(chunk, nj - lo)])
+            np.testing.assert_array_equal(got, want)
 
     @pytest.mark.parametrize("name", sorted(RECORDED))
     def test_reproduces_recorded_estimates(self, name):
