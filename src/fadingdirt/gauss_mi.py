@@ -115,27 +115,144 @@ def costa_rate_exact(params: ChannelParams, dist: FadingDistribution,
 # ---------------------------------------------------------------------------
 
 _N_STREAMS = 16
-_GRID_POINTS = 401
-_GRID_MASS_TOL = 0.01  # the end weights of np.gradient alone leave 0.25% on a uniform law
-# doubles of scratch per scored chunk (512 KiB): one per atom in the
-# (samples x atoms) buffer of a mixture without RCSI; with it, a sample's
-# columns, z draw and temporaries hold about 14, so a chunk has 1/16 as many rows
+_GRID_NODES = 96
+# the mass a density's grid may miss: its end weights are true trapezoid
+# halves, so what is left is the rule's own error (at most 5e-5 on the
+# catalog laws for c in [0, 1e3], on the seeded tabulated law)
+_GRID_MASS_TOL = 1e-3
+_GRID_GRADE = 0.9  # the steps in s shrink to 1 - 0.9 of a panel's step at its ends
+_GRID_LAW_SHARE = 3.0  # the law term's integral, about a unit Gaussian's of p^(1/3) (3.2)
+# the fine grid of the map: intervals per panel before refinement, the share
+# of the total node density that linear interpolation may miss over one
+# interval, and the node-density evaluations refinement may spend
+_FINE_SEED, _FINE_TOL, _FINE_EVALS = 16, 1e-5, 2000
+_GAUSS3 = (np.array([-math.sqrt(0.6), 0.0, math.sqrt(0.6)]), np.array([5.0, 8.0, 5.0]) / 9.0)
+# doubles of scratch per scored chunk (512 KiB); with RCSI a sample's
+# columns, z draw and temporaries hold about 14, so a chunk has 1/16 as many
+# rows; a mixture's sample holds one per atom in the (samples x atoms)
+# buffer plus about 12 (its column, u, y1, y, z, the two mixtures' results
+# and the U-term's temporaries)
 _CHUNK_DOUBLES = 2 ** 16
+_MIXTURE_ROW_DOUBLES = 12
 _DRAW_ROOM = 1e6  # room left under the float range for the squares of normal draws
 
 
-def _mixture_atoms(dist: FadingDistribution):
-    """Atom values/weights representing the fading law in the mixture
-    densities: exact for discrete laws, trapezoid quadrature otherwise."""
+def _density_grid(dist: FadingDistribution, c: float, variances):
+    """Nodes and weights of a mapped trapezoid rule for the density p of
+    `dist`, before the mass check (Trefethen and Weideman, "The exponentially
+    convergent trapezoidal rule", SIAM Review 56(3), 2014).
+
+    The nodes sit at steps of s, the integral of the node density
+        rho(a) = 3 p(a)^(1/3) / L + c / sqrt(v(a)) + c / sqrt(v_y(a)) + 1e-3 / (hi - lo).
+    The law term follows the bulk: L is the integral of p^(1/3), so the term
+    integrates to `_GRID_LAW_SHARE` on any scale.  The width term follows the
+    mixture components: variances(a) gives v and v_y, the variances of the
+    two Gaussians scored at fading a, each at least 1, and the term counts
+    their e-folds.  The floor keeps s increasing where both vanish.
+
+    The support ends and the law's kinks end the panels.  Each panel gets a
+    share of the steps in proportion to its integral of rho, at least four,
+    and its steps shrink toward its ends, s = T phi(t) with phi(t) = t -
+    g sin(2 pi t) / (2 pi) and g = `_GRID_GRADE`: that damps the end error of
+    a density that does not vanish there (a jump, Rayleigh's edge, a
+    tabulated kink).  A node's weight is p / rho times its step in s, half
+    steps at the panel ends.
+
+    s is integrated on a fine grid by 3-point Gauss-Legendre: `_FINE_SEED`
+    intervals per panel and 33 points over the law's mean +- 8 sd (they find
+    the bulk of a log-normal law, whose support reaches e^(14 sigma) times its
+    median), each interval halved
+    while rho at its midpoint misses linear interpolation by more than
+    `_FINE_TOL` of the total, within `_FINE_EVALS` evaluations.  Each node is
+    solved from its s by Newton steps on the same rule, so the weights read
+    the rho that placed the nodes.
+    """
+    lo, hi = dist.support()
+    edges = np.array(sorted({lo, hi, *(float(x) for x in dist.kinks() if lo < x < hi)}))
+    floor = 1e-3 / (hi - lo)
+
+    def terms(a):
+        """p, p^(1/3) and the width term at a."""
+        p = np.asarray(dist.pdf(a), dtype=float)
+        v, vy = variances(a)
+        return p, np.cbrt(p), c / np.sqrt(v) + c / np.sqrt(vy)
+
+    def density(a):
+        """p and rho at a."""
+        p, law, width = terms(a)
+        return p, law_scale * law + width + floor
+
+    def integral(x0, x1):
+        """The integral of rho over each [x0, x1]."""
+        half = (x1 - x0) / 2.0
+        nodes3, weights3 = _GAUSS3
+        return half * (density((x0 + x1)[:, None] / 2.0 + half[:, None] * nodes3)[1] @ weights3)
+
+    bulk = dist.mean + math.sqrt(dist.var) * np.linspace(-8.0, 8.0, 33)
+    # np.unique would load numpy.ma on its first call
+    xs = np.sort(np.concatenate([np.linspace(x0, x1, _FINE_SEED + 1)
+                                 for x0, x1 in zip(edges[:-1], edges[1:])]
+                                + [bulk[(lo < bulk) & (bulk < hi)]]))
+    xs = xs[np.concatenate(([True], np.diff(xs) > 0))]
+    _, law, width = terms(xs)
+    active, spent = np.ones(len(xs) - 1, bool), len(xs)
+    while True:
+        # L as the fine grid finds it so far
+        h = np.diff(xs)
+        law_total = np.dot(h, law[:-1] + law[1:]) / 2.0
+        law_scale = _GRID_LAW_SHARE / law_total if law_total > 0 else 0.0
+        rho = law_scale * law + width + floor
+        if not active.any() or spent >= _FINE_EVALS:
+            break
+        mid = (xs[:-1] + xs[1:])[active] / 2.0
+        _, law_mid, width_mid = terms(mid)
+        spent += len(mid)
+        halve = (np.abs(law_scale * law_mid + width_mid + floor - (rho[:-1] + rho[1:])[active] / 2.0)
+                 * h[active] > _FINE_TOL * np.dot(h, rho[:-1] + rho[1:]) / 2.0)
+        order = np.argsort(np.concatenate((xs, mid)))
+        xs, law, width = (np.concatenate(pair)[order]
+                          for pair in ((xs, mid), (law, law_mid), (width, width_mid)))
+        halved = np.concatenate((np.zeros(len(active) + 1, bool), halve))[order]
+        active = halved[:-1] | halved[1:]
+    s_fine = np.concatenate(([0.0], np.cumsum(integral(xs[:-1], xs[1:]))))
+
+    # each node's panel, its s and its step in s; a panel's last node is the
+    # next one's first, and its step is half of each of their end steps
+    s_edges = s_fine[np.searchsorted(xs, edges)]
+    spans = np.diff(s_edges)
+    steps = np.maximum(4, np.rint((_GRID_NODES - 1) * spans / s_fine[-1])).astype(int)
+    ends = np.concatenate(([0], np.cumsum(steps)))
+    panel = np.repeat(np.arange(len(steps)), steps)
+    t = 2.0 * math.pi * (np.arange(len(panel)) - ends[panel]) / steps[panel]
+    s = np.append(s_edges[panel] + spans[panel] * (t - _GRID_GRADE * np.sin(t)) / (2.0 * math.pi),
+                  s_edges[-1])
+    step = np.append(spans[panel] / steps[panel] * (1.0 - _GRID_GRADE * np.cos(t)), 0.0)
+    half = spans / steps * (1.0 - _GRID_GRADE) / 2.0
+    step[ends] = np.append(half, 0.0) + np.append(0.0, half)
+
+    j = np.clip(np.searchsorted(s_fine, s, side="right") - 1, 0, len(xs) - 2)
+    x0, x1 = xs[j], xs[j + 1]
+    a = np.minimum(x0 + (s - s_fine[j]) / rho[j], x1)
+    for _ in range(3):  # Newton from a guess within the right fine interval
+        a = np.clip(a - (s_fine[j] + integral(x0, a) - s) / density(a)[1], x0, x1)
+    a[ends] = edges
+    p, rho = density(a)
+    return a, p / rho * step
+
+
+def _mixture_atoms(dist: FadingDistribution, c: float, variances):
+    """Atom values and weights that represent the fading law in the mixture
+    densities: a discrete law's own atoms, or for a density the mapped
+    trapezoid rule of `_density_grid` on about `_GRID_NODES` nodes, placed for
+    gain c and the component variances (v, v_y) = variances(a).  A density's
+    weights are divided by their sum, which must be within `_GRID_MASS_TOL`
+    of 1, and its nodes of zero weight are dropped."""
     if dist.is_discrete:
         return dist.values, dist.probs
-    lo, hi = dist.support()
-    xs = np.linspace(lo, hi, _GRID_POINTS)
-    w = np.asarray(dist.pdf(xs), dtype=float)
-    w = w * np.gradient(xs)
+    xs, w = _density_grid(dist, c, variances)
     mass = float(w.sum())
     if not abs(mass - 1.0) <= _GRID_MASS_TOL:
-        raise QuadratureFailure(f"the {_GRID_POINTS}-node grid over the support carries "
+        raise QuadratureFailure(f"the {len(xs)}-node grid over the support carries "
                                 f"mass {mass!r} of the law, not 1")
     w /= mass
     keep = w > 1e-300
@@ -193,15 +310,20 @@ def mi_monte_carlo(params: ChannelParams, dist: FadingDistribution,
     log p(y | u, x2) - log p(y) - [log p(u | s) - log p(u)]: the laws of Y
     given (U, X2) and of Y are Gaussian mixtures over the fading atoms with
     closed-form component moments (single Gaussians given A), and the (U, S)
-    pair is exactly jointly Gaussian.  At k = 0, U = X1 and the U-term is
-    exactly 0, so it is not formed.  Samples are partitioned into fixed
-    independent streams whose running moments are merged, so the result
-    depends on (seed, n) only.  A stream holds whole, in buffers the streams
-    share, only s and x1 (and x2 at split < 1) and its fading draw: a
-    discrete law's atom index, whose uniforms fill x1's buffer before x1 is
-    drawn, or a density's values.  z, its last draw, comes a chunk at a
-    time, and each chunk's ratios overwrite the slice of s it has read.  Its
-    ratios are scored in chunks of `_CHUNK_DOUBLES` doubles of scratch.
+    pair is exactly jointly Gaussian.  Without side information a density
+    enters the mixtures as the mapped trapezoid grid of `_mixture_atoms`,
+    about `_GRID_NODES` nodes placed for this gain and these variances.  At
+    k = 0, U = X1 and the U-term is exactly 0, so it is not formed.  Samples
+    are partitioned into fixed independent streams whose running moments are
+    merged, so the result depends on (seed, n) only.  A stream holds whole,
+    in buffers the streams share, only s and x1 (and x2 at split < 1) and its
+    fading draw: a discrete law's atom index, whose uniforms fill x1's
+    buffer before x1 is drawn, or a density's values.  z, its last draw,
+    comes a chunk at a time, and each chunk's ratios overwrite the slice of
+    s it has read.  Its ratios are scored in chunks of `_CHUNK_DOUBLES`
+    doubles of scratch, counting a mixture's (samples x atoms) buffer and
+    each sample's own vectors.  Overflow of the moments is checked on the
+    support's ends before any grid is built or value drawn.
 
     The scoring reads per-atom columns: c a and, with side information,
     the posterior-mean coefficient, 2 v and 2 v_y of the two Gaussians and
@@ -218,40 +340,41 @@ def mi_monte_carlo(params: ChannelParams, dist: FadingDistribution,
         raise SingularCovariance("Monte Carlo estimator needs power on the Costa codeword")
     c, P = params.c, params.P
     var_u = P1 + k * k
+    # every fading value read, drawn or a grid node, lies in the support
+    _check_range(params, P1, k, *dist.support())
 
     def moments(a):
-        """Posterior mean coefficient and variance of Y - X2 given U at fading a."""
+        """Posterior mean coefficient and variance of Y - X2 given U at
+        fading a, and the variance of Y there."""
         coef = (P1 + c * a * k) / var_u
-        return coef, P1 + c * c * a * a - (P1 + c * a * k) ** 2 / var_u + 1.0
+        return (coef, P1 + c * c * a * a - (P1 + c * a * k) ** 2 / var_u + 1.0,
+                P + c * c * a * a + 1.0)
 
     # score(cols, y1, y, u, mix) is log p(y1 | u[, a]) - log p(y[, a]) per
     # sample of a chunk, with cols = columns(a), y1 = y - x2 and mix a
     # (rows x width) scratch buffer
     if asg.rcsi:
         # reads only the drawn fading values
-        _check_range(params, P1, k, *dist.support())
         rows, width = max(1, _CHUNK_DOUBLES // 16), 0
 
         def columns(a):
-            coef, v = moments(a)
-            vy = P + c * c * a * a + 1.0
+            coef, v, vy = moments(a)
             return c * a, coef, 2.0 * v, 2.0 * vy, 0.5 * np.log(vy / v)
 
         def score(cols, y1, y, u, mix):
             _, coef, two_v, two_vy, half_log = cols
             return half_log - (y1 - coef * u) ** 2 / two_v + y * y / two_vy
     else:
-        # reads the law through its atoms or a grid
-        av, aw = _mixture_atoms(dist)
-        _check_range(params, P1, k, float(np.min(av)), float(np.max(av)))
-        coef, v = moments(av)
+        # reads the law through its atoms or a grid placed for these moments
+        av, aw = _mixture_atoms(dist, c, lambda a: moments(a)[1:])
+        coef, v, vy = moments(av)
         if (coef == coef[0]).all():  # k = 0: every atom's deviation is y1 - coef u
             coef = coef[0]
-        vy = P + c * c * av * av + 1.0
         log_aw = np.log(aw)
         given_u = (-0.5 / v, log_aw - 0.5 * np.log(2.0 * math.pi * v))
         marginal = (-0.5 / vy, log_aw - 0.5 * np.log(2.0 * math.pi * vy))
-        rows, width = max(1, _CHUNK_DOUBLES // len(av)), len(av)
+        rows = max(1, _CHUNK_DOUBLES // (len(av) + _MIXTURE_ROW_DOUBLES))
+        width = len(av)
 
         def columns(a):
             return (c * a,)

@@ -105,8 +105,8 @@ _ONE_ATOM = '{"kind":"discrete","atoms":[[0,1]]}'
 # strong_support(4, 2) moved to mean 1; its spacing condition fails at c = 8
 _STRONG4_SHIFTED = json.dumps({"kind": "discrete", "atoms": [
     [v + 1.0, 0.25] for v in strong_support(4, 2.0).values.tolist()]})
-# log-normal laws whose mass a quadrature over the support misses: the first
-# on the 401-node grid of the no-RCSI mixture, the second also under `quad`
+# the unit-variance log-normal law, whose support spans e^7 either side of
+# its bulk, and a wider one whose mass `quad` misses over its support
 _UNIT_LOGNORMAL = '{"kind":"lognormal","mu":0.0,"sigma2":0.25,"scale":1.6559018331762287}'
 _WIDE_LOGNORMAL = '{"kind":"lognormal","sigma2":1}'
 # atoms whose squares overflow the closed forms
@@ -204,8 +204,6 @@ _BAD_INPUT = {
                                               "--c", "2", "--dist", _HUGE_EVEN]),
     "sweep-mass-half-nonfinite": ("NonFinite", ["sweep", "--theorem", "mass-half",
                                                 "--dist", _HUGE_DOMINANT]),
-    "mi-norcsi-lognormal": ("QuadratureFailure", ["mi", "--P", "3", "--c", "2", "--no-rcsi",
-                                                  "--n", "10000", "--dist", _UNIT_LOGNORMAL]),
     "unknown-kind": ("SpecInvalid", ["bounds", "--theorem", "no-rcsi", "--P", "1",
                                      "--dist", '{"kind":"nope"}']),
     "not-an-object": ("SpecInvalid", ["bounds", "--theorem", "no-rcsi", "--P", "1",
@@ -677,6 +675,18 @@ class TestMiGp:
         exact = costa_rate_exact(ChannelParams(P=10, c=2), parse_distribution("two-point"),
                                  CostaAssignment(a_target=1.0, split_delta=0.25))
         assert abs(payload["estimate_bits"] - exact) < 5 * payload["stderr_bits"]
+
+    def test_mi_no_rcsi_on_the_unit_lognormal(self, capsys):
+        # a uniform 401-node grid over its support missed its mass and exited
+        # 3 with QuadratureFailure; the mapped grid finds its bulk
+        code, out, err = run_cli(capsys, "mi", "--P", "3", "--c", "2", "--no-rcsi",
+                                 "--n", "10000", "--dist", _UNIT_LOGNORMAL)
+        assert (code, err) == (0, "")
+        payload = json.loads(out)
+        gaussian_bound = costa_rate_exact(ChannelParams(P=3, c=2),
+                                          parse_distribution(_UNIT_LOGNORMAL),
+                                          CostaAssignment(rcsi=False))
+        assert payload["estimate_bits"] >= gaussian_bound - 5 * payload["stderr_bits"]
 
     def test_gp_example(self, capsys):
         code, out, _ = run_cli(capsys, "gp", "--example", "binary-nonoise",

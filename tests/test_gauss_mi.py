@@ -14,7 +14,6 @@ from fadingdirt.errors import (
     DiscreteUnsupported,
     InsufficientSamples,
     NonFinite,
-    QuadratureFailure,
     SingularCovariance,
     ToolkitError,
 )
@@ -59,13 +58,13 @@ def reference_mi(params, dist, asg, n, seed):
     P1, P2, k = gauss_mi._resolve(params, dist, asg)
     c, P = params.c, params.P
     var_u = P1 + k * k
-    av, aw = gauss_mi._mixture_atoms(dist)
 
     def moments(a):
         """Mean coefficient and variance of Y - X2 given U at fading a."""
         coef = (P1 + c * a * k) / var_u
         return coef, P1 + c * c * a * a - (P1 + c * a * k) ** 2 / var_u + 1.0
 
+    av, aw = gauss_mi._mixture_atoms(dist, c, lambda a: (moments(a)[1], P + c * c * a * a + 1.0))
     coef_g, v_g = moments(av)
     vy_g = P + c * c * av * av + 1.0
     counts = np.full(16, n // 16)
@@ -292,24 +291,34 @@ class TestMonteCarlo:
             mi_monte_carlo(ChannelParams(P=1, c=1), TWO_POINT,
                            CostaAssignment(a_target=1.0, split_delta=0.0), 10 ** 4, 0)
 
-    @pytest.mark.parametrize("law", [normalize_unit_variance(LogNormal(0.0, 0.25)),
-                                     LogNormal(0.0, 1.0, 0.0, 1e150)], ids=["unit", "scale-1e150"])
-    def test_grid_that_misses_the_mass_fails_before_sampling(self, law):
-        # 401 nodes spread over +-14 log-sigma carry 0.106 of the unit law's
-        # mass (its estimate fell 150 stderr below the Gaussian lower bound);
-        # at scale 1e150 the atoms near 1.2e156 would overflow the moments
+    def test_unit_lognormal_mixture_beats_the_gaussian_bound(self):
+        # its support spans +-14 log-sigma, e^7 either side of its bulk: a
+        # uniform 401-node grid over it carried 0.106 of the mass and raised
+        # QuadratureFailure; the mapped grid finds the bulk
+        params, law = ChannelParams(P=3, c=2), normalize_unit_variance(LogNormal(0.0, 0.25))
+        asg = CostaAssignment(rcsi=False)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(QuadratureFailure, match="mass"):
+            est, se = mi_monte_carlo(params, law, asg, 10 ** 4, 0)
+        assert est >= costa_rate_exact(params, law, asg) - 5 * se
+
+    def test_norcsi_overflow_is_bounded_by_the_support(self, monkeypatch):
+        # the scale-1e150 log-normal's support reaches 1.2e156: c^2 a^2
+        # overflows, which is found before a grid is built or a value drawn
+        law = LogNormal(0.0, 1.0, 0.0, 1e150)
+        monkeypatch.setattr(gauss_mi, "_mixture_atoms", lambda *_: pytest.fail("grid built"))
+        monkeypatch.setattr(LogNormal, "_draw", lambda *_: pytest.fail("sampled"))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFinite, match="overflows"):
                 mi_monte_carlo(ChannelParams(P=3, c=2), law, CostaAssignment(rcsi=False),
                                10 ** 4, 0)
 
     @pytest.mark.parametrize("law", [LogNormal(0.0, 0.25, 0.0, 1.6559018331762287),
                                      Gaussian(0.0, 1.0)], ids=["lognormal", "gaussian"])
     def test_rcsi_on_a_density_builds_no_grid(self, monkeypatch, law):
-        # scoring with side information reads only the drawn fading, so the
-        # unit-variance log-normal that the 401-node grid misses has its rate:
-        # with a_target = 0 (so k = 0) that is inner_continuous at a' = 0
+        # scoring with side information reads only the drawn fading: with
+        # a_target = 0 (so k = 0) its rate is inner_continuous at a' = 0
         monkeypatch.setattr(gauss_mi, "_mixture_atoms", lambda *_: pytest.fail("grid built"))
         params = ChannelParams(P=3, c=2)
         with warnings.catch_warnings():
@@ -364,20 +373,21 @@ class TestMonteCarlo:
 
 
 # (estimate, stderr) at split 1, P=3, c=2, n=1e5, seed 0 on each scoring path,
-# recorded before each receiver's scorer was built in one branch
+# recorded before each receiver's scorer was built in one branch, the
+# gaussian mixture's again on the mapped grid
 _SPLIT_ONE_PINS = [
     pytest.param(TWO_POINT, CostaAssignment(a_target=1.0),
                  (0.2965010055328175, 0.004181150836468581), id="rcsi-two-point"),
     pytest.param(LogNormal(0.0, 0.25, 0.0, 1.6559018331762287), CostaAssignment(a_target=1.0),
                  (0.7295151771053698, 0.003016446106142414), id="rcsi-lognormal"),
     pytest.param(Gaussian(0.0, 1.0), CostaAssignment(rcsi=False),
-                 (0.4184897753186825, 0.0031917877839065397), id="norcsi-gaussian"),
+                 (0.4184897753186821, 0.0031917877839056493), id="norcsi-gaussian"),
     pytest.param(geometric_fading(0.55), CostaAssignment(rcsi=False),
                  (0.47425585337624926, 0.0033359144067347983), id="norcsi-geometric"),
     pytest.param(Discrete(((-1.0, 0.3), (1.0, 0.7))), CostaAssignment(rcsi=False),
                  (0.37765189535539995, 0.003037194723486238), id="norcsi-per-atom"),
     # `mi` on the log-normal law at its default a' = 0: only the drawn fading
-    # values are read, so a law whose mass the 401-node grid misses runs
+    # values are read
     pytest.param(LogNormal(0.0, 0.25, 0.0, 1.6559018331762287), CostaAssignment(),
                  (0.1962446790257961, 0.002221144891952048), id="rcsi-lognormal-default"),
 ]
@@ -438,7 +448,7 @@ def test_two_stage_rate_without_rcsi_is_above_gaussian_bound(law, delta):
 
 
 # every kind of law the estimator draws: discrete atoms (exact mixtures) and
-# densities on the 401-node grid; RCSI runs on the discrete laws and gaussian
+# densities on the mapped grid; RCSI runs on the discrete laws and gaussian
 _REFERENCE_LAWS = {
     "two-point": TWO_POINT,
     "strong4": strong_support(4, 2.0),
@@ -471,13 +481,14 @@ def test_matches_reference_scoring(name, rcsi, delta):
 
 # (estimate, stderr) at P=3, c=2, half the power on the Costa codeword, no
 # RCSI, n=1e4, seed 0, at the inflation k* of a fading mean of 0.5, recorded
-# from reference_mi (scipy's logsumexp)
+# from reference_mi (scipy's logsumexp), the densities again on the mapped
+# grid: each is within 1e-7 of the same rule on 16 times the nodes
 RECORDED = {
-    "gaussian": (0.3906533918648831, 0.0107089744623612),
-    "rayleigh": (0.3749806447663967, 0.01046535860449628),
-    "uniform": (0.34951081797650213, 0.01019344630898908),
+    "gaussian": (0.39065339186488157, 0.010708974462357782),
+    "rayleigh": (0.3749806843065979, 0.010464581026066639),
+    "uniform": (0.34951608847928034, 0.010212394879401114),
     "geometric": (0.4032453728347848, 0.010760690194868182),
-    "tabulated0": (0.32646908935858354, 0.009943615802840734),
+    "tabulated0": (0.32646797615760637, 0.009944716188101449),
 }
 
 
@@ -488,11 +499,13 @@ def _law(name):
 
 
 def _mixture_inputs(n):
-    """Mixture parameters of the Gaussian law at P=3, c=2 and n fixed
-    sample points, some of them so far out (|y| ~ 1e3) that every term
-    underflows unless the row max is shifted out."""
+    """Mixture parameters of the Gaussian law at P=3, c=2 on 401 even nodes
+    over +-12 and n fixed sample points, some of them so far out (|y| ~ 1e3)
+    that every term underflows unless the row max is shifted out."""
     P, c, k = 3.0, 2.0, 1.0
-    av, aw = gauss_mi._mixture_atoms(Gaussian(0.0, 1.0))
+    av = np.linspace(-12.0, 12.0, 401)
+    aw = Gaussian(0.0, 1.0).pdf(av)
+    aw /= aw.sum()
     var_u = P + k * k
     coef = (P + c * av * k) / var_u
     var = P + c * c * av * av - (P + c * av * k) ** 2 / var_u + 1.0
@@ -550,13 +563,17 @@ class TestMixtureKernel:
     def test_chunk_size_does_not_change_estimate(self, monkeypatch):
         # chunks of 1 and 7 samples, and one chunk per stream, both of the
         # scoring and of the z draws; the RCSI ratio budgets 16 doubles per
-        # sample, a mixture one per atom
+        # sample, a mixture one per atom and _MIXTURE_ROW_DOUBLES more
         params = ChannelParams(P=3, c=2)
+        # at split 0.5 and k = 0 the variances are 1 + c^2 a^2 and P + 1 + c^2 a^2
+        grid = gauss_mi._mixture_atoms(Gaussian(0.0, 1.0), 2.0,
+                                       lambda a: (1.0 + 4.0 * a * a, 4.0 + 4.0 * a * a))
+        row = gauss_mi._MIXTURE_ROW_DOUBLES
         cases = [(TWO_POINT, CostaAssignment(a_target=1.0, split_delta=0.5), 16),
                  (Gaussian(0.0, 1.0), CostaAssignment(split_delta=0.5, rcsi=False),
-                  len(gauss_mi._mixture_atoms(Gaussian(0.0, 1.0))[0])),
+                  len(grid[0]) + row),
                  (_WIDE, CostaAssignment(a_target=1.0, split_delta=0.5), 16),
-                 (_WIDE, CostaAssignment(split_delta=0.5, rcsi=False), len(_WIDE.values))]
+                 (_WIDE, CostaAssignment(split_delta=0.5, rcsi=False), len(_WIDE.values) + row)]
         for law, asg, width in cases:
             want = mi_monte_carlo(params, law, asg, 10 ** 4, 2)
             for rows in (1, 7, 10 ** 4 // 16 + 1):
@@ -573,13 +590,17 @@ class TestMixtureKernel:
         # once a discrete law drew atom indices, and 1.47 and 2.90 MiB with z
         # drawn a chunk at a time.  Split 0.5, the log-normal law and the
         # 286-atom law (intp indices) went 3.34, 3.34 and 3.23 MiB -> 1.98,
-        # 2.01 and 1.90 MiB
+        # 2.01 and 1.90 MiB.  Without RCSI, once a chunk counted each
+        # sample's own doubles with its atoms (and the gaussian law took about
+        # 96 mapped nodes for 401 even ones), the two-point law went 3.51 ->
+        # 1.39 MiB and the gaussian 2.90 -> 2.85 MiB
         lognormal = LogNormal(0.0, 0.25, 0.0, 1.6559018331762287)
         cases = [(TWO_POINT, CostaAssignment(), 10 ** 6, 1.57),
-                 (Gaussian(0.0, 1.0), CostaAssignment(rcsi=False), 16 * 10 ** 5, 3.1),
+                 (Gaussian(0.0, 1.0), CostaAssignment(rcsi=False), 16 * 10 ** 5, 3.0),
                  (TWO_POINT, CostaAssignment(split_delta=0.5), 10 ** 6, 2.12),
                  (lognormal, CostaAssignment(), 10 ** 6, 2.15),
-                 (_WIDE, CostaAssignment(a_target=1.0), 10 ** 6, 2.03)]
+                 (_WIDE, CostaAssignment(a_target=1.0), 10 ** 6, 2.03),
+                 (TWO_POINT, CostaAssignment(rcsi=False), 10 ** 6, 1.47)]
         for law, asg, n, mib in cases:
             tracemalloc.start()
             try:

@@ -131,3 +131,30 @@ def test_cli_names_no_theorem():
     theorem named in the CLI, or a private name of `harness` read there, is a
     second declaration that can drift from that table."""
     assert _found(_theorem_or_private_harness_name, lambda name, owner: name != "cli.py") == []
+
+
+# every module each of the two mixture modules imports, anywhere in it:
+# the grid and quadrature helpers use math and numpy alone
+MIXTURE_IMPORTS = {
+    "fading.py": {"__future__", "importlib.machinery", "importlib.util", "json", "math", "os",
+                  "sys", "warnings", "dataclasses", "functools", "numpy", ".errors"},
+    "gauss_mi.py": {"__future__", "math", "dataclasses", "numpy", ".bounds_norcsi", ".errors",
+                    ".fading"},
+}
+
+
+def _imported_modules(tree):
+    """The module named by each import statement in the tree, with a leading
+    dot per level of a relative import."""
+    return ({a.name for node in ast.walk(tree) if isinstance(node, ast.Import) for a in node.names}
+            | {"." * node.level + (node.module or "") for node in ast.walk(tree)
+               if isinstance(node, ast.ImportFrom)})
+
+
+def test_mixture_modules_import_nothing_new():
+    """`fading` and `gauss_mi` are on the path of every command that reads a
+    law; a new import there (a quantile helper's `statistics`, or scipy in
+    the grid of `mi --no-rcsi`) would add its import time to the start-up of
+    each of them."""
+    for name, modules in MIXTURE_IMPORTS.items():
+        assert _imported_modules(ast.parse((SRC / name).read_text(encoding="utf-8"))) == modules, name
