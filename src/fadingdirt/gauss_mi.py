@@ -29,7 +29,7 @@ from .errors import (
     QuadratureFailure,
     SingularCovariance,
 )
-from .fading import LN2, FadingDistribution, seeded_rng
+from .fading import LN2, FadingDistribution, seeded_rng, sorted_distinct
 
 _VAR_MIN = 1e-14
 
@@ -189,11 +189,9 @@ def _density_grid(dist: FadingDistribution, c: float, variances):
         return half * (density((x0 + x1)[:, None] / 2.0 + half[:, None] * nodes3)[1] @ weights3)
 
     bulk = dist.mean + math.sqrt(dist.var) * np.linspace(-8.0, 8.0, 33)
-    # np.unique would load numpy.ma on its first call
-    xs = np.sort(np.concatenate([np.linspace(x0, x1, _FINE_SEED + 1)
-                                 for x0, x1 in zip(edges[:-1], edges[1:])]
-                                + [bulk[(lo < bulk) & (bulk < hi)]]))
-    xs = xs[np.concatenate(([True], np.diff(xs) > 0))]
+    xs = sorted_distinct(np.concatenate([np.linspace(x0, x1, _FINE_SEED + 1)
+                                         for x0, x1 in zip(edges[:-1], edges[1:])]
+                                        + [bulk[(lo < bulk) & (bulk < hi)]]))
     _, law, width = terms(xs)
     active, spent = np.ones(len(xs) - 1, bool), len(xs)
     while True:

@@ -161,7 +161,7 @@ class TestGap:
         assert gap_no_rcsi(1e-6) > 5.0  # diverges as alpha -> 0
 
     def test_exact_gap_identity_50_digits(self):
-        for P in (0.1, 1.0, 10.0, 1000.0):
+        for P in (0.1, 1.0, 10.0, 100.0, 1000.0):
             for c2 in (0.5, 3.0, 100.0, 1e4):
                 for alpha in (1.0, ALPHA_U, 0.3):
                     c = math.sqrt(c2)

@@ -50,11 +50,9 @@ from fadingdirt.fading import (
 from fadingdirt.gauss_mi import CostaAssignment, costa_rate_exact
 from fadingdirt.harness import SweepSpec, run_sweep
 
-from laws import TABULATED_0
+from laws import TABULATED_0, TWO_POINT, UNIT_LOGNORMAL
 
 mpmath.mp.dps = 50
-
-TWO_POINT = Discrete(((-1.0, 0.5), (1.0, 0.5)))
 
 
 class TestPhaseBinomial:
@@ -713,8 +711,7 @@ _MEMO_LAWS = {
     "gaussian": lambda: parse_distribution("gaussian"),
     "uniform": lambda: parse_distribution("uniform"),
     "rayleigh": lambda: parse_distribution("rayleigh"),
-    "lognormal": lambda: parse_distribution(
-        '{"kind":"lognormal","mu":0.0,"sigma2":0.25,"scale":1.6559018331762287}'),
+    "lognormal": lambda: parse_distribution(UNIT_LOGNORMAL),
     "tabulated": lambda: TabulatedDensity(
         ((-1.5, 0.0), (-0.5, 0.625), (0.5, 0.375), (1.5, 0.0))),
 }

@@ -19,7 +19,7 @@ from fadingdirt.bounds_norcsi import ChannelParams
 from fadingdirt.fading import parse_distribution, strong_support
 from fadingdirt.gauss_mi import CostaAssignment, costa_rate_exact
 
-from laws import TABULATED_0
+from laws import TABULATED_0, UNIT_LOGNORMAL
 
 
 def run_cli(capsys, *argv):
@@ -105,9 +105,8 @@ _ONE_ATOM = '{"kind":"discrete","atoms":[[0,1]]}'
 # strong_support(4, 2) moved to mean 1; its spacing condition fails at c = 8
 _STRONG4_SHIFTED = json.dumps({"kind": "discrete", "atoms": [
     [v + 1.0, 0.25] for v in strong_support(4, 2.0).values.tolist()]})
-# the unit-variance log-normal law, whose support spans e^7 either side of
-# its bulk, and a wider one whose mass `quad` misses over its support
-_UNIT_LOGNORMAL = '{"kind":"lognormal","mu":0.0,"sigma2":0.25,"scale":1.6559018331762287}'
+# a log-normal law wider than the unit one, whose mass `quad` misses over
+# its support
 _WIDE_LOGNORMAL = '{"kind":"lognormal","sigma2":1}'
 # atoms whose squares overflow the closed forms
 _HUGE_DOMINANT = '{"kind":"discrete","atoms":[[-1e170,0.6],[1e170,0.4]]}'
@@ -680,11 +679,11 @@ class TestMiGp:
         # a uniform 401-node grid over its support missed its mass and exited
         # 3 with QuadratureFailure; the mapped grid finds its bulk
         code, out, err = run_cli(capsys, "mi", "--P", "3", "--c", "2", "--no-rcsi",
-                                 "--n", "10000", "--dist", _UNIT_LOGNORMAL)
+                                 "--n", "10000", "--dist", UNIT_LOGNORMAL)
         assert (code, err) == (0, "")
         payload = json.loads(out)
         gaussian_bound = costa_rate_exact(ChannelParams(P=3, c=2),
-                                          parse_distribution(_UNIT_LOGNORMAL),
+                                          parse_distribution(UNIT_LOGNORMAL),
                                           CostaAssignment(rcsi=False))
         assert payload["estimate_bits"] >= gaussian_bound - 5 * payload["stderr_bits"]
 

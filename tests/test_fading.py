@@ -46,9 +46,7 @@ from fadingdirt.fading import (
     unit_rayleigh,
 )
 
-from laws import TABULATED_0
-
-TWO_POINT = Discrete(((-1.0, 0.5), (1.0, 0.5)))
+from laws import TABULATED_0, TWO_POINT, UNIT_LOGNORMAL
 
 
 class TestEntropy:
@@ -142,8 +140,7 @@ _ORACLE_LAWS = {
     "gaussian": ("gaussian", False),
     "uniform": ("uniform", False),
     "rayleigh": ("rayleigh", False),
-    "lognormal": ('{"kind":"lognormal","mu":0.0,"sigma2":0.25,"scale":1.6559018331762287}',
-                  False),
+    "lognormal": (UNIT_LOGNORMAL, False),
     "tabulated": ('{"kind":"tabulated","grid":[[-1.5,0],[-0.5,0.625],[0.5,0.375],[1.5,0]]}',
                   False),
     "tabulated0-kinks": (TABULATED_0, True),

@@ -37,9 +37,7 @@ from fadingdirt.gauss_mi import (
     mi_monte_carlo,
 )
 
-from laws import TABULATED_0
-
-TWO_POINT = Discrete(((-1.0, 0.5), (1.0, 0.5)))
+from laws import TABULATED_0, TWO_POINT, UNIT_LOGNORMAL
 
 
 def _log_normal_pdf(x, mean, var):
@@ -314,7 +312,7 @@ class TestMonteCarlo:
                 mi_monte_carlo(ChannelParams(P=3, c=2), law, CostaAssignment(rcsi=False),
                                10 ** 4, 0)
 
-    @pytest.mark.parametrize("law", [LogNormal(0.0, 0.25, 0.0, 1.6559018331762287),
+    @pytest.mark.parametrize("law", [parse_distribution(UNIT_LOGNORMAL),
                                      Gaussian(0.0, 1.0)], ids=["lognormal", "gaussian"])
     def test_rcsi_on_a_density_builds_no_grid(self, monkeypatch, law):
         # scoring with side information reads only the drawn fading: with
@@ -378,7 +376,7 @@ class TestMonteCarlo:
 _SPLIT_ONE_PINS = [
     pytest.param(TWO_POINT, CostaAssignment(a_target=1.0),
                  (0.2965010055328175, 0.004181150836468581), id="rcsi-two-point"),
-    pytest.param(LogNormal(0.0, 0.25, 0.0, 1.6559018331762287), CostaAssignment(a_target=1.0),
+    pytest.param(parse_distribution(UNIT_LOGNORMAL), CostaAssignment(a_target=1.0),
                  (0.7295151771053698, 0.003016446106142414), id="rcsi-lognormal"),
     pytest.param(Gaussian(0.0, 1.0), CostaAssignment(rcsi=False),
                  (0.4184897753186821, 0.0031917877839056493), id="norcsi-gaussian"),
@@ -388,7 +386,7 @@ _SPLIT_ONE_PINS = [
                  (0.37765189535539995, 0.003037194723486238), id="norcsi-per-atom"),
     # `mi` on the log-normal law at its default a' = 0: only the drawn fading
     # values are read
-    pytest.param(LogNormal(0.0, 0.25, 0.0, 1.6559018331762287), CostaAssignment(),
+    pytest.param(parse_distribution(UNIT_LOGNORMAL), CostaAssignment(),
                  (0.1962446790257961, 0.002221144891952048), id="rcsi-lognormal-default"),
 ]
 
@@ -594,7 +592,7 @@ class TestMixtureKernel:
         # sample's own doubles with its atoms (and the gaussian law took about
         # 96 mapped nodes for 401 even ones), the two-point law went 3.51 ->
         # 1.39 MiB and the gaussian 2.90 -> 2.85 MiB
-        lognormal = LogNormal(0.0, 0.25, 0.0, 1.6559018331762287)
+        lognormal = parse_distribution(UNIT_LOGNORMAL)
         cases = [(TWO_POINT, CostaAssignment(), 10 ** 6, 1.57),
                  (Gaussian(0.0, 1.0), CostaAssignment(rcsi=False), 16 * 10 ** 5, 3.0),
                  (TWO_POINT, CostaAssignment(split_delta=0.5), 10 ** 6, 2.12),

@@ -10,8 +10,8 @@ import pytest
 
 from fadingdirt.cli import main
 
-# unit-variance log-normal with log-variance 1/4
-_LOGNORMAL = '{"kind": "lognormal", "mu": 0.0, "sigma2": 0.25, "scale": 1.6559018331762287}'
+from laws import UNIT_LOGNORMAL
+
 # unit-variance two-hump density on 9 nodes; its entropy quadrature takes the
 # 7 interior nodes as breakpoints
 _TABULATED = ('{"kind":"tabulated","grid":[[-2.1492304319951656,0.0],'
@@ -53,7 +53,7 @@ GOLDEN = {
         "e4b70926a6e3c205a08046451b7f5d87456cc13534de8b5c2f6807fadaa949eb",
     ("sweep", "--theorem", "continuous", "--dist", "uniform", "--format", "json"):
         "7ebe2b44f2438b4a8b54a8a76bdc6257cf4b8b9a04a54fb8a5440324c233da36",
-    ("sweep", "--theorem", "continuous", "--dist", _LOGNORMAL, "--format", "csv"):
+    ("sweep", "--theorem", "continuous", "--dist", UNIT_LOGNORMAL, "--format", "csv"):
         "821d01e277a226bc254eeb598a3aab9acf7654d21d3459c1228a2eb2fc9c5c6c",
 }
 

@@ -21,14 +21,13 @@ from fadingdirt.fading import (
 )
 from fadingdirt.gauss_mi import CostaAssignment, mi_monte_carlo
 
-from laws import TABULATED_0
+from laws import TABULATED_0, UNIT_LOGNORMAL
 
-UNIT_LOGNORMAL = LogNormal(0.0, 0.25, 0.0, 1.6559018331762287)
 CATALOG = {
     "gaussian": parse_distribution("gaussian"),
     "uniform": parse_distribution("uniform"),
     "rayleigh": parse_distribution("rayleigh"),
-    "lognormal": UNIT_LOGNORMAL,
+    "lognormal": parse_distribution(UNIT_LOGNORMAL),
     "tabulated0": parse_distribution(TABULATED_0),
 }
 

@@ -133,6 +133,20 @@ def test_cli_names_no_theorem():
     assert _found(_theorem_or_private_harness_name, lambda name, owner: name != "cli.py") == []
 
 
+def _numpy_unique(node):
+    """`np.unique` or `numpy.unique`, or `unique` imported from numpy."""
+    return (isinstance(node, ast.Attribute) and node.attr == "unique"
+            and isinstance(node.value, ast.Name) and node.value.id in ("np", "numpy")
+            or isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "numpy"
+            and any(a.name == "unique" for a in node.names))
+
+
+def test_no_numpy_unique():
+    """The first call of `np.unique` in a process imports `numpy.ma`, about
+    10 ms; `fading.sorted_distinct` gives the same sorted distinct values."""
+    assert _found(_numpy_unique, lambda name, owner: False) == []
+
+
 # every module each of the two mixture modules imports, anywhere in it:
 # the grid and quadrature helpers use math and numpy alone
 MIXTURE_IMPORTS = {
