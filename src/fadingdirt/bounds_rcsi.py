@@ -367,12 +367,13 @@ def outer_continuous(params: ChannelParams, cp: ContinuousOuterParams) -> RateBo
 def inner_continuous(params: ChannelParams, dist: FadingDistribution, a_prime: float) -> RateBound:
     """Costa precoding against c*a'*S under continuous fading, by quadrature."""
     P, c2 = params.P, finite_square(params.c, "c")
+    gain, log2 = P * c2, math.log2  # bound once for the integrand's many calls
     lo, hi = dist.support()
     # checked in Python floats before quad, which would turn an inf into nan
     s = max(abs(lo), abs(hi))
-    if not (math.isfinite(P * c2) and math.isfinite(c2 * s * s)):
+    if not (math.isfinite(gain) and math.isfinite(c2 * s * s)):
         raise NonFinite(f"the Costa loss at P = {P!r}, c^2 = {c2!r} overflows on this law")
-    loss = integrate(dist, lambda x, p: p * math.log2(
-        P * c2 / (P + c2 * x * x + 1) * (x - a_prime) ** 2 + 1.0), lo, hi, 1e-8)[0]
+    loss = integrate(dist, lambda x, p: p * log2(
+        gain / (P + c2 * x * x + 1) * (x - a_prime) ** 2 + 1.0), lo, hi, 1e-8)[0]
     bits = max(0.0, 0.5 * math.log2(1 + P) - 0.5 * loss)
     return pick("continuous-inner", [(bits, "costa", True)], {})

@@ -495,15 +495,21 @@ def integrate(dist: FadingDistribution, f, lo: float, hi: float, epsabs: float,
               epsrel: float = 1.49e-8, points=()):
     """(value, abserr) of the integral of f(x, p(x)) over the finite
     interval [lo, hi], lo <= hi, with breakpoints `points`, p the law's
-    density read through `density`; f is not called where p <= 0.
+    density; f is not called where p <= 0.  The integrand reads the law's
+    memo directly and calls `density` only for a node not yet in it, so a
+    revisited node costs one dict lookup.
 
     QUADPACK's qagse, or qagpe with the breakpoints inside (lo, hi), both
     with a limit of 400 + len(points) subintervals, called as `quad` calls
     them, so the results are `quad`'s bit for bit.  A nonzero return code
     is reported as a QuadratureWarning with the value still returned;
     invalid input (code 6) raises QuadratureFailure."""
+    memo, density = dist._density_memo, dist.density
+
     def integrand(x):
-        p = dist.density(x)
+        p = memo.get(x)
+        if p is None:
+            p = density(x)
         return f(x, p) if p > 0 else 0.0
 
     quadpack, limit = _quadpack(), 400 + len(points)

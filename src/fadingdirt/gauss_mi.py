@@ -257,19 +257,10 @@ def _mixture_atoms(dist: FadingDistribution, c: float, variances):
     return xs[keep], w[keep]
 
 
-def _log_mixture(buf, y, scale, offset, u, mean_coef):
-    """log sum_a exp(offset_a + scale_a * (y - mean_coef_a * u)^2) for each
-    sample, with scale = -1/(2 var) and offset = log w - log(2 pi var)/2 per
-    atom: the log-density of a Gaussian mixture.  A scalar mean_coef is one
-    every atom shares; 0.0 gives the mean-zero mixture, as y - 0.0 * u is y.
-
-    Works in place in the first len(y) rows of buf, a (samples x atoms)
-    scratch buffer: square, scale, add the offsets, shift each row by its
-    max, exponentiate and sum.  A deviation the atoms share is formed and
-    squared once per sample.  No row's result depends on the rows scored
-    with it.
-    """
-    b = buf[:len(y)]
+def _exponents(b, y, scale, offset, u, mean_coef):
+    """Fill b, a (samples x atoms) block, with offset_a + scale_a *
+    (y - mean_coef_a * u)^2; a deviation the atoms share is formed and
+    squared once per sample."""
     if np.ndim(mean_coef) == 0:
         np.einsum("i,j->ij", np.square(y - mean_coef * u), scale, out=b)
     else:
@@ -277,11 +268,49 @@ def _log_mixture(buf, y, scale, offset, u, mean_coef):
         np.subtract(y[:, None], b, out=b)
         np.square(b, out=b)
         np.multiply(b, scale, out=b)
-    np.add(b, offset, out=b)
+    return np.add(b, offset, out=b)
+
+
+# a row whose terms sum below this is rescored with its max shifted out: every
+# term is then under e^-690, so the sample lies beyond about 37 sd of each
+# component (nearer only to components of tiny weight), and summed unshifted
+# its terms would lose digits as subnormals or read 0
+_UNDERFLOW_FLOOR = 1e-300
+
+
+def _log_mixture(buf, y, scale, offset, u, mean_coef):
+    """log sum_a exp(offset_a + scale_a * (y - mean_coef_a * u)^2) for each
+    sample, with scale = -1/(2 var) and offset = log w - log(2 pi var)/2 per
+    atom: the log-density of a Gaussian mixture.  A scalar mean_coef is one
+    every atom shares; 0.0 gives the mean-zero mixture, as y - 0.0 * u is y.
+
+    Every exponent is at most -log(2 pi)/2 < 0, since each weight w is at
+    most 1 and each variance at least 1 (it holds the unit noise), so the
+    terms are exponentiated and summed with no shift: exp cannot overflow.
+    Only underflow remains.  The rows whose sums fall below
+    `_UNDERFLOW_FLOOR`, samples far out in every component's tail, are
+    rescored: each is shifted by its max before exp, and the max added back
+    to the log.
+
+    Works in place in the first len(y) rows of buf, a (samples x atoms)
+    scratch buffer; the rescored rows reuse its first rows.  Each row is
+    summed on its own, so no row's result depends on the rows scored with
+    it.
+    """
+    b = _exponents(buf[:len(y)], y, scale, offset, u, mean_coef)
+    np.exp(b, out=b)
+    total = b.sum(axis=1)
+    low = np.flatnonzero(total < _UNDERFLOW_FLOOR)
+    if not len(low):
+        return np.log(total)
+    b = _exponents(buf[:len(low)], y[low], scale, offset, u[low], mean_coef)
     top = b.max(axis=1)
     np.subtract(b, top[:, None], out=b)
     np.exp(b, out=b)
-    return top + np.log(b.sum(axis=1))
+    total[low] = b.sum(axis=1)
+    out = np.log(total)
+    out[low] += top
+    return out
 
 
 def _check_range(params: ChannelParams, P1: float, k: float, a_min: float, a_max: float):
@@ -310,10 +339,13 @@ def mi_monte_carlo(params: ChannelParams, dist: FadingDistribution,
     closed-form component moments (single Gaussians given A), and the (U, S)
     pair is exactly jointly Gaussian.  Without side information a density
     enters the mixtures as the mapped trapezoid grid of `_mixture_atoms`,
-    about `_GRID_NODES` nodes placed for this gain and these variances.  At
-    k = 0, U = X1 and the U-term is exactly 0, so it is not formed.  Samples
-    are partitioned into fixed independent streams whose running moments are
-    merged, so the result depends on (seed, n) only.  A stream holds whole,
+    about `_GRID_NODES` nodes placed for this gain and these variances.  The
+    two mixtures' terms are summed with no max shift, as none can overflow
+    (`_log_mixture`); only samples far out in every component's tail are
+    rescored with their max shifted out.  At k = 0, U = X1 and the U-term is
+    exactly 0, so it is not formed.  Samples are partitioned into fixed
+    independent streams whose running moments are merged, so the result
+    depends on (seed, n) only.  A stream holds whole,
     in buffers the streams share, only s and x1 (and x2 at split < 1) and its
     fading draw: a discrete law's atom index, whose uniforms fill x1's
     buffer before x1 is drawn, or a density's values.  z, its last draw,

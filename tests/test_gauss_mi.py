@@ -1,6 +1,7 @@
 import math
 import tracemalloc
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -372,7 +373,8 @@ class TestMonteCarlo:
 
 # (estimate, stderr) at split 1, P=3, c=2, n=1e5, seed 0 on each scoring path,
 # recorded before each receiver's scorer was built in one branch, the
-# gaussian mixture's again on the mapped grid
+# gaussian mixture's again on the mapped grid, and the discrete mixtures'
+# again once rows were summed without their max shifted out (one ulp)
 _SPLIT_ONE_PINS = [
     pytest.param(TWO_POINT, CostaAssignment(a_target=1.0),
                  (0.2965010055328175, 0.004181150836468581), id="rcsi-two-point"),
@@ -381,9 +383,9 @@ _SPLIT_ONE_PINS = [
     pytest.param(Gaussian(0.0, 1.0), CostaAssignment(rcsi=False),
                  (0.4184897753186821, 0.0031917877839056493), id="norcsi-gaussian"),
     pytest.param(geometric_fading(0.55), CostaAssignment(rcsi=False),
-                 (0.47425585337624926, 0.0033359144067347983), id="norcsi-geometric"),
+                 (0.4742558533762492, 0.0033359144067347988), id="norcsi-geometric"),
     pytest.param(Discrete(((-1.0, 0.3), (1.0, 0.7))), CostaAssignment(rcsi=False),
-                 (0.37765189535539995, 0.003037194723486238), id="norcsi-per-atom"),
+                 (0.3776518953553999, 0.0030371947234862384), id="norcsi-per-atom"),
     # `mi` on the log-normal law at its default a' = 0: only the drawn fading
     # values are read
     pytest.param(parse_distribution(UNIT_LOGNORMAL), CostaAssignment(),
@@ -403,7 +405,8 @@ _WIDE = geometric_fading(0.1)
 
 # (estimate, stderr) at P=3, c=2, n=1e4+7, seed 4, recorded before a discrete
 # law drew atom indices and scored from per-atom columns, and before the
-# U-term was skipped at k = 0
+# U-term was skipped at k = 0; norcsi-wide again once mixture rows were summed
+# without their max shifted out (one ulp)
 _INDEX_DRAW_PINS = [
     pytest.param(TWO_POINT, CostaAssignment(split_delta=0.5),
                  (0.32832717560357866, 0.008854728082935942), id="rcsi-two-point-k0-split0.5"),
@@ -414,7 +417,7 @@ _INDEX_DRAW_PINS = [
     pytest.param(_WIDE, CostaAssignment(a_target=1.0),
                  (0.0041185446591721795, 0.012747531191949445), id="rcsi-wide"),
     pytest.param(_WIDE, CostaAssignment(rcsi=False),
-                 (0.46934164820210283, 0.010450899298616277), id="norcsi-wide"),
+                 (0.4693416482021029, 0.010450899298616279), id="norcsi-wide"),
 ]
 
 
@@ -529,6 +532,44 @@ class TestMixtureKernel:
                 assert np.isneginf(np.log(np.exp(terms).sum(axis=1))[far]).all()
             got = gauss_mi._log_mixture(buf, y, scale, offset, **kwargs)
             np.testing.assert_allclose(got, logsumexp(terms, axis=1), rtol=1e-12, atol=1e-12)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 10 ** 6), st.integers(1, 300), st.integers(1, 30), st.integers(0, 5),
+           st.one_of(st.none(), st.floats(-10.0, 10.0)))
+    def test_drawn_mixtures_match_logsumexp(self, seed, atoms, near, far, shared):
+        # weights down to 1e-300, variances 1 to 1e12, a mean coefficient
+        # per atom (shared=None) or one they share; the near samples sit in
+        # a drawn component, the far ones so far out that every term underflows
+        from scipy.special import logsumexp
+
+        rng = np.random.default_rng(seed)
+        w = 10.0 ** rng.uniform(-300.0, 0.0, atoms)
+        w /= w.sum()
+        var = 10.0 ** rng.uniform(0.0, 12.0, atoms)
+        coef = rng.uniform(-10.0, 10.0, atoms) if shared is None else shared
+        u = rng.uniform(-5.0, 5.0, near + far)
+        at = rng.integers(0, atoms, near)
+        y = np.concatenate((np.broadcast_to(coef, atoms)[at] * u[:near]
+                            + np.sqrt(var[at]) * rng.standard_normal(near),
+                            rng.choice([-1.0, 1.0], far)
+                            * (100.0 + rng.uniform(40.0, 100.0, far) * math.sqrt(var.max()))))
+        terms = np.log(w) + _log_normal_pdf(y[:, None], u[:, None] * coef, var)
+        assert (terms[near:].max(axis=1) < -746.0).all()
+
+        scale, offset = -0.5 / var, np.log(w) - 0.5 * np.log(2.0 * math.pi * var)
+        buf = np.empty((len(y) + 3, atoms))
+        with mock.patch.object(gauss_mi, "_exponents", wraps=gauss_mi._exponents) as spy:
+            got = gauss_mi._log_mixture(buf, y, scale, offset, u, coef)
+        np.testing.assert_allclose(got, logsumexp(terms, axis=1), rtol=1e-12, atol=1e-12)
+        # the rows rescored with their max shifted out: every far row, and
+        # only rows whose largest term is below the floor
+        calls = spy.call_args_list
+        rescored = np.isin(y, calls[1].args[1]) if len(calls) == 2 else np.zeros(len(y), bool)
+        assert len(calls) <= 2 and rescored[near:].all()
+        assert (terms.max(axis=1)[rescored] < math.log(gauss_mi._UNDERFLOW_FLOOR)).all()
+        alone = [gauss_mi._log_mixture(buf, y[i:i + 1], scale, offset, u[i:i + 1], coef)[0]
+                 for i in range(len(y))]
+        np.testing.assert_array_equal(alone, got)
 
     def test_shared_coefficient_paths_are_bit_equal(self):
         # a coefficient every atom shares, given once (one deviation per
