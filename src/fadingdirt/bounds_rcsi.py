@@ -2,14 +2,14 @@
 
 Covers the circular-binomial phase-fading recap, the dominant-atom
 (mass >= 1/2) discrete theorem, the strong-fading uniform-support theorem,
-and the continuous-fading outer bound.  Inner bounds are built from three
-closed-form strategies: treat the fading-times-state as noise, Costa
-precoding against one fading realization, and a power split combining the
-two.  Each outer bound lists its branches by name, and `pick` takes the
-minimum over those whose stated condition holds: a minimum of valid outer
-bounds is still an outer bound, which sidesteps ambiguous branch
-precedence.  Each inner bound lists the strategies at each precoding
-target in turn, and `pick` takes the best.
+and the continuous-fading outer bound.  The discrete inner strategies are
+one closed-form power split at three powers abar: abar = 0 treats the
+fading-times-state as noise, abar = P is Costa precoding against one fading
+realization, and the split point lies between.  Each outer bound lists its
+branches by name, and `pick` takes the minimum over those whose stated
+condition holds: a minimum of valid outer bounds is still an outer bound,
+which sidesteps ambiguous branch precedence.  Each inner bound lists the
+strategies at each precoding target in turn, and `pick` takes the best.
 """
 
 from __future__ import annotations
@@ -70,11 +70,15 @@ def _half_interval(prob_i) -> bool:  # the interval rule: P(I) >= 1/2 within 1e-
 # phase fading (circularly binomial) recap
 # ---------------------------------------------------------------------------
 
+def check_delta(Delta: float) -> None:  # the phase theorem's range; NaN and +-inf fail it
+    if not (math.pi / 4 <= Delta <= math.pi / 2):
+        raise DeltaOutOfRange(f"Delta must be in [pi/4, pi/2], got {Delta!r}")
+
+
 def outer_phase_binomial(P: float, Q: float, Delta: float) -> RateBound:
     """Piecewise outer bound for phase fading exp(+-j Delta) on a state of
     power Q = c^2, with effective gain c_eff = sin(Delta) sqrt(Q)."""
-    if not (math.pi / 4 <= Delta <= math.pi / 2):
-        raise DeltaOutOfRange(f"Delta must be in [pi/4, pi/2], got {Delta!r}")
+    check_delta(Delta)
     if Q <= 0:
         raise ZeroGain("Q must be positive")
     c2 = math.sin(Delta) ** 2 * Q
@@ -153,59 +157,52 @@ def outer_mass_half(params: ChannelParams, mp: MassHalfParams) -> RateBound:
                 {"dominant_mass": _dominant(Pp), "mu_A_zero": _zero_mean(mp.mu_A)})
 
 
-def _costa_atom_sum(values, probs, a_prime, p_prime_mass, c, power):
-    """Per-atom Costa rate: precoding against c*a_prime*S with the given
-    codeword power, exact Gaussian-MI closed form for each fading atom."""
-    if power <= 0:
-        return 0.0
-    r = p_prime_mass / 2 * math.log2(1 + power)
-    c2, pc2, p1 = c * c, power * c * c, 1 + power
+def _split_rate(values, probs, ea2, c, P, a_prime, i_p, abar):
+    """Rate of decoding a codeword of power P - abar first, everything else
+    as noise, then one of power abar Costa-precoded against c*a'*S, exact
+    per fading atom; values and probs are the law's atoms as lists of Python
+    floats, ea2 its E[A^2] and i_p the mass of a'."""
+    c2 = c * c
+    # at full power the first stage carries no rate: log2(1 + 0) = 0
+    first = 0.5 * math.log2(1 + (P - abar) / (1 + c2 * ea2 + abar)) if abar < P else 0.0
+    if abar <= 0:
+        return max(first, 0.0)
+    r = i_p / 2 * math.log2(1 + abar)
+    pc2, p1 = abar * c * c, 1 + abar
     for v, p in zip(values, probs):
         if v == a_prime:
             continue
         c2v2 = c2 * v * v
-        den = pc2 * (v - a_prime) ** 2 + power + c2v2 + 1
-        r += p / 2 * math.log2((1 + c2v2 + power) * p1 / den)
-    return r
-
-
-def _inner_strategies(params: ChannelParams, values, probs, ea2, a_prime):
-    """The (bits, strategy, True) candidates of treat-as-noise, full-power
-    Costa and the power split against a'; values and probs are the law's
-    sorted atoms as lists of Python floats, ea2 its E[A^2]."""
-    P, c = params.P, params.c
-    c2 = c * c
-    # at P > 0 every numerator and denominator of _costa_atom_sum is at most
-    # (1 + P)(1 + P + c^2 s^2), s the largest |a| or |a - a'| over the sorted
-    # atoms; checked in Python floats, which overflow without a numpy warning
-    lo, hi = values[0], values[-1]
-    s = max(-lo, hi, hi - a_prime, a_prime - lo)
-    if P > 0 and not math.isfinite((1 + P) * (1 + P + c2 * s * s)):
-        raise NonFinite(f"the Costa rates at P = {P!r}, c = {c!r} overflow on this law")
-    i_p = probs[values.index(a_prime)]
-    treat = 0.5 * math.log2(1 + P / (1 + c2 * ea2))
-    costa = _costa_atom_sum(values, probs, a_prime, i_p, c, P)
-    # power split: abar*P on the Costa codeword, rest treated as noise
-    P_bar = 1.0 - i_p
-    if P_bar <= 0:
-        abar_p = P
-    else:
-        abar_p = max(min(i_p / P_bar * c2 - 1.0, P), 0.0)
-    a_p = P - abar_p
-    split = 0.5 * math.log2(1 + a_p / (1 + c2 * ea2 + abar_p)) + _costa_atom_sum(
-        values, probs, a_prime, i_p, c, abar_p)
-    return ((max(treat, 0.0), "treat-as-noise", True), (max(costa, 0.0), "costa", True),
-            (max(split, 0.0), "power-split", True))
+        den = pc2 * (v - a_prime) ** 2 + abar + c2v2 + 1
+        r += p / 2 * math.log2((1 + c2v2 + abar) * p1 / den)
+    # the first stage joins the finished sum, not each of its terms
+    return max(first + r, 0.0)
 
 
 def _strategies(params: ChannelParams, dist: Discrete, targets=None):
-    """The strategies' candidates at each precoding target in turn, every
-    atom when targets is None, so that the first target, then the first
-    strategy, wins ties."""
+    """The (bits, strategy, True) candidates of treat-as-noise, full-power
+    Costa and the power split at each precoding target in turn, every atom
+    when targets is None, so that the first target, then the first strategy,
+    wins ties."""
+    P, c = params.P, params.c
+    c2 = c * c
     ea2 = float(np.dot(dist.values ** 2, dist.probs))
     values, probs = dist.values.tolist(), dist.probs.tolist()
-    return [c for a_prime in (values if targets is None else targets)
-            for c in _inner_strategies(params, values, probs, ea2, a_prime)]
+    lo, hi = values[0], values[-1]
+    candidates = []
+    for a_prime in (values if targets is None else targets):
+        # at P > 0 every numerator and denominator of _split_rate is at most
+        # (1 + P)(1 + P + c^2 s^2), s the largest |a| or |a - a'| over the sorted
+        # atoms; checked in Python floats, which overflow without a numpy warning
+        s = max(-lo, hi, hi - a_prime, a_prime - lo)
+        if P > 0 and not math.isfinite((1 + P) * (1 + P + c2 * s * s)):
+            raise NonFinite(f"the Costa rates at P = {P!r}, c = {c!r} overflow on this law")
+        i_p = probs[values.index(a_prime)]
+        split = P if i_p >= 1.0 else max(min(i_p / (1.0 - i_p) * c2 - 1.0, P), 0.0)
+        for abar, name in ((0.0, "treat-as-noise"), (P, "costa"), (split, "power-split")):
+            candidates.append((_split_rate(values, probs, ea2, c, P, a_prime, i_p, abar),
+                               name, True))
+    return candidates
 
 
 def inner_mass_half(params: ChannelParams, dist: Discrete, mp: MassHalfParams) -> RateBound:
@@ -294,6 +291,8 @@ def continuous_interval_params(dist: FadingDistribution, interval) -> Continuous
     a, b = float(interval[0]), float(interval[1])
     if not (math.isfinite(a) and math.isfinite(b)):
         raise NonFinite(f"interval ends must be finite, got {[a, b]!r}")
+    if not math.isfinite(b - a):  # the a' grid's spacing would overflow
+        raise NonFinite(f"the width of the interval {[a, b]!r} overflows")
     if not b > a:
         raise IntervalMassTooSmall("empty interval")
     lo_s, hi_s = dist.support()

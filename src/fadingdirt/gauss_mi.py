@@ -165,9 +165,15 @@ def _density_grid(dist: FadingDistribution, c: float, variances):
     while rho at its midpoint misses linear interpolation by more than
     `_FINE_TOL` of the total, within `_FINE_EVALS` evaluations.  Each node is
     solved from its s by Newton steps on the same rule, so the weights read
-    the rho that placed the nodes.
+    the rho that placed the nodes.  A midpoint can miss a peak of rho, and
+    the rule's s need not increase over it: the fine intervals of nodes that
+    do not increase are halved again, and QuadratureFailure is raised if the
+    evaluations run out first.
     """
     lo, hi = dist.support()
+    if not hi > lo:
+        raise QuadratureFailure(f"the support [{lo!r}, {hi!r}] of the law has no width "
+                                "at float resolution")
     edges = np.array(sorted({lo, hi, *(float(x) for x in dist.kinks() if lo < x < hi)}))
     floor = 1e-3 / (hi - lo)
 
@@ -192,48 +198,66 @@ def _density_grid(dist: FadingDistribution, c: float, variances):
     xs = sorted_distinct(np.concatenate([np.linspace(x0, x1, _FINE_SEED + 1)
                                          for x0, x1 in zip(edges[:-1], edges[1:])]
                                         + [bulk[(lo < bulk) & (bulk < hi)]]))
+
+    def place(xs, rho):
+        """The nodes, each one's fine interval and its step in s."""
+        s_fine = np.concatenate(([0.0], np.cumsum(integral(xs[:-1], xs[1:]))))
+        # each node's panel, its s and its step in s; a panel's last node is the
+        # next one's first, and its step is half of each of their end steps
+        s_edges = s_fine[np.searchsorted(xs, edges)]
+        spans = np.diff(s_edges)
+        steps = np.maximum(4, np.rint((_GRID_NODES - 1) * spans / s_fine[-1])).astype(int)
+        ends = np.concatenate(([0], np.cumsum(steps)))
+        panel = np.repeat(np.arange(len(steps)), steps)
+        t = 2.0 * math.pi * (np.arange(len(panel)) - ends[panel]) / steps[panel]
+        s = np.append(s_edges[panel]
+                      + spans[panel] * (t - _GRID_GRADE * np.sin(t)) / (2.0 * math.pi),
+                      s_edges[-1])
+        step = np.append(spans[panel] / steps[panel] * (1.0 - _GRID_GRADE * np.cos(t)), 0.0)
+        half = spans / steps * (1.0 - _GRID_GRADE) / 2.0
+        step[ends] = np.append(half, 0.0) + np.append(0.0, half)
+
+        j = np.clip(np.searchsorted(s_fine, s, side="right") - 1, 0, len(xs) - 2)
+        x0, x1 = xs[j], xs[j + 1]
+        a = np.minimum(x0 + (s - s_fine[j]) / rho[j], x1)
+        for _ in range(3):  # Newton from a guess within the right fine interval
+            a = np.clip(a - (s_fine[j] + integral(x0, a) - s) / density(a)[1], x0, x1)
+        a[ends] = edges
+        return a, j, step
+
     _, law, width = terms(xs)
-    active, spent = np.ones(len(xs) - 1, bool), len(xs)
+    active, spent, force = np.ones(len(xs) - 1, bool), len(xs), False
     while True:
         # L as the fine grid finds it so far
         h = np.diff(xs)
         law_total = np.dot(h, law[:-1] + law[1:]) / 2.0
         law_scale = _GRID_LAW_SHARE / law_total if law_total > 0 else 0.0
         rho = law_scale * law + width + floor
-        if not active.any() or spent >= _FINE_EVALS:
+        if active.any() and spent < _FINE_EVALS:
+            mid = (xs[:-1] + xs[1:])[active] / 2.0
+            _, law_mid, width_mid = terms(mid)
+            spent += len(mid)
+            halve = force | (np.abs(law_scale * law_mid + width_mid + floor
+                                    - (rho[:-1] + rho[1:])[active] / 2.0)
+                             * h[active] > _FINE_TOL * np.dot(h, rho[:-1] + rho[1:]) / 2.0)
+            order = np.argsort(np.concatenate((xs, mid)))
+            xs, law, width = (np.concatenate(pair)[order]
+                              for pair in ((xs, mid), (law, law_mid), (width, width_mid)))
+            halved = np.concatenate((np.zeros(len(active) + 1, bool), halve))[order]
+            active, force = halved[:-1] | halved[1:], False
+            continue
+        a, j, step = place(xs, rho)
+        # past a peak of rho that a midpoint missed, s need not increase
+        bad = np.flatnonzero(np.diff(a) <= 0)
+        if len(bad) == 0:
             break
-        mid = (xs[:-1] + xs[1:])[active] / 2.0
-        _, law_mid, width_mid = terms(mid)
-        spent += len(mid)
-        halve = (np.abs(law_scale * law_mid + width_mid + floor - (rho[:-1] + rho[1:])[active] / 2.0)
-                 * h[active] > _FINE_TOL * np.dot(h, rho[:-1] + rho[1:]) / 2.0)
-        order = np.argsort(np.concatenate((xs, mid)))
-        xs, law, width = (np.concatenate(pair)[order]
-                          for pair in ((xs, mid), (law, law_mid), (width, width_mid)))
-        halved = np.concatenate((np.zeros(len(active) + 1, bool), halve))[order]
-        active = halved[:-1] | halved[1:]
-    s_fine = np.concatenate(([0.0], np.cumsum(integral(xs[:-1], xs[1:]))))
-
-    # each node's panel, its s and its step in s; a panel's last node is the
-    # next one's first, and its step is half of each of their end steps
-    s_edges = s_fine[np.searchsorted(xs, edges)]
-    spans = np.diff(s_edges)
-    steps = np.maximum(4, np.rint((_GRID_NODES - 1) * spans / s_fine[-1])).astype(int)
-    ends = np.concatenate(([0], np.cumsum(steps)))
-    panel = np.repeat(np.arange(len(steps)), steps)
-    t = 2.0 * math.pi * (np.arange(len(panel)) - ends[panel]) / steps[panel]
-    s = np.append(s_edges[panel] + spans[panel] * (t - _GRID_GRADE * np.sin(t)) / (2.0 * math.pi),
-                  s_edges[-1])
-    step = np.append(spans[panel] / steps[panel] * (1.0 - _GRID_GRADE * np.cos(t)), 0.0)
-    half = spans / steps * (1.0 - _GRID_GRADE) / 2.0
-    step[ends] = np.append(half, 0.0) + np.append(0.0, half)
-
-    j = np.clip(np.searchsorted(s_fine, s, side="right") - 1, 0, len(xs) - 2)
-    x0, x1 = xs[j], xs[j + 1]
-    a = np.minimum(x0 + (s - s_fine[j]) / rho[j], x1)
-    for _ in range(3):  # Newton from a guess within the right fine interval
-        a = np.clip(a - (s_fine[j] + integral(x0, a) - s) / density(a)[1], x0, x1)
-    a[ends] = edges
+        if spent >= _FINE_EVALS:
+            raise QuadratureFailure(f"the grid's nodes do not increase near a = "
+                                    f"{float(a[bad[0]])!r} after {spent} evaluations "
+                                    "of its node density")
+        active = np.zeros(len(xs) - 1, bool)
+        active[j[bad]] = active[j[bad + 1]] = True
+        force = True
     p, rho = density(a)
     return a, p / rho * step
 
@@ -244,9 +268,10 @@ def _mixture_atoms(dist: FadingDistribution, c: float, variances):
     trapezoid rule of `_density_grid` on about `_GRID_NODES` nodes, placed for
     gain c and the component variances (v, v_y) = variances(a).  A density's
     weights are divided by their sum, which must be within `_GRID_MASS_TOL`
-    of 1, and its nodes of zero weight are dropped."""
+    of 1.  Atoms and nodes of zero weight are dropped."""
     if dist.is_discrete:
-        return dist.values, dist.probs
+        keep = dist.probs > 0
+        return dist.values[keep], dist.probs[keep]
     xs, w = _density_grid(dist, c, variances)
     mass = float(w.sum())
     if not abs(mass - 1.0) <= _GRID_MASS_TOL:

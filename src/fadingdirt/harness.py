@@ -158,6 +158,8 @@ def _continuous_points(dist, interval=None, **_):
 
 
 def _phase_points(Delta, **_):  # phase fading exp(+-j Delta) on a state of power Q = c^2
+    br.check_delta(Delta)  # before sin, which raises a bare ValueError on +-inf
+
     def point(params, c2=None):
         Q = _square(params, c2)
         outer = br.outer_phase_binomial(params.P, Q, Delta)

@@ -295,10 +295,18 @@ def _array_strategies(params, values, probs, a_prime):
     return max(treat, 0.0), max(costa, 0.0), max(split, 0.0)
 
 
+_STRATEGY_NAMES = ("treat-as-noise", "costa", "power-split")
+
+
+def _array_candidates(params, law, a_prime):
+    rates = _array_strategies(params, law.values, law.probs, a_prime)
+    return [(bits, name, True) for bits, name in zip(rates, _STRATEGY_NAMES)]
+
+
 def _array_best(params, law, a_prime):
     rates = _array_strategies(params, law.values, law.probs, a_prime)
     i = int(np.argmax(rates))
-    return rates[i], ("treat-as-noise", "costa", "power-split")[i]
+    return rates[i], _STRATEGY_NAMES[i]
 
 
 @st.composite
@@ -329,6 +337,8 @@ def test_inner_mass_half_equals_array_oracle(law, P, c):
     assert ((got.bits, got.branch, got.theorem, got.assumptions_ok)
             == (*_array_best(params, law, mp_.a_prime), "mass-half-inner",
                 {"dominant_mass": True}))
+    # every strategy, not only the winner, bit for bit
+    assert list(got.candidates) == _array_candidates(params, law, mp_.a_prime)
 
 
 @settings(max_examples=300, deadline=None)
@@ -342,6 +352,8 @@ def test_inner_strong_equals_array_oracle(M, ratio, P, c):
                key=lambda rate_tag: rate_tag[0])
     assert ((got.bits, got.branch, got.theorem, got.assumptions_ok)
             == (*want, "strong-inner", {"uniform": True}))
+    assert list(got.candidates) == [cand for a in support.values
+                                    for cand in _array_candidates(params, support, float(a))]
 
 
 # The two choosers that `pick` replaced, kept as its oracles.  An outer bound

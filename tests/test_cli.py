@@ -289,6 +289,21 @@ _BAD_INPUT = {
                                               "--c", "1e200", "--dist", "two-point"]),
     "overflow-mi-norcsi-gain": ("NonFinite", ["mi", "--no-rcsi", "--P", "3", "--c", "1e200",
                                               "--dist", "gaussian", "--n", "10000"]),
+    # math.sin(inf) raised a bare ValueError before the range check
+    "bounds-phase-delta-inf": ("DeltaOutOfRange", ["bounds", "--theorem", "phase-binomial",
+                                                   "--P", "3", "--c", "2", "--delta", "inf"]),
+    "sweep-phase-delta-inf": ("DeltaOutOfRange", ["sweep", "--theorem", "phase-binomial",
+                                                  "--delta", "inf"]),
+    "sweep-phase-delta-minus-inf": ("DeltaOutOfRange", ["sweep", "--theorem", "phase-binomial",
+                                                        "--delta=-inf"]),
+    # mean +- 12 sd round to one float, and the grid's floor divided by 0
+    "mi-collapsed-support": ("QuadratureFailure", [
+        "mi", "--P", "1", "--c", "0", "--no-rcsi", "--n", "10000",
+        "--dist", '{"kind":"gaussian","mean":1e300,"var":1}']),
+    # b - a overflowed on the a' grid, with two numpy warnings before RootNotFound
+    "bounds-overflowing-interval": ("NonFinite", ["bounds", "--theorem", "continuous",
+                                                  "--P", "1", "--c", "1", "--dist", "rayleigh",
+                                                  "--interval", "-1e308", "1e308"]),
     # numpy's ValueError and min() of an empty sequence ended in a traceback
     "nan-mass-mi": ("NonFinite", ["mi", "--P", "3", "--n", "10000", "--dist", _NAN_MASS]),
     "nan-mass-sweep": ("NonFinite", ["sweep", "--theorem", "mass-half", "--dist", _NAN_MASS]),
@@ -686,6 +701,15 @@ class TestMiGp:
                                           parse_distribution(UNIT_LOGNORMAL),
                                           CostaAssignment(rcsi=False))
         assert payload["estimate_bits"] >= gaussian_bound - 5 * payload["stderr_bits"]
+
+    @pytest.mark.parametrize("P, c", [("100", "1"), ("3", "2")])
+    def test_mi_no_rcsi_drops_a_zero_mass_atom(self, capsys, P, c):
+        # the mixture took log(0) of its weight and printed a numpy warning
+        base = ["mi", "--P", P, "--c", c, "--no-rcsi", "--n", "10000", "--dist"]
+        code, out, err = run_cli(capsys, *base,
+                                 '{"kind":"discrete","atoms":[[-1,0.5],[0,0.0],[1,0.5]]}')
+        assert (code, err) == (0, "")
+        assert out == run_cli(capsys, *base, '{"kind":"discrete","atoms":[[-1,0.5],[1,0.5]]}')[1]
 
     def test_gp_example(self, capsys):
         code, out, _ = run_cli(capsys, "gp", "--example", "binary-nonoise",

@@ -105,6 +105,27 @@ def test_catalog_grid_carries_the_mass(name, c):
     assert len(xs) <= gauss_mi._GRID_NODES + 4 * len(law.kinks())
 
 
+# the fine grid's midpoint check passed across the peak of the width term
+# near a = 0, over which the three-point s does not increase: two nodes fell
+# back onto one fine interval's left end, below the node before them
+_MISSED_PEAK = (LogNormal(0.0, 1.87109375, 1.900390625, -10.0),
+                ChannelParams(P=10.0 ** 0.84375, c=10.0 ** 1.90625))
+
+
+def test_grid_halves_again_where_nodes_do_not_increase():
+    law, params = _MISSED_PEAK
+    xs, w = gauss_mi._density_grid(law, params.c, kernel_variances(params, law))
+    assert np.all(np.diff(xs) > 0)
+    assert abs(w.sum() - 1.0) <= gauss_mi._GRID_MASS_TOL
+
+
+def test_grid_fails_when_its_evaluations_run_out(monkeypatch):
+    law, params = _MISSED_PEAK
+    monkeypatch.setattr(gauss_mi, "_FINE_EVALS", 1)
+    with pytest.raises(QuadratureFailure, match="do not increase"):
+        gauss_mi._density_grid(law, params.c, kernel_variances(params, law))
+
+
 # |estimate - ref| at n = 1e4, seed 0, no RCSI, split 1, in bits, bounded by
 # max(|old - ref|, 1e-6).  (ref, old) per (P, c) of _GATE_POINTS: ref on 16
 # times the mapped nodes, which agrees with a 20001-node even trapezoid within

@@ -32,12 +32,16 @@ def _uses(tree, match):
     return visit(tree, "<module>")
 
 
-def _found(match, allowed):
-    """Each use that `allowed(file name, owner)` rejects, as "file:line in owner"."""
-    return [f"{path.name}:{line} in {owner}"
-            for path in sorted(SRC.glob("*.py"))
-            for line, owner in _uses(ast.parse(path.read_text(encoding="utf-8")), match)
-            if not allowed(path.name, owner)]
+def _found(match, allowed, sources=None):
+    """Each use that `allowed(file name, owner)` rejects, as "file:line in
+    owner", over the (file name, text) pairs of sources, else the package."""
+    if sources is None:
+        sources = [(path.name, path.read_text(encoding="utf-8"))
+                   for path in sorted(SRC.glob("*.py"))]
+    return [f"{name}:{line} in {owner}"
+            for name, text in sources
+            for line, owner in _uses(ast.parse(text), match)
+            if not allowed(name, owner)]
 
 
 # the loader of QUADPACK's extension, which `fading.integrate` calls; scipy
@@ -81,21 +85,39 @@ def test_generators_built_only_by_seeded_rng():
                   lambda name, owner: (name, owner) == ("fading.py", "seeded_rng")) == []
 
 
-def _scalar_density_read(node):
-    """`float(<law>.pdf(...))`: one density value as a float."""
-    return (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
-            and node.func.id == "float" and len(node.args) == 1
-            and isinstance(node.args[0], ast.Call)
-            and isinstance(node.args[0].func, ast.Attribute)
-            and node.args[0].func.attr == "pdf")
+def _pdf_read(node):
+    """A read of a `pdf` attribute, called or bound to a name."""
+    return isinstance(node, ast.Attribute) and node.attr == "pdf"
+
+
+# the memoized scalar read, and the two vectorized reads over a grid
+PDF_OWNERS = {("fading.py", "density"), ("gauss_mi.py", "terms"),
+              ("bounds_rcsi.py", "continuous_interval_params")}
+
+
+def _pdf_allowed(name, owner):
+    return (name, owner) in PDF_OWNERS
 
 
 def test_scalar_density_read_only_through_the_memo():
-    """`FadingDistribution.density` evaluates each node once per law; a
-    scalar pdf read anywhere else would pay numpy's per-call cost again at
-    every quadrature node it revisits."""
-    assert _found(_scalar_density_read,
-                  lambda name, owner: (name, owner) == ("fading.py", "density")) == []
+    """`FadingDistribution.density` evaluates each node once per law; a pdf
+    read anywhere else, a scalar one above all, would pay numpy's per-call
+    cost again at every quadrature node it revisits."""
+    assert _found(_pdf_read, _pdf_allowed) == []
+
+
+def test_density_rule_flags_attribute_and_alias_reads():
+    integrate = """
+def integrate(dist, f, lo, hi):
+    p = float(dist.pdf(lo))
+    pdf = dist.pdf
+    return f(hi, float(pdf(hi))) + p
+"""
+    assert _found(_pdf_read, _pdf_allowed, [("fading.py", integrate)]) == [
+        "fading.py:3 in integrate", "fading.py:4 in integrate"]
+    owners = [(name, f"def {owner}(dist, x):\n    return dist.pdf(x)\n")
+              for name, owner in sorted(PDF_OWNERS)]
+    assert _found(_pdf_read, _pdf_allowed, owners) == []
 
 
 def _bound_call(node):
