@@ -433,11 +433,21 @@ class TabulatedDensity(FadingDistribution, kind="tabulated", keys=("grid",)):
         return self._xs[1:-1]
 
     def _draw(self, rng, n):
+        """The exact inverse of the declared density's CDF: in the segment of
+        width h and end densities d0, d1 that holds mass w past its left end,
+        d0 t + (d1 - d0) t^2 / (2h) = w, by the root 2w / (d0 + sqrt(d0^2 +
+        2 (d1 - d0) w / h)) that loses no digits on a flat segment; t = 0
+        where the denominator is 0, at w = 0 on a zero-density end, and at
+        most h, which rounding passes by up to 2e-11 h toward a zero end."""
         xs, ds = self._xs, self._ds
-        cdf = np.concatenate(([0.0], np.cumsum(np.diff(xs) * (ds[1:] + ds[:-1]) / 2.0)))
-        cdf /= cdf[-1]
-        u = rng.uniform(size=n)
-        return np.interp(u, cdf, xs)
+        h = np.diff(xs)
+        cdf = np.concatenate(([0.0], np.cumsum(h * (ds[1:] + ds[:-1]) / 2.0)))
+        v = rng.uniform(size=n) * cdf[-1]
+        seg = np.minimum(np.searchsorted(cdf, v, side="right") - 1, len(h) - 1)
+        w, d0, d1, hs = v - cdf[seg], ds[seg], ds[seg + 1], h[seg]
+        den = d0 + np.sqrt(np.maximum(d0 * d0 + 2.0 * (d1 - d0) * w / hs, 0.0))
+        t = np.divide(2.0 * w, den, out=np.zeros(n), where=den > 0.0)
+        return xs[seg] + np.minimum(t, hs)
 
 
 # ---------------------------------------------------------------------------

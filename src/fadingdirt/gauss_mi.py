@@ -100,14 +100,20 @@ def costa_rate_exact(params: ChannelParams, dist: FadingDistribution,
 
     def i_yu(a, g):
         var_y = P1 + g + 1.0
+        vv = var_y * var_u
+        if not math.isfinite(vv):
+            raise NonFinite(f"var(Y) var(U) overflows at a={a!r}")
         cov = P1 + k * c * a
-        det = var_y * var_u - cov * cov
+        det = vv - cov * cov
         if det < _VAR_MIN:
             raise SingularCovariance(f"singular (U,Y) covariance at a={a!r}")
-        return 0.5 * math.log2(var_y * var_u / det)
+        return 0.5 * math.log2(vv / det)
 
-    stage2 = max(0.0, float(sum(p * i_yu(a, g) for p, a, g in atoms)) - i_us)
-    return stage1 + stage2
+    # checked before the clamp, which would read a nan as 0 bits
+    i_yu_avg = float(sum(p * i_yu(a, g) for p, a, g in atoms))
+    if not math.isfinite(i_yu_avg):
+        raise NonFinite(f"I(U;Y) is {i_yu_avg!r} bits, not finite")
+    return stage1 + max(0.0, i_yu_avg - i_us)
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,12 @@
 import math
+import sys
 
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from fadingdirt import bounds_norcsi
 from fadingdirt.bounds_norcsi import (
     ChannelParams,
     RateBound,
@@ -15,12 +17,13 @@ from fadingdirt.bounds_norcsi import (
 )
 from fadingdirt.errors import (
     DegenerateDenominator,
-    IdentityViolated,
     InvalidAlpha,
     NonFinite,
+    ToolkitError,
     ZeroGain,
 )
 from fadingdirt.fading import (
+    LN2,
     TWO_PI_E,
     Gaussian,
     LogNormal,
@@ -47,6 +50,33 @@ def mp_inner(P, c2):
     return float(mpmath.log(1 + P / (c2 + 1), 2) / 2)
 
 
+def _log_add(x, y):
+    hi, lo = max(x, y), min(x, y)
+    return hi + math.log1p(math.exp(lo - hi))
+
+
+def _two_form_outer(params, alpha):
+    """The outer bound as it was computed before it had one form, kept as its
+    oracle: the direct form and (P + 1 + c^2)/(c^2 a), both summed in the log
+    domain when either is not finite, and required to agree."""
+    P, c = params.P, params.c
+    bits = 0.5 * math.log2((P + 1) / (c * c * alpha) + 1.0 / alpha) + 0.5
+    alt = 0.5 * math.log2((P + 1 + c * c) / (c * c * alpha)) + 0.5
+    if not (math.isfinite(bits) and math.isfinite(alt)):
+        log_c2, log_a = 2.0 * math.log(abs(c)), math.log(alpha)
+        bits = 0.5 * _log_add(math.log1p(P) - log_c2 - log_a, -log_a) / LN2 + 0.5
+        alt = 0.5 * (_log_add(math.log1p(P), log_c2) - log_c2 - log_a) / LN2 + 0.5
+    assert abs(bits - alt) < 1e-12, (bits, alt)
+    return bits
+
+
+def _bits_or_error(bound, *args):
+    try:
+        return bound(*args)
+    except (ToolkitError, ArithmeticError) as exc:
+        return type(exc)
+
+
 class TestOuter:
     def test_exact_arithmetic_p3_c2(self):
         assert outer_no_rcsi(ChannelParams(P=3, c=2), 1.0).bits == pytest.approx(
@@ -69,16 +99,23 @@ class TestOuter:
         (1e308, 0.5, ALPHA_U),
         (1.7976931348623157e308, 1e154, 0.3),
         (1e300, 1e-9, 1e-10),
-    ], ids=["P1e308", "P1e308-uniform-alpha", "Pmax-c1e154", "tiny-c2-alpha"])
+        (1e308, 3.2e154, 0.5),
+    ], ids=["P1e308", "P1e308-uniform-alpha", "Pmax-c1e154", "tiny-c2-alpha",
+            "c2-overflows"])
     def test_overflow_computed_in_log_domain(self, P, c, alpha):
-        # (P+1)/(c^2 a) or P+1+c^2 overflows; the bound itself is finite
+        # (P+1)/(c^2 a) or P+1+c^2 overflows; the bound itself is finite.  At
+        # c = 3.2e154, c^2 alone overflows and the direct form reads 1.0 bit
         got = outer_no_rcsi(ChannelParams(P=P, c=c), alpha).bits
         assert got == pytest.approx(mp_outer(P, mpmath.mpf(c) ** 2, alpha), abs=1e-12)
 
-    def test_log_domain_keeps_identity_check(self, monkeypatch):
-        monkeypatch.setattr(bounds_norcsi, "_log_add", lambda x, y: x + y)
-        with pytest.raises(IdentityViolated):
-            outer_no_rcsi(ChannelParams(P=1e308, c=0.5), 0.5)
+    @settings(max_examples=500, deadline=None)
+    @given(st.floats(0.0, sys.float_info.max),
+           st.floats(1e-9, 1e160) | st.floats(-1e160, -1e-9),
+           st.floats(1e-300, 1.0))
+    def test_equals_two_form_oracle(self, P, c, alpha):
+        args = (ChannelParams(P=P, c=c), alpha)
+        assert (_bits_or_error(lambda *a: outer_no_rcsi(*a).bits, *args)
+                == _bits_or_error(_two_form_outer, *args))
 
     def test_rejects_bad_alpha(self):
         for alpha in (0.0, -0.5, 1.5, float("nan")):

@@ -166,13 +166,14 @@ _GATE = {
         (0.9641033618824781, None),
         (1.0773623537154298, None),
     ],
+    # both rebuilt on the draws that invert the declared density's CDF
     "tabulated0": [
-        (0.06432487476119085, 0.06432488733137973),
-        (0.4516600922329884, 0.45165983936779325),
-        (0.3590026127294947, 0.3590017936927863),
-        (0.53353480815424, 0.5335339414822486),
-        (0.5456375335528542, 0.5456370602353898),
-        (0.590222036528027, 0.5902220464424689),
+        (0.0643410864843443, 0.06434109898833797),
+        (0.45304085340768274, 0.4530403498303242),
+        (0.3601714390082646, 0.36016980521355096),
+        (0.5346676821407338, 0.5346656239735331),
+        (0.5447705739464888, 0.5447689709321947),
+        (0.5889486056025867, 0.5889474914691959),
     ],
 }
 
