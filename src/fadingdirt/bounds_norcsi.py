@@ -100,10 +100,12 @@ def outer_no_rcsi(params: ChannelParams, alpha_ep: float) -> RateBound:
     P, c = params.P, params.c
     if abs(c) < _C_MIN:
         raise ZeroGain("bound diverges as c -> 0; use the AWGN bound 1/2 log2(1+P)")
-    bits = 0.5 * math.log2((P + 1) / (c * c * alpha_ep) + 1.0 / alpha_ep) + 0.5
+    c2a = c * c * alpha_ep
+    bits = 0.5 * math.log2((P + 1) / c2a + 1.0 / alpha_ep) + 0.5 if c2a else math.inf
     if not (math.isfinite(bits) and math.isfinite(P + 1 + c * c)):
-        # (P + 1)/(c^2 a) overflowed, or c^2 did and the direct form lost its
-        # first term: the same sum in the log domain
+        # (P + 1)/(c^2 a) overflowed or c^2 a underflowed to 0, or c^2
+        # overflowed and the direct form lost its first term: the same sum in
+        # the log domain
         log_c2, log_a = 2.0 * math.log(abs(c)), math.log(alpha_ep)
         bits = 0.5 * _log_add(math.log1p(P) - log_c2 - log_a, -log_a) / LN2 + 0.5
     return pick("no-rcsi-outer", [(bits, "half", True)],

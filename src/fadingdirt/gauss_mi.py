@@ -72,6 +72,14 @@ def _resolve(params: ChannelParams, dist: FadingDistribution, asg: CostaAssignme
     return P1, P2, k
 
 
+def _residual_var(P1: float, k: float, ca: float, var_u: float):
+    """var(Y - X2 | U) at fading gain ca = c a, det(U, Y - X2) / var(U) with
+    nothing subtracted, so at least 1.  P1 / var(U) <= 1 comes first, so only
+    (k - ca)^2 can overflow, and d * d reads inf where a float's ** raises."""
+    d = k - ca
+    return 1.0 + P1 / var_u * (d * d)
+
+
 def costa_rate_exact(params: ChannelParams, dist: FadingDistribution,
                      asg: CostaAssignment) -> float:
     """Exact achievable rate (bits) of the assignment by covariance algebra.
@@ -83,37 +91,30 @@ def costa_rate_exact(params: ChannelParams, dist: FadingDistribution,
         raise DiscreteUnsupported("exact per-realization rate needs finite fading atoms")
     P1, P2, k = _resolve(params, dist, asg)
     c = params.c
-    # (mass, fading value, c^2 A^2) of each atom
+    # (mass, gain c a) of each atom; the no-RCSI atom adds c^2 var(A), 0 at
+    # var(A) = 0 whatever c, to both var(Y) and var(Y - X2 | U)
+    atoms, spread = [(1.0, c * dist.mean)], c * (c * dist.var)
     if asg.rcsi:
-        atoms = [(p, a, c * c * a * a) for a, p in zip(dist.values.tolist(), dist.probs.tolist())]
-    else:
-        atoms = [(1.0, dist.mean, c * c * (dist.var + dist.mean ** 2))]
+        atoms = [(p, c * a) for a, p in zip(dist.values.tolist(), dist.probs.tolist())]
+        spread = 0.0
 
-    stage1 = float(sum(p * 0.5 * math.log2(1.0 + P2 / (1.0 + g + P1)) for p, _, g in atoms))
+    stage1 = float(sum(p * 0.5 * math.log2(1.0 + P2 / (1.0 + ca * ca + spread + P1))
+                       for p, ca in atoms))
     if P1 <= 0:
         return stage1
 
     var_u = P1 + k * k
     if var_u < _VAR_MIN:
         raise SingularCovariance(f"var(U) = {var_u!r} too small")
-    i_us = 0.5 * math.log2(var_u / P1)
-
-    def i_yu(a, g):
-        var_y = P1 + g + 1.0
-        vv = var_y * var_u
-        if not math.isfinite(vv):
-            raise NonFinite(f"var(Y) var(U) overflows at a={a!r}")
-        cov = P1 + k * c * a
-        det = vv - cov * cov
-        if det < _VAR_MIN:
-            raise SingularCovariance(f"singular (U,Y) covariance at a={a!r}")
-        return 0.5 * math.log2(vv / det)
-
-    # checked before the clamp, which would read a nan as 0 bits
-    i_yu_avg = float(sum(p * i_yu(a, g) for p, a, g in atoms))
-    if not math.isfinite(i_yu_avg):
-        raise NonFinite(f"I(U;Y) is {i_yu_avg!r} bits, not finite")
-    return stage1 + max(0.0, i_yu_avg - i_us)
+    # I(U;Y) - I(U;S), the average of 1/2 log2 var(Y) / var(Y - X2 | U) less
+    # 1/2 log2 var(U) / P1, checked before the clamp, which would read a nan
+    # as 0 bits; log2 P1 comes after, as a subnormal P1 is no overflow
+    stage2 = 0.5 * (sum(p * (math.log2(P1 + ca * ca + spread + 1.0)
+                             - math.log2(_residual_var(P1, k, ca, var_u) + spread))
+                        for p, ca in atoms) - math.log2(var_u))
+    if not math.isfinite(stage2):
+        raise NonFinite(f"var(U) = {var_u!r}, var(Y) or (k - c a)^2 overflows")
+    return stage1 + max(0.0, stage2 + 0.5 * math.log2(P1))
 
 
 # ---------------------------------------------------------------------------
@@ -407,8 +408,7 @@ def mi_monte_carlo(params: ChannelParams, dist: FadingDistribution,
     def moments(a):
         """Posterior mean coefficient and variance of Y - X2 given U at
         fading a, and the variance of Y there."""
-        coef = (P1 + c * a * k) / var_u
-        return (coef, P1 + c * c * a * a - (P1 + c * a * k) ** 2 / var_u + 1.0,
+        return ((P1 + c * a * k) / var_u, _residual_var(P1, k, c * a, var_u),
                 P + c * c * a * a + 1.0)
 
     # score(cols, y1, y, u, mix) is log p(y1 | u[, a]) - log p(y[, a]) per

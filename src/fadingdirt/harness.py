@@ -312,7 +312,10 @@ def _emit_svg(rows) -> bytes:
     series = {}
     for r in rows:
         series.setdefault((r.theorem, r.dist_id, r.P), []).append(r)
-    xs = [math.log10(r.c2) for r in rows if r.c2 > 0] or [0.0]
+    # a log axis has no place for c^2 = 0: those rows are left out of the
+    # ranges and the polylines, while each series keeps its two polylines
+    rows = [r for r in rows if r.c2 > 0]
+    xs = [math.log10(r.c2) for r in rows] or [0.0]
     ys = [v for r in rows for v in (r.inner_bits, r.outer_bits) if math.isfinite(v)]
     x0, x1 = min(xs), max(xs)
     y0, y1 = min(ys + [0.0]), max(ys + [1.0])
@@ -339,12 +342,11 @@ def _emit_svg(rows) -> bytes:
         f'transform="rotate(-90 15 {_SVG_H // 2})">bits/channel-use</text>',
     ]
     for i, key in enumerate(sorted(series, key=str)):
-        pts = sorted(series[key], key=lambda r: r.c2)
+        pts = sorted((r for r in series[key] if r.c2 > 0), key=lambda r: r.c2)
         color = _COLORS[i % len(_COLORS)]
         for attr, dash in (("inner_bits", ""), ("outer_bits", ' stroke-dasharray="5,3"')):
-            coords = " ".join(
-                "%.6g,%.6g" % (px(math.log10(max(r.c2, 1e-12))), py(getattr(r, attr)))
-                for r in pts)
+            coords = " ".join("%.6g,%.6g" % (px(math.log10(r.c2)), py(getattr(r, attr)))
+                              for r in pts)
             parts.append(f'<polyline points="{coords}" fill="none" '
                          f'stroke="{color}"{dash}/>')
         label = "%s %s P=%.6g" % key

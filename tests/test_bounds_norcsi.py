@@ -100,11 +100,15 @@ class TestOuter:
         (1.7976931348623157e308, 1e154, 0.3),
         (1e300, 1e-9, 1e-10),
         (1e308, 3.2e154, 0.5),
+        (1.0, 1e-9, 1e-310),
+        (1.0, 1e-9, 4e-320),
+        (1.0, 1e-5, 1e-320),
     ], ids=["P1e308", "P1e308-uniform-alpha", "Pmax-c1e154", "tiny-c2-alpha",
-            "c2-overflows"])
+            "c2-overflows", "c2-alpha-underflows", "alpha4e-320", "c1e-5-alpha1e-320"])
     def test_overflow_computed_in_log_domain(self, P, c, alpha):
-        # (P+1)/(c^2 a) or P+1+c^2 overflows; the bound itself is finite.  At
-        # c = 3.2e154, c^2 alone overflows and the direct form reads 1.0 bit
+        # (P+1)/(c^2 a) or P+1+c^2 overflows, or c^2 a underflows to 0; the
+        # bound itself is finite.  At c = 3.2e154, c^2 alone overflows and the
+        # direct form reads 1.0 bit
         got = outer_no_rcsi(ChannelParams(P=P, c=c), alpha).bits
         assert got == pytest.approx(mp_outer(P, mpmath.mpf(c) ** 2, alpha), abs=1e-12)
 

@@ -42,6 +42,7 @@ from fadingdirt.fading import (
     TabulatedDensity,
     Uniform,
     _quadpack,
+    binomial_fading,
     geometric_fading,
     normalize_unit_variance,
     parse_distribution,
@@ -448,6 +449,35 @@ def test_inner_strong_equals_best_strategy_oracle(M, ratio, P, c):
     assert len(got.candidates) == 3 * M
     assert ((got.bits, got.branch, got.theorem, got.assumptions_ok)
             == (*_first_best_strategy(got.candidates), "strong-inner", {"uniform": True}))
+
+
+# the four mass-half verify laws, each at its own a', and the nine strong
+# verify supports at every atom
+_COSTA_LAWS = {
+    "two-point": TWO_POINT,
+    "geometric0.55": geometric_fading(0.55),
+    "binomial1": binomial_fading(1, 0.5),
+    "binomial2": binomial_fading(2, 0.5),
+    **{f"strongM{M}-r{r:g}": strong_support(M, r) for M in (3, 4, 5) for r in (2.0, 4.0, 8.0)},
+}
+
+
+@pytest.mark.parametrize("name", list(_COSTA_LAWS))
+def test_costa_candidate_is_the_exact_rate_up_to_large_gain(name):
+    # the full-power Costa candidate (the power split at abar = P) and the
+    # covariance oracle are two closed forms of one rate
+    law = _COSTA_LAWS[name]
+    for P in (0.1, 1.0, 10.0, 1e3, 1e6):
+        for c in (1.0, 1e2, 1e4, 1e6, 1e8, 1e10, 1e12):
+            params = ChannelParams(P=P, c=c)
+            if name.startswith("strong"):
+                got, targets = inner_strong(params, law), law.values.tolist()
+            else:
+                mp_ = bounds_rcsi.gap_params_at(law)  # the a' of the verify row
+                got, targets = inner_mass_half(params, law, mp_), [mp_.a_prime]
+            costa = [bits for bits, branch, _ in got.candidates if branch == "costa"]
+            want = [costa_rate_exact(params, law, CostaAssignment(a_target=a)) for a in targets]
+            assert costa == pytest.approx(want, rel=0, abs=1e-12), (P, c)
 
 
 class TestStrongCondition:

@@ -11,6 +11,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import fadingdirt
 from fadingdirt import cli, errors, harness
@@ -304,6 +306,11 @@ _BAD_INPUT = {
     "bounds-overflowing-interval": ("NonFinite", ["bounds", "--theorem", "continuous",
                                                   "--P", "1", "--c", "1", "--dist", "rayleigh",
                                                   "--interval", "-1e308", "1e308"]),
+    # var(Y - X2 | U) formed as a difference read negative on the grid: a
+    # numpy warning, then a NaN mass
+    "mi-norcsi-huge-gain": ("QuadratureFailure", ["mi", "--P", "1e30", "--c", "1e100",
+                                                  "--dist", "rayleigh", "--no-rcsi",
+                                                  "--n", "10000"]),
     # numpy's ValueError and min() of an empty sequence ended in a traceback
     "nan-mass-mi": ("NonFinite", ["mi", "--P", "3", "--n", "10000", "--dist", _NAN_MASS]),
     "nan-mass-sweep": ("NonFinite", ["sweep", "--theorem", "mass-half", "--dist", _NAN_MASS]),
@@ -387,6 +394,37 @@ def test_bad_input_exit_3(capsys, tmp_path, name):
     assert line.group(1) == kind, err
     assert issubclass(getattr(errors, kind), errors.ToolkitError)
     assert "np.float64(" not in err
+
+
+# the values the `mi` gate draws its numeric flags from, and its laws: the four
+# shorthands, a discrete law off mean zero and a log-normal
+_GATE_VALUES = [0.0] + [sign * m for m in (1e-300, 1e-3, 1.0, 1e3, 1e9, 1e12, 1e30, 1e100,
+                                           1e150, 1e308) for sign in (1.0, -1.0)]
+_GATE_LAWS = ["gaussian", "uniform", "rayleigh", "two-point",
+              '{"kind":"discrete","atoms":[[0.5,0.5],[2.5,0.5]]}', UNIT_LOGNORMAL]
+_GATE_FLAG = st.none() | st.sampled_from(_GATE_VALUES)
+
+
+# capsys is read and emptied on each example
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.sampled_from(_GATE_VALUES), st.sampled_from(_GATE_VALUES),
+       st.sampled_from(_GATE_LAWS), st.booleans(), _GATE_FLAG, _GATE_FLAG)
+def test_mi_gate(capsys, P, c, law, no_rcsi, a_target, split):
+    # warnings are errors: one that `main` lets through escapes it
+    argv = ["mi", "--P", repr(P), "--c", repr(c), "--dist", law, "--n", "10000"]
+    argv += ["--no-rcsi"] if no_rcsi else []
+    for flag, value in (("--a-target", a_target), ("--split", split)):
+        argv += [] if value is None else [flag, repr(value)]
+    code, out, err = run_cli(capsys, *argv)
+    assert code in (0, 2, 3), argv
+    if code == 0:
+        payload = json.loads(out)
+        assert math.isfinite(payload["estimate_bits"]), argv
+        assert math.isfinite(payload["stderr_bits"]), argv
+        assert err == "", argv
+    elif code == 3:
+        assert re.fullmatch(r"error: \w+: .*\n", err), (argv, err)
 
 
 # command lines that argparse rejects, and the part of its message that names
@@ -710,6 +748,18 @@ class TestMiGp:
                                  '{"kind":"discrete","atoms":[[-1,0.5],[0,0.0],[1,0.5]]}')
         assert (code, err) == (0, "")
         assert out == run_cli(capsys, *base, '{"kind":"discrete","atoms":[[-1,0.5],[1,0.5]]}')[1]
+
+    # var(Y - X2 | U) formed as a difference read negative: the no-RCSI grid
+    # took its square root (a traceback), and the RCSI log-density ratio warned
+    @pytest.mark.parametrize("argv", [
+        ["--P", "1e30", "--c", "-0.001", "--dist", "rayleigh", "--no-rcsi"],
+        ["--P", "1e-8", "--c", "1e12", "--dist", "uniform", "--a-target", "-2"],
+    ], ids=["norcsi-rayleigh-huge-P", "rcsi-uniform-huge-c"])
+    def test_mi_where_the_residual_variance_cancelled(self, capsys, argv):
+        code, out, err = run_cli(capsys, "mi", *argv, "--n", "10000")
+        assert (code, err) == (0, "")
+        payload = json.loads(out)
+        assert math.isfinite(payload["estimate_bits"]) and math.isfinite(payload["stderr_bits"])
 
     def test_gp_example(self, capsys):
         code, out, _ = run_cli(capsys, "gp", "--example", "binary-nonoise",

@@ -3,6 +3,7 @@ import tracemalloc
 import warnings
 from unittest import mock
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -120,6 +121,13 @@ class TestCostaExact:
                                CostaAssignment(a_target=a, split_delta=delta))
         assert got == pytest.approx(want, abs=1e-12)
 
+    @pytest.mark.parametrize("delta", [0.0, 1.0])
+    def test_point_mass_at_zero_is_clean_at_any_gain(self, delta):
+        # c^2 overflows, but the dirt c A S is 0: c^2 var(A) read inf * 0
+        got = costa_rate_exact(ChannelParams(P=15, c=1e160), Discrete(((0.0, 1.0),)),
+                               CostaAssignment(inflation_k=0.0, split_delta=delta, rcsi=False))
+        assert got == pytest.approx(0.5 * math.log2(16), abs=1e-12)
+
     def test_split_zero_is_treat_as_noise(self):
         params = ChannelParams(P=15, c=2)
         got = costa_rate_exact(params, TWO_POINT,
@@ -158,61 +166,66 @@ class TestCostaExact:
         with pytest.raises(SingularCovariance):
             CostaAssignment(a_target=0.0, split_delta=1.5)
 
+    def test_large_gain_is_computed(self):
+        # var(Y) var(U) overflows at c = 1e100, but var(Y - X2 | U) does not;
+        # the rate by 800-digit determinants is 0.3903278081641277
+        got = costa_rate_exact(ChannelParams(P=10, c=1e100), TWO_POINT,
+                               CostaAssignment(a_target=1.0))
+        assert got == pytest.approx(0.3903278081641277, rel=0, abs=1e-14)
+
     def test_overflowing_covariance_is_non_finite(self):
-        # var(Y) var(U) overflows at c = 1e100, and inf - inf is a nan
-        # that the clamp at 0 bits would hide
-        with pytest.raises(NonFinite):
-            costa_rate_exact(ChannelParams(P=10, c=1e100), TWO_POINT,
-                             CostaAssignment(a_target=1.0))
+        # var(Y) overflows at k = 0, var(U) at k = 1e155, and (k - c a)^2 on
+        # the atom a = -1 at k = c = 1e154; an inf - inf is a nan that the
+        # clamp at 0 bits would hide
+        for c, asg in ((1e160, CostaAssignment(a_target=0.0)),
+                       (1.0, CostaAssignment(a_target=1.0, inflation_k=1e155)),
+                       (1e154, CostaAssignment(a_target=1.0, inflation_k=1e154))):
+            with pytest.raises(NonFinite, match="overflows"):
+                costa_rate_exact(ChannelParams(P=10, c=c), TWO_POINT, asg)
 
     def test_rejects_singular_covariance(self):
-        # at P = 1e20 with k = 1 on the atom a = 1, det(U, Y) rounds to 0
-        with pytest.raises(SingularCovariance, match="singular"):
-            costa_rate_exact(ChannelParams(P=1e20, c=1), TWO_POINT,
-                             CostaAssignment(a_target=1.0, inflation_k=1.0))
+        with pytest.raises(SingularCovariance, match="too small"):
+            costa_rate_exact(ChannelParams(P=1e-15, c=1), TWO_POINT,
+                             CostaAssignment(a_target=0.0))
+
+    def test_det_equal_to_var_u_is_computed(self):
+        # at P = 1e20 with k = 1 on the atom a = 1, det(U, Y) = var(U): the
+        # product form rounded it to 0; the value is mpmath's
+        got = costa_rate_exact(ChannelParams(P=1e20, c=1), TWO_POINT,
+                               CostaAssignment(a_target=1.0, inflation_k=1.0))
+        assert got == 32.63879892515178
 
 
-# The exact rate as it was before its two receiver routes became one
-# per-atom formula, kept as its oracle: a first stage on E[A^2] for both
-# receivers and a separate aggregate-moment route without RCSI.
-
-def _two_route_rate_exact(params, dist, asg):
+def mp_rate_exact(params, dist, asg):
+    """The exact rate by 50-digit covariance determinants, from the same
+    float P1, k and gains c a as `costa_rate_exact`: with exact products,
+    inputs near P1 = 1e16 are ill-conditioned in the last bit of k."""
     if asg.rcsi and not dist.is_discrete:
         raise DiscreteUnsupported("exact per-realization rate needs finite fading atoms")
     P1, P2, k = gauss_mi._resolve(params, dist, asg)
     c = params.c
-    ea2 = dist.var + dist.mean ** 2
+    with mpmath.workdps(50):
+        if asg.rcsi:
+            atoms = [(mpmath.mpf(p), mpmath.mpf(c * a), 0)
+                     for a, p in zip(dist.values, dist.probs)]
+        else:
+            atoms = [(1, mpmath.mpf(c * dist.mean), mpmath.mpf(c) ** 2 * dist.var)]
+        P1, P2, k = mpmath.mpf(P1), mpmath.mpf(P2), mpmath.mpf(k)
+        stage1 = sum(p * mpmath.log(1 + P2 / (1 + ca * ca + spread + P1), 2) / 2
+                     for p, ca, spread in atoms)
+        if P1 <= 0:
+            return float(stage1)
+        var_u = P1 + k * k
+        if var_u < gauss_mi._VAR_MIN:
+            raise SingularCovariance(f"var(U) = {var_u} too small")
 
-    stage1 = 0.0
-    if P2 > 0:
-        stage1 = 0.5 * math.log2(1.0 + P2 / (1.0 + c * c * ea2 + P1))
-    if P1 <= 0:
-        return stage1
+        def i_yu(ca, spread):
+            var_y = P1 + ca * ca + spread + 1
+            cov = P1 + k * ca
+            return mpmath.log(var_y * var_u / (var_y * var_u - cov * cov), 2) / 2
 
-    var_u = P1 + k * k
-    if var_u < gauss_mi._VAR_MIN:
-        raise SingularCovariance(f"var(U) = {var_u!r} too small")
-    i_us = 0.5 * math.log2(var_u / P1)
-
-    def i_yu(a):
-        var_y = P1 + c * c * a * a + 1.0
-        cov = P1 + k * c * a
-        det = var_y * var_u - cov * cov
-        if det < gauss_mi._VAR_MIN:
-            raise SingularCovariance(f"singular (U,Y) covariance at a={a!r}")
-        return 0.5 * math.log2(var_y * var_u / det)
-
-    if asg.rcsi:
-        avg = float(sum(p * i_yu(a) for a, p in zip(dist.values, dist.probs)))
-        stage2 = max(0.0, avg - i_us)
-    else:
-        var_y = P1 + c * c * ea2 + 1.0
-        cov = P1 + k * c * dist.mean
-        det = var_y * var_u - cov * cov
-        if det < gauss_mi._VAR_MIN:
-            raise SingularCovariance("singular aggregate (U,Y) covariance")
-        stage2 = max(0.0, 0.5 * math.log2(var_y * var_u / det) - i_us)
-    return stage1 + stage2
+        stage2 = sum(p * i_yu(ca, spread) for p, ca, spread in atoms)
+        return float(stage1 + max(0, stage2 - mpmath.log(var_u / P1, 2) / 2))
 
 
 def _rate_or_error(rate, *args):
@@ -236,24 +249,43 @@ _DENSITIES = st.one_of(
     st.builds(Rayleigh, st.floats(0.1, 3.0), st.floats(-2.0, 2.0), st.floats(-2.0, 2.0)
               .filter(bool)),
     st.builds(LogNormal, st.floats(-1.0, 1.0), st.floats(0.05, 2.0)))
-_INFLATION = st.one_of(st.none(), st.floats(-10.0, 10.0))
 
 
+def _assert_matches_mpmath(args, tol):
+    want = _rate_or_error(mp_rate_exact, *args)
+    got = _rate_or_error(costa_rate_exact, *args)
+    if isinstance(want, type) or isinstance(got, type):
+        assert got is want
+    else:
+        assert got == pytest.approx(want, rel=0, abs=tol)
+
+
+# (largest P, largest |c| and |k|, tolerance in bits): a moderate domain, and
+# one where det(U, Y) formed as var(Y) var(U) - cov^2 loses every digit
+_DOMAINS = [pytest.param(1e4, 10.0, 1e-12, id="moderate"),
+            pytest.param(1e20, 1e12, 1e-9, id="large")]
+
+
+@pytest.mark.parametrize("P_max, c_max, tol", _DOMAINS)
 @settings(max_examples=300, deadline=None)
-@given(discrete_laws(), st.floats(0.0, 1e4), st.floats(-10.0, 10.0), st.floats(-4.0, 4.0),
-       _INFLATION)
-def test_exact_rate_with_rcsi_at_split_one_equals_two_route_oracle(law, P, c, a_target, k):
-    args = (ChannelParams(P=P, c=c), law, CostaAssignment(a_target=a_target, inflation_k=k))
-    assert _rate_or_error(costa_rate_exact, *args) == _rate_or_error(_two_route_rate_exact, *args)
+@given(data=st.data())
+def test_exact_rate_with_rcsi_at_split_one_matches_mpmath(P_max, c_max, tol, data):
+    law = data.draw(discrete_laws())
+    P, c = data.draw(st.floats(0.0, P_max)), data.draw(st.floats(-c_max, c_max))
+    asg = CostaAssignment(a_target=data.draw(st.floats(-4.0, 4.0)),
+                          inflation_k=data.draw(st.none() | st.floats(-c_max, c_max)))
+    _assert_matches_mpmath((ChannelParams(P=P, c=c), law, asg), tol)
 
 
+@pytest.mark.parametrize("P_max, c_max, tol", _DOMAINS)
 @settings(max_examples=300, deadline=None)
-@given(st.one_of(discrete_laws(), _DENSITIES), st.floats(0.0, 1e4), st.floats(-10.0, 10.0),
-       st.floats(0.0, 1.0), _INFLATION)
-def test_exact_rate_without_rcsi_equals_two_route_oracle(law, P, c, delta, k):
-    args = (ChannelParams(P=P, c=c), law,
-            CostaAssignment(inflation_k=k, split_delta=delta, rcsi=False))
-    assert _rate_or_error(costa_rate_exact, *args) == _rate_or_error(_two_route_rate_exact, *args)
+@given(data=st.data())
+def test_exact_rate_without_rcsi_matches_mpmath(P_max, c_max, tol, data):
+    law = data.draw(discrete_laws() | _DENSITIES)
+    P, c = data.draw(st.floats(0.0, P_max)), data.draw(st.floats(-c_max, c_max))
+    asg = CostaAssignment(inflation_k=data.draw(st.none() | st.floats(-c_max, c_max)),
+                          split_delta=data.draw(st.floats(0.0, 1.0)), rcsi=False)
+    _assert_matches_mpmath((ChannelParams(P=P, c=c), law, asg), tol)
 
 
 def test_tabulated_estimate_is_the_declared_density_rate():
@@ -395,18 +427,20 @@ class TestMonteCarlo:
 # (estimate, stderr) at split 1, P=3, c=2, n=1e5, seed 0 on each scoring path,
 # recorded before each receiver's scorer was built in one branch, the
 # gaussian mixture's again on the mapped grid, and the discrete mixtures'
-# again once rows were summed without their max shifted out (one ulp)
+# again once rows were summed without their max shifted out (one ulp); three
+# rows again once var(Y - X2 | U) was formed without a subtraction (at most
+# 3e-16 relative)
 _SPLIT_ONE_PINS = [
     pytest.param(TWO_POINT, CostaAssignment(a_target=1.0),
-                 (0.2965010055328175, 0.004181150836468581), id="rcsi-two-point"),
+                 (0.29650100553281744, 0.004181150836468581), id="rcsi-two-point"),
     pytest.param(parse_distribution(UNIT_LOGNORMAL), CostaAssignment(a_target=1.0),
                  (0.7295151771053698, 0.003016446106142414), id="rcsi-lognormal"),
     pytest.param(Gaussian(0.0, 1.0), CostaAssignment(rcsi=False),
                  (0.4184897753186821, 0.0031917877839056493), id="norcsi-gaussian"),
     pytest.param(geometric_fading(0.55), CostaAssignment(rcsi=False),
-                 (0.4742558533762492, 0.0033359144067347988), id="norcsi-geometric"),
+                 (0.47425585337624926, 0.0033359144067347983), id="norcsi-geometric"),
     pytest.param(Discrete(((-1.0, 0.3), (1.0, 0.7))), CostaAssignment(rcsi=False),
-                 (0.3776518953553999, 0.0030371947234862384), id="norcsi-per-atom"),
+                 (0.3776518953553998, 0.0030371947234862384), id="norcsi-per-atom"),
     # `mi` on the log-normal law at its default a' = 0: only the drawn fading
     # values are read
     pytest.param(parse_distribution(UNIT_LOGNORMAL), CostaAssignment(),
@@ -427,18 +461,19 @@ _WIDE = geometric_fading(0.1)
 # (estimate, stderr) at P=3, c=2, n=1e4+7, seed 4, recorded before a discrete
 # law drew atom indices and scored from per-atom columns, and before the
 # U-term was skipped at k = 0; norcsi-wide again once mixture rows were summed
-# without their max shifted out (one ulp)
+# without their max shifted out (one ulp); the rows at k != 0 again once
+# var(Y - X2 | U) was formed without a subtraction (at most 1.1e-15 relative)
 _INDEX_DRAW_PINS = [
     pytest.param(TWO_POINT, CostaAssignment(split_delta=0.5),
                  (0.32832717560357866, 0.008854728082935942), id="rcsi-two-point-k0-split0.5"),
     pytest.param(_STRONG4, CostaAssignment(a_target=float(_STRONG4.values[0])),
-                 (0.16673015846210656, 0.0135877522787774), id="rcsi-strong4-atom"),
+                 (0.1667301584621066, 0.013587752278777402), id="rcsi-strong4-atom"),
     pytest.param(_STRONG4, CostaAssignment(a_target=float(_STRONG4.values[0]), inflation_k=0.75),
-                 (0.33601967291054, 0.01086098627216242), id="rcsi-strong4-atom-k"),
+                 (0.33601967291053997, 0.01086098627216242), id="rcsi-strong4-atom-k"),
     pytest.param(_WIDE, CostaAssignment(a_target=1.0),
-                 (0.0041185446591721795, 0.012747531191949445), id="rcsi-wide"),
+                 (0.004118544659172184, 0.012747531191949444), id="rcsi-wide"),
     pytest.param(_WIDE, CostaAssignment(rcsi=False),
-                 (0.4693416482021029, 0.010450899298616279), id="norcsi-wide"),
+                 (0.46934164820210295, 0.010450899298616275), id="norcsi-wide"),
 ]
 
 
@@ -457,6 +492,15 @@ def test_two_stage_rate_with_rcsi_matches_exact(law, a_target, delta):
     params, asg = ChannelParams(P=10, c=2), CostaAssignment(a_target=a_target, split_delta=delta)
     est, se = mi_monte_carlo(params, law, asg, 2 * 10 ** 5, 1)
     assert abs(est - costa_rate_exact(params, law, asg)) < 5 * se
+
+
+@pytest.mark.parametrize("c", [1e8, 1e9])
+def test_rate_with_rcsi_at_large_gain_matches_exact(c):
+    # var(Y - X2 | U) formed as a difference of squares read 29 sd low at
+    # c = 1e8 and overflowed at c = 1e9
+    params, asg = ChannelParams(P=10, c=c), CostaAssignment(a_target=1.0)
+    est, se = mi_monte_carlo(params, TWO_POINT, asg, 10 ** 5, 0)
+    assert abs(est - costa_rate_exact(params, TWO_POINT, asg)) < 5 * se
 
 
 @pytest.mark.parametrize("delta", [1.0, 0.5, 0.25])

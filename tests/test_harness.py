@@ -165,6 +165,17 @@ class TestEmit:
         svg = emit(run_sweep(GAUSSIAN_SMOKE), "svg")
         xml.dom.minidom.parseString(svg)
 
+    # a log axis has no place for c^2 = 0, and one c^2 leaves the x-range empty
+    @pytest.mark.parametrize("c2_list", [(0.0, 4.0, 16.0), (4.0,)], ids=["c2-zero", "one-c2"])
+    def test_svg_points_lie_on_the_canvas(self, c2_list):
+        spec = SweepSpec("no-rcsi", dist="gaussian", P_list=(1.0, 10.0), c2_list=c2_list)
+        svg = xml.dom.minidom.parseString(emit(run_sweep(spec), "svg"))
+        lines = svg.getElementsByTagName("polyline")
+        assert len(lines) == 4
+        for line in lines:
+            xs = [float(pt.split(",")[0]) for pt in line.getAttribute("points").split()]
+            assert xs and all(50 <= x <= 590 for x in xs)
+
     def test_float_precision(self):
         rows = run_sweep(GAUSSIAN_SMOKE)
         line = emit(rows, "csv").decode().strip().split("\n")[1]

@@ -38,8 +38,7 @@ def kernel_variances(params, law):
     default inflation."""
     P1, _, k = gauss_mi._resolve(params, law, CostaAssignment(rcsi=False))
     c, var_u = params.c, P1 + k * k
-    return lambda a: (P1 + c * c * a * a - (P1 + c * a * k) ** 2 / var_u + 1.0,
-                      params.P + c * c * a * a + 1.0)
+    return lambda a: (gauss_mi._residual_var(P1, k, c * a, var_u), params.P + c * c * a * a + 1.0)
 
 
 @st.composite
