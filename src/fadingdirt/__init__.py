@@ -35,7 +35,6 @@ from .fading import (
     TabulatedDensity,
     Uniform,
     binomial_fading,
-    entropy_bits_quadrature,
     entropy_power_alpha,
     geometric_fading,
     normalize_unit_variance,

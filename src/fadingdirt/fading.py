@@ -2,7 +2,7 @@
 
 All laws are univariate.  Discrete laws carry an explicit atom list; the
 continuous families (Gaussian, uniform, Rayleigh, log-normal, tabulated
-density) expose a pdf and closed-form or quadrature entropy.  Every law is
+density) expose a pdf and a closed-form entropy.  Every law is
 immutable after construction, apart from the memo of density values that
 quadrature fills; samplers take an explicit seed.
 """
@@ -42,7 +42,6 @@ EULER_GAMMA = float(np.euler_gamma)
 
 _ATOM_PROB_TOL = 1e-12
 _DENSITY_NORM_TOL = 1e-9
-_ENTROPY_QUAD_TOL = 1e-8
 _MASS_TOL = 1e-6
 _GEOMETRIC_TAIL = 1e-13
 # atom counts up to which a discrete draw counts its cdf entries by one
@@ -422,7 +421,21 @@ class TabulatedDensity(FadingDistribution, kind="tabulated", keys=("grid",)):
         return (float(xs[0]), float(xs[-1]))
 
     def entropy_bits(self):
-        return entropy_bits_quadrature(self)
+        """The exact entropy of the declared piecewise-linear density, one
+        term per segment (Cover and Thomas, Elements of Information Theory,
+        2006, ch. 8).  With a <= b its end densities and h its width, a
+        segment holds -h [(a + b)/2 ln b - (a + b)/4 + a/2 log1p(q)/q] nats,
+        q = (b - a)/a.  log1p(q)/q tends to 1 as q -> 0 (a = b) and to 0 as
+        q -> inf (a = 0, or a ratio past the float range), so no two
+        near-equal terms are subtracted where the ends nearly meet."""
+        terms = []
+        for (x0, d0), (x1, d1) in zip(self.grid, self.grid[1:]):
+            a, b = min(d0, d1), max(d0, d1)
+            if b > 0:
+                q = (b - a) / a if a > 0 else math.inf
+                t = a / 2 if q == 0 else a / 2 * math.log1p(q) / q if q < math.inf else 0.0
+                terms.append((x0 - x1) * ((a + b) / 2 * math.log(b) - (a + b) / 4 + t))
+        return math.fsum(terms) / LN2
 
     def _affine(self, scale, shift):
         pairs = [(x * scale + shift, d / abs(scale)) for x, d in self.grid]
@@ -465,8 +478,8 @@ def normalize_unit_variance(dist: FadingDistribution) -> FadingDistribution:
     return dist._affine(scale, -m * scale)
 
 
-# what QUADPACK's nonzero return codes of qagse and qagpe mean; 6 is
-# invalid input, raised rather than warned
+# what QUADPACK's nonzero return codes of qagse mean; 6 is invalid input,
+# raised rather than warned
 _QUADPACK_CODES = {
     1: "subdivision limit reached",
     2: "roundoff error detected",
@@ -474,6 +487,7 @@ _QUADPACK_CODES = {
     4: "extrapolation did not converge",
     5: "integral probably divergent or slowly convergent",
 }
+_REL_TOL, _SUBINTERVALS = 1.49e-8, 400  # quad's default relative tolerance
 
 
 def _quadpack():
@@ -501,19 +515,17 @@ def _quadpack():
     raise QuadratureFailure(f"QUADPACK extension {name} not found in the installed scipy")
 
 
-def integrate(dist: FadingDistribution, f, lo: float, hi: float, epsabs: float,
-              epsrel: float = 1.49e-8, points=()):
+def integrate(dist: FadingDistribution, f, lo: float, hi: float, epsabs: float):
     """(value, abserr) of the integral of f(x, p(x)) over the finite
-    interval [lo, hi], lo <= hi, with breakpoints `points`, p the law's
-    density; f is not called where p <= 0.  The integrand reads the law's
-    memo directly and calls `density` only for a node not yet in it, so a
-    revisited node costs one dict lookup.
+    interval [lo, hi], lo <= hi, p the law's density; f is not called where
+    p <= 0.  The integrand reads the law's memo directly and calls `density`
+    only for a node not yet in it, so a revisited node costs one dict lookup.
 
-    QUADPACK's qagse, or qagpe with the breakpoints inside (lo, hi), both
-    with a limit of 400 + len(points) subintervals, called as `quad` calls
-    them, so the results are `quad`'s bit for bit.  A nonzero return code
-    is reported as a QuadratureWarning with the value still returned;
-    invalid input (code 6) raises QuadratureFailure."""
+    QUADPACK's qagse with a limit of 400 subintervals, called as `quad`
+    calls it with its default relative tolerance, so the results are
+    `quad`'s bit for bit.  A nonzero return code is reported as a
+    QuadratureWarning with the value still returned; invalid input (code 6)
+    raises QuadratureFailure."""
     memo, density = dist._density_memo, dist.density
 
     def integrand(x):
@@ -522,17 +534,11 @@ def integrate(dist: FadingDistribution, f, lo: float, hi: float, epsabs: float,
             p = density(x)
         return f(x, p) if p > 0 else 0.0
 
-    quadpack, limit = _quadpack(), 400 + len(points)
-    if len(points):
-        # the distinct interior breakpoints, then two slots qagpe fills with the ends
-        inner = sorted_distinct(points)
-        inner = np.concatenate((inner[(lo < inner) & (inner < hi)], (0.0, 0.0)))
-        value, abserr, ier = quadpack._qagpe(integrand, lo, hi, inner, (), 0, epsabs, epsrel, limit)
-    else:
-        value, abserr, ier = quadpack._qagse(integrand, lo, hi, (), 0, epsabs, epsrel, limit)
+    value, abserr, ier = _quadpack()._qagse(integrand, lo, hi, (), 0, epsabs, _REL_TOL,
+                                            _SUBINTERVALS)
     if ier == 6:
         raise QuadratureFailure(f"QUADPACK rejected its input (code 6): epsabs {epsabs!r}, "
-                                f"epsrel {epsrel!r}, limit {limit}")
+                                f"relative tolerance {_REL_TOL!r}, limit {_SUBINTERVALS}")
     if ier:
         warnings.warn(f"QUADPACK code {ier} ({_QUADPACK_CODES[ier]}) on "
                       f"[{lo!r}, {hi!r}]: error estimate {abserr!r}, epsabs {epsabs!r}",
@@ -546,26 +552,6 @@ def check_mass(mass: float):
     a wide support is otherwise missed with a small error estimate."""
     if not abs(mass - 1.0) <= _MASS_TOL:
         raise QuadratureFailure(f"quadrature found mass {mass!r} over the support, not 1")
-
-
-def entropy_bits_quadrature(dist: FadingDistribution) -> float:
-    """Independent quadrature route: -integral of p log2 p over the support.
-
-    Kept free of the closed forms so it can serve as their oracle.  The
-    law's kinks are breakpoints: the error estimate on a piecewise-linear
-    density is otherwise far above the tolerance.
-    """
-    if dist.is_discrete:
-        raise DiscreteUnsupported("quadrature entropy applies to continuous laws")
-    lo, hi = dist.support()
-    kinks = dist.kinks()
-    tol = _ENTROPY_QUAD_TOL
-    val, err = integrate(dist, lambda x, p: -p * math.log2(p), lo, hi, tol * 0.1,
-                         epsrel=1e-10, points=kinks)
-    if err > tol:
-        raise QuadratureFailure(f"entropy quadrature error {err!r} exceeds {tol!r}")
-    check_mass(integrate(dist, lambda x, p: p, lo, hi, tol * 0.1, epsrel=1e-10, points=kinks)[0])
-    return val
 
 
 def entropy_power_alpha(dist: FadingDistribution) -> float:

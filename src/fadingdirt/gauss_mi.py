@@ -347,13 +347,15 @@ def _log_mixture(buf, y, scale, offset, u, mean_coef):
 
 def _check_range(params: ChannelParams, P1: float, k: float, a_min: float, a_max: float):
     """NonFinite unless each second moment the scoring forms at fading values
-    in [a_min, a_max] leaves room for squared normal draws.  Python floats
-    overflow to inf without a numpy warning, so this runs before any moment
-    is formed; the moments are convex in a, so the range's ends bound them."""
+    in [a_min, a_max] leaves room for squared normal draws: var(U), c^2, and
+    var(Y) and var(Y - X2 | U).  Python floats overflow to inf without a
+    numpy warning, so this runs before any moment is formed; the moments are
+    convex in a, so the range's ends bound them."""
     P, c = params.P, params.c
-    scales = [P1 + k * k, c * c]
+    var_u = P1 + k * k
+    scales = [var_u, c * c]
     for ca in (c * a_min, c * a_max):
-        scales += [P + ca * ca + 1.0, (P1 + ca * k) * (P1 + ca * k)]
+        scales += [P + ca * ca + 1.0, _residual_var(P1, k, ca, var_u)]
     if not all(math.isfinite(m * _DRAW_ROOM) for m in scales):
         raise NonFinite(f"a second moment of U or Y overflows at P = {P!r}, c = {c!r}, "
                         f"k = {k!r} and fading values in [{a_min!r}, {a_max!r}]")
@@ -388,7 +390,7 @@ def mi_monte_carlo(params: ChannelParams, dist: FadingDistribution,
     support's ends before any grid is built or value drawn.
 
     The scoring reads per-atom columns: c a and, with side information,
-    the posterior-mean coefficient, 2 v and 2 v_y of the two Gaussians and
+    (k - c a) / var(U), 2 v and 2 v_y of the two Gaussians and
     log(v_y / v) / 2.  A discrete law builds them once per call, draws one
     atom index per sample and gathers them per chunk; a density builds them
     per chunk from the drawn values.
@@ -405,30 +407,36 @@ def mi_monte_carlo(params: ChannelParams, dist: FadingDistribution,
     # every fading value read, drawn or a grid node, lies in the support
     _check_range(params, P1, k, *dist.support())
 
-    def moments(a):
-        """Posterior mean coefficient and variance of Y - X2 given U at
-        fading a, and the variance of Y there."""
-        return ((P1 + c * a * k) / var_u, _residual_var(P1, k, c * a, var_u),
-                P + c * c * a * a + 1.0)
+    def variances(a):
+        """The variance of Y - X2 given U at fading a, and of Y there."""
+        return _residual_var(P1, k, c * a, var_u), P + c * c * a * a + 1.0
 
-    # score(cols, y1, y, u, mix) is log p(y1 | u[, a]) - log p(y[, a]) per
-    # sample of a chunk, with cols = columns(a), y1 = y - x2 and mix a
+    # score(cols, x1, s, z, y1, y, u, mix) is log p(y1 | u[, a]) - log p(y[, a])
+    # per sample of a chunk, with cols = columns(a), y1 = y - x2 and mix a
     # (rows x width) scratch buffer
     if asg.rcsi:
         # reads only the drawn fading values
         rows, width = max(1, _CHUNK_DOUBLES // 16), 0
 
         def columns(a):
-            coef, v, vy = moments(a)
-            return c * a, coef, 2.0 * v, 2.0 * vy, 0.5 * np.log(vy / v)
+            v, vy = variances(a)
+            ca = c * a
+            return ca, (k - ca) / var_u, 2.0 * v, 2.0 * vy, 0.5 * np.log(vy / v)
 
-        def score(cols, y1, y, u, mix):
-            _, coef, two_v, two_vy, half_log = cols
-            return half_log - (y1 - coef * u) ** 2 / two_v + y * y / two_vy
+        def score(cols, x1, s, z, y1, y, u, mix):
+            _, gain, two_v, two_vy, half_log = cols
+            # y1 less its posterior mean given U, (P1 + c a k) / var(U) u.  At
+            # k = 0 that coefficient is 1 and y1 - u is exact; elsewhere both
+            # terms carry about c a s, so the difference is formed from its
+            # parts, x1 (1 - coef) + s (c a - coef k) + z, as
+            # (k - c a) / var(U) (k x1 - P1 s) + z
+            dev = gain * (k * x1 - P1 * s) + z if k else y1 - u
+            return half_log - dev ** 2 / two_v + y * y / two_vy
     else:
         # reads the law through its atoms or a grid placed for these moments
-        av, aw = _mixture_atoms(dist, c, lambda a: moments(a)[1:])
-        coef, v, vy = moments(av)
+        av, aw = _mixture_atoms(dist, c, variances)
+        coef = (P1 + c * av * k) / var_u
+        v, vy = variances(av)
         if (coef == coef[0]).all():  # k = 0: every atom's deviation is y1 - coef u
             coef = coef[0]
         log_aw = np.log(aw)
@@ -440,7 +448,7 @@ def mi_monte_carlo(params: ChannelParams, dist: FadingDistribution,
         def columns(a):
             return (c * a,)
 
-        def score(cols, y1, y, u, mix):
+        def score(cols, x1, s, z, y1, y, u, mix):
             return (_log_mixture(mix, y1, *given_u, u, coef)
                     - _log_mixture(mix, y, *marginal, u, 0.0))
     if dist.is_discrete:  # columns per atom, gathered by each sample's atom index
@@ -485,13 +493,13 @@ def mi_monte_carlo(params: ChannelParams, dist: FadingDistribution,
             # the generator fills its draws in sequence, so z drawn a chunk at
             # a time holds the values of one call
             z = rng.standard_normal(out=z_buf[:min(rows, nj - lo)])
-            cols = gather(drawn[cut])
-            u = x1[cut] + k * s[cut] if k else x1[cut]
-            y1 = x1[cut] + cols[0] * s[cut] + z
+            cols, x1c, sc = gather(drawn[cut]), x1[cut], s[cut]
+            u = x1c + k * sc if k else x1c
+            y1 = x1c + cols[0] * sc + z
             y = y1 + x2[cut] if P2 > 0 else y1
-            r = score(cols, y1, y, u, mix)
+            r = score(cols, x1c, sc, z, y1, y, u, mix)
             if k:  # at k = 0, U = X1 and the U-term is exactly 0
-                r += x1[cut] * x1[cut] / (2.0 * P1) - u * u / (2.0 * var_u) + lr_u
+                r += x1c * x1c / (2.0 * P1) - u * u / (2.0 * var_u) + lr_u
             np.divide(r, LN2, out=ratio[cut])
         del drawn, mix  # before the next stream draws its own
 

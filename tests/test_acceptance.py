@@ -23,12 +23,11 @@ from fadingdirt.fading import (
     Discrete,
     Gaussian,
     Uniform,
-    entropy_bits_quadrature,
     strong_support,
 )
 from fadingdirt.gauss_mi import CostaAssignment, costa_rate_exact, mi_monte_carlo
 
-from laws import TWO_POINT
+from laws import TWO_POINT, entropy_bits_quadrature
 
 
 def _random_dominant(rng):

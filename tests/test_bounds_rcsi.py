@@ -785,8 +785,7 @@ class TestDensityMemo:
             return lambda f, *args: routine(lambda x: quad_nodes.append(x) or f(x), *args)
 
         monkeypatch.setattr(Gaussian, "pdf", counting_pdf)
-        for name in ("_qagse", "_qagpe"):
-            monkeypatch.setattr(quadpack, name, counting(getattr(quadpack, name)))
+        monkeypatch.setattr(quadpack, "_qagse", counting(quadpack._qagse))
         assert len(run_sweep(SweepSpec("continuous", Gaussian(0.0, 1.0)))) == 30
         distinct = set(pdf_nodes)
         assert len(pdf_nodes) == len(distinct)

@@ -21,7 +21,8 @@ from fadingdirt.bounds_norcsi import ChannelParams
 from fadingdirt.fading import parse_distribution, strong_support
 from fadingdirt.gauss_mi import CostaAssignment, costa_rate_exact
 
-from laws import TABULATED_0, UNIT_LOGNORMAL
+from laws import TABULATED_0, TABULATED_9, UNIT_LOGNORMAL
+from test_inversions import INVERTING
 
 
 def run_cli(capsys, *argv):
@@ -427,6 +428,60 @@ def test_mi_gate(capsys, P, c, law, no_rcsi, a_target, split):
         assert re.fullmatch(r"error: \w+: .*\n", err), (argv, err)
 
 
+# the `bounds` gate draws --P and --c from the mi gate's values and the
+# non-finite ones; --delta also from angles in range, and --interval ends
+# from a range around the catalog laws' supports and its extremes; its laws
+# are the shorthands, a strong support, a three-atom literal and two
+# unit-variance tabulated literals
+_BOUNDS_VALUES = _GATE_VALUES + [math.inf, -math.inf, math.nan]
+_BOUNDS_DELTAS = _BOUNDS_VALUES + [math.pi / 4, 1.2, math.pi / 2]
+_BOUNDS_ENDS = [-1e308, -2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0, 1e308, math.inf, math.nan]
+_BOUNDS_LAWS = ["gaussian", "uniform", "rayleigh", "two-point",
+                json.dumps(strong_support(4, 2.0).to_json()),
+                '{"kind":"discrete","atoms":[[-1.0,0.6],[0.5,0.3],[2.0,0.1]]}',
+                TABULATED_9, TABULATED_0]
+
+
+@st.composite
+def bounds_argv(draw):
+    """A `bounds` command line; --dist, --delta and --interval, each optional,
+    only where the theorem reads them."""
+    theorem = draw(st.sampled_from(harness.THEOREMS))
+    argv = ["bounds", "--theorem", theorem]
+    for flag in ("--P", "--c"):
+        argv += [flag, repr(draw(st.sampled_from(_BOUNDS_VALUES)))]
+    optional = {"dist": st.sampled_from(_BOUNDS_LAWS).map(lambda law: [law]),
+                "delta": st.sampled_from(_BOUNDS_DELTAS).map(lambda d: [repr(d)]),
+                "interval": st.lists(st.sampled_from(_BOUNDS_ENDS).map(repr),
+                                     min_size=2, max_size=2)}
+    for name, values in optional.items():
+        if theorem not in harness.not_reading(name) and draw(st.booleans()):
+            argv += [f"--{name}", *draw(values)]
+    return argv
+
+
+# capsys is read and emptied on each example
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(bounds_argv())
+def test_bounds_gate(capsys, argv):
+    # warnings are errors, but for QuadratureWarning, whose stderr line is the
+    # documented report of a QUADPACK code
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", errors.QuadratureWarning)
+        code, out, err = run_cli(capsys, *argv)
+    assert code in (0, 2, 3), argv
+    if code == 0:
+        payload = json.loads(out)
+        inner, outer = payload["inner"], payload["outer"]
+        assert math.isfinite(inner["bits"]) and math.isfinite(outer["bits"]), argv
+        assert inner["bits"] >= 0.0, argv
+        if (outer["theorem"], outer["branch"]) not in INVERTING:
+            assert outer["bits"] >= inner["bits"] - 1e-9, argv
+    elif code == 3:
+        assert re.fullmatch(r"error: \w+: .*\n", err), (argv, err)
+
+
 # command lines that argparse rejects, and the part of its message that names
 # the offending flag, worded alike on Python 3.10 and 3.11
 _PARSE_ERRORS = {
@@ -760,6 +815,17 @@ class TestMiGp:
         assert (code, err) == (0, "")
         payload = json.loads(out)
         assert math.isfinite(payload["estimate_bits"]) and math.isfinite(payload["stderr_bits"])
+
+    def test_mi_at_a_gain_whose_covariance_square_overflowed(self, capsys):
+        # the moment guard squared P1 + c a k, which no formula forms, and
+        # exited 3 with NonFinite; costa_rate_exact gives 0.3903 bits
+        code, out, err = run_cli(capsys, "mi", "--P", "10", "--c", "1e100", "--dist", "two-point",
+                                 "--a-target", "1", "--n", "10000")
+        assert (code, err) == (0, "")
+        payload = json.loads(out)
+        exact = costa_rate_exact(ChannelParams(P=10, c=1e100), parse_distribution("two-point"),
+                                 CostaAssignment(a_target=1.0))
+        assert abs(payload["estimate_bits"] - exact) < 5 * payload["stderr_bits"]
 
     def test_gp_example(self, capsys):
         code, out, _ = run_cli(capsys, "gp", "--example", "binary-nonoise",

@@ -13,6 +13,8 @@ import pytest
 import fadingdirt
 from fadingdirt.fading import strong_support
 
+from laws import TABULATED_9
+
 SRC = str(Path(fadingdirt.__file__).resolve().parent.parent)
 
 # runs one command in a fresh interpreter, then reports its exit code and
@@ -31,6 +33,9 @@ TRIANGLE = json.dumps({"kind": "tabulated", "grid": [[-1.5, 0.0], [0.0, 2.0 / 3.
 CLOSED_FORM_COMMANDS = {
     "verify": ["verify"],
     "bounds-no-rcsi": ["bounds", "--theorem", "no-rcsi", "--P", "3", "--c", "2"],
+    # the entropy of a tabulated law is its closed form, not a quadrature
+    "bounds-no-rcsi-tabulated": ["bounds", "--theorem", "no-rcsi", "--P", "3", "--c", "2",
+                                 "--dist", TABULATED_9],
     "bounds-mass-half": ["bounds", "--theorem", "mass-half", "--P", "15", "--c", "8",
                          "--dist", "two-point"],
     "bounds-strong": ["bounds", "--theorem", "strong", "--P", "10", "--c", "2",

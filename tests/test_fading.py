@@ -4,6 +4,7 @@ import math
 import sys
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -34,7 +35,6 @@ from fadingdirt.fading import (
     Uniform,
     _quadpack,
     binomial_fading,
-    entropy_bits_quadrature,
     entropy_power_alpha,
     geometric_fading,
     integrate,
@@ -46,7 +46,14 @@ from fadingdirt.fading import (
     unit_rayleigh,
 )
 
-from laws import TABULATED_0, TWO_POINT, UNIT_LOGNORMAL
+from laws import (
+    TABULATED_0,
+    TABULATED_9,
+    TWO_POINT,
+    UNIT_LOGNORMAL,
+    entropy_bits_quadrature,
+    tabulated_laws,
+)
 
 
 class TestEntropy:
@@ -100,26 +107,53 @@ def two_hump_law(seed, nodes=15):
     return normalize_unit_variance(TabulatedDensity(tuple(zip(xs.tolist(), ds.tolist()))))
 
 
-def piecewise_linear_entropy_bits(law):
-    """Exact -integral of p log2 p for a density linear between grid nodes."""
-    def antiderivative(p):  # of p ln p
-        return p * p / 2 * math.log(p) - p * p / 4 if p > 0 else 0.0
+def mp_entropy_bits(law):
+    """-integral of p log2 p of the declared piecewise-linear density at 50
+    digits, from its float nodes: a segment of width h and end densities
+    d0 != d1 holds -h (F(d1) - F(d0)) / (d1 - d0) nats, F(p) = p^2 ln p / 2
+    - p^2 / 4 the antiderivative of p ln p."""
+    def antiderivative(p):
+        return p * p / 2 * mpmath.log(p) - p * p / 4 if p > 0 else mpmath.mpf(0)
 
-    h = 0.0
-    for (x0, d0), (x1, d1) in zip(law.grid[:-1], law.grid[1:]):
-        if d0 == d1:
-            h -= (x1 - x0) * (d0 * math.log(d0) if d0 > 0 else 0.0)
-        else:
-            h -= (x1 - x0) / (d1 - d0) * (antiderivative(d1) - antiderivative(d0))
-    return h / math.log(2)
+    with mpmath.workdps(50):
+        h = mpmath.mpf(0)
+        for (x0, d0), (x1, d1) in zip(law.grid[:-1], law.grid[1:]):
+            x0, d0, x1, d1 = (mpmath.mpf(v) for v in (x0, d0, x1, d1))
+            if d0 == d1:
+                h -= (x1 - x0) * (d0 * mpmath.log(d0) if d0 > 0 else 0)
+            else:
+                h -= (x1 - x0) / (d1 - d0) * (antiderivative(d1) - antiderivative(d0))
+        return float(h / mpmath.log(2))
+
+
+_D = 0.25
+# unit mass on five nodes: one segment with equal ends, one with ends an ulp
+# apart, one with ends 1e-9 apart (relative) and one down to a zero end
+_NEAR_FLAT = TabulatedDensity(((0.0, _D), (1.0, _D), (2.0, math.nextafter(_D, 1.0)),
+                               (3.0, _D * (1.0 + 1e-9)), (5.0, 0.0)))
+_CLOSED_FORM_LAWS = {
+    "golden9": parse_distribution(TABULATED_9),
+    "tabulated0": parse_distribution(TABULATED_0),
+    "triangle": TabulatedDensity(((-1.5, 0.0), (0.0, 2.0 / 3.0), (1.5, 0.0))),
+    "near-flat": _NEAR_FLAT,
+}
 
 
 class TestTabulatedEntropy:
     @pytest.mark.parametrize("seed", [0, 1, 2, 3])
     def test_quadrature_matches_piecewise_linear_closed_form(self, seed):
         law = two_hump_law(seed)
-        assert entropy_bits_quadrature(law) == pytest.approx(
-            piecewise_linear_entropy_bits(law), abs=1e-10)
+        assert entropy_bits_quadrature(law) == pytest.approx(law.entropy_bits(), abs=1e-10)
+
+    @pytest.mark.parametrize("name", list(_CLOSED_FORM_LAWS))
+    def test_closed_form_matches_mpmath(self, name):
+        law = _CLOSED_FORM_LAWS[name]
+        assert abs(law.entropy_bits() - mp_entropy_bits(law)) <= 1e-14
+
+    @settings(max_examples=100, deadline=None)
+    @given(tabulated_laws())
+    def test_closed_form_matches_quadrature(self, law):
+        assert law.entropy_bits() == pytest.approx(entropy_bits_quadrature(law), abs=1e-9)
 
     def test_entropy_power_in_range(self):
         assert 0.0 < entropy_power_alpha(two_hump_law(0)) < 1.0
@@ -134,16 +168,14 @@ class TestTabulatedEntropy:
         assert payload["inner"]["bits"] <= payload["outer"]["bits"]
 
 
-# laws for the quad oracle: the five continuous families, then the seeded
-# tabulated law with its kinks as breakpoints, so qagpe runs as well as qagse
+# laws for the quad oracle: the five continuous families, the tabulated one
+# on few enough nodes that QUADPACK converges without breakpoints
 _ORACLE_LAWS = {
-    "gaussian": ("gaussian", False),
-    "uniform": ("uniform", False),
-    "rayleigh": ("rayleigh", False),
-    "lognormal": (UNIT_LOGNORMAL, False),
-    "tabulated": ('{"kind":"tabulated","grid":[[-1.5,0],[-0.5,0.625],[0.5,0.375],[1.5,0]]}',
-                  False),
-    "tabulated0-kinks": (TABULATED_0, True),
+    "gaussian": "gaussian",
+    "uniform": "uniform",
+    "rayleigh": "rayleigh",
+    "lognormal": UNIT_LOGNORMAL,
+    "tabulated": '{"kind":"tabulated","grid":[[-1.5,0],[-0.5,0.625],[0.5,0.375],[1.5,0]]}',
 }
 
 # the mass, the entropy and a Costa-like loss
@@ -154,7 +186,7 @@ _ORACLE_INTEGRANDS = (
 )
 
 
-def _quad(law, f, lo, hi, epsabs, epsrel, points):
+def _quad(law, f, lo, hi, epsabs):
     """The integral of f(x, p(x)) through `scipy.integrate.quad`, the oracle."""
     import scipy.integrate
 
@@ -162,8 +194,7 @@ def _quad(law, f, lo, hi, epsabs, epsrel, points):
         p = law.density(x)
         return f(x, p) if p > 0 else 0.0
 
-    return scipy.integrate.quad(integrand, lo, hi, limit=400 + len(points), epsabs=epsabs,
-                                epsrel=epsrel, points=points if len(points) else None)
+    return scipy.integrate.quad(integrand, lo, hi, limit=400, epsabs=epsabs)
 
 
 class TestIntegrate:
@@ -175,7 +206,7 @@ class TestIntegrate:
     def test_f_not_called_off_the_density(self):
         seen = []
         value, _ = integrate(Uniform(0.0, 1.0), lambda x, p: seen.append(x) or p,
-                             -1.0, 2.0, 1e-10, points=(0.0, 1.0))
+                             -1.0, 2.0, 1e-10)
         assert value == pytest.approx(1.0, abs=1e-12)
         assert seen and all(0.0 <= x <= 1.0 for x in seen)
 
@@ -184,33 +215,36 @@ class TestIntegrate:
         qagse, calls = _quadpack()._qagse, []
         monkeypatch.setattr(_quadpack(), "_qagse",
                             lambda *a: calls.append(a[1:3]) or qagse(*a))
-        entropy_bits_quadrature(Uniform(-1.0, 1.0))
-        assert calls == [(-1.0, 1.0), (-1.0, 1.0)]  # the entropy, then the mass
+        law = Uniform(-1.0, 1.0)
+        for lo, hi in ((-1.0, 1.0), (0.0, 0.5)):
+            integrate(law, lambda x, p: p, lo, hi, 1e-10)
+        assert calls == [(-1.0, 1.0), (0.0, 0.5)]
 
     @pytest.mark.parametrize("name", list(_ORACLE_LAWS))
     def test_bit_identical_to_quad(self, name):
-        spec, with_kinks = _ORACLE_LAWS[name]
-        law = parse_distribution(spec)
-        points, (lo, hi) = law.kinks() if with_kinks else (), law.support()
+        law = parse_distribution(_ORACLE_LAWS[name])
+        lo, hi = law.support()
         for f in _ORACLE_INTEGRANDS:
             for epsabs in (1e-7, 1e-8, 1e-10):
-                for epsrel in (1.49e-8, 1e-10):
-                    got = integrate(law, f, lo, hi, epsabs, epsrel, points)
-                    assert got == _quad(law, f, lo, hi, epsabs, epsrel, points)
+                assert integrate(law, f, lo, hi, epsabs) == _quad(law, f, lo, hi, epsabs)
 
     def test_roundoff_code_warns_with_quads_result(self):
-        # the seeded tabulated law without its kinks: QUADPACK stops at code 2
+        # the seeded tabulated law: with no breakpoints at its kinks QUADPACK
+        # stops at code 2
         law = parse_distribution(TABULATED_0)
         with pytest.warns(QuadratureWarning, match=r"code 2 \(roundoff error detected\)"
                                                   r".*error estimate 1\.0\d*e-06, epsabs 1e-10"):
             got = integrate(law, lambda x, p: p, *law.support(), 1e-10)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")  # quad's own IntegrationWarning
-            assert got == _quad(law, lambda x, p: p, *law.support(), 1e-10, 1.49e-8, ())
+            assert got == _quad(law, lambda x, p: p, *law.support(), 1e-10)
 
-    def test_invalid_input_raises(self):
+    def test_invalid_input_raises(self, monkeypatch):
+        # the fixed tolerances and limit are valid input, so the routine is
+        # stubbed to reject them as QUADPACK would
+        monkeypatch.setattr(_quadpack(), "_qagse", lambda *args: (0.0, 0.0, 6))
         with pytest.raises(QuadratureFailure, match="code 6"):
-            integrate(Gaussian(0.0, 1.0), lambda x, p: p, -1.0, 1.0, 0.0, epsrel=0.0)
+            integrate(Gaussian(0.0, 1.0), lambda x, p: p, -1.0, 1.0, 1e-8)
 
     def test_missing_extension_exits_3(self, capsys, monkeypatch):
         monkeypatch.delitem(sys.modules, _quadpack().__name__)

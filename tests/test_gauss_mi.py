@@ -429,10 +429,11 @@ class TestMonteCarlo:
 # gaussian mixture's again on the mapped grid, and the discrete mixtures'
 # again once rows were summed without their max shifted out (one ulp); three
 # rows again once var(Y - X2 | U) was formed without a subtraction (at most
-# 3e-16 relative)
+# 3e-16 relative); rcsi-two-point again once the deviation from the posterior
+# mean given U was formed from its parts at k != 0 (one ulp)
 _SPLIT_ONE_PINS = [
     pytest.param(TWO_POINT, CostaAssignment(a_target=1.0),
-                 (0.29650100553281744, 0.004181150836468581), id="rcsi-two-point"),
+                 (0.2965010055328175, 0.004181150836468581), id="rcsi-two-point"),
     pytest.param(parse_distribution(UNIT_LOGNORMAL), CostaAssignment(a_target=1.0),
                  (0.7295151771053698, 0.003016446106142414), id="rcsi-lognormal"),
     pytest.param(Gaussian(0.0, 1.0), CostaAssignment(rcsi=False),
@@ -462,16 +463,18 @@ _WIDE = geometric_fading(0.1)
 # law drew atom indices and scored from per-atom columns, and before the
 # U-term was skipped at k = 0; norcsi-wide again once mixture rows were summed
 # without their max shifted out (one ulp); the rows at k != 0 again once
-# var(Y - X2 | U) was formed without a subtraction (at most 1.1e-15 relative)
+# var(Y - X2 | U) was formed without a subtraction (at most 1.1e-15 relative),
+# and rcsi-strong4-atom-k and rcsi-wide again once the deviation from the
+# posterior mean given U was formed from its parts (at most 4.6e-15 relative)
 _INDEX_DRAW_PINS = [
     pytest.param(TWO_POINT, CostaAssignment(split_delta=0.5),
                  (0.32832717560357866, 0.008854728082935942), id="rcsi-two-point-k0-split0.5"),
     pytest.param(_STRONG4, CostaAssignment(a_target=float(_STRONG4.values[0])),
                  (0.1667301584621066, 0.013587752278777402), id="rcsi-strong4-atom"),
     pytest.param(_STRONG4, CostaAssignment(a_target=float(_STRONG4.values[0]), inflation_k=0.75),
-                 (0.33601967291053997, 0.01086098627216242), id="rcsi-strong4-atom-k"),
+                 (0.33601967291054, 0.01086098627216242), id="rcsi-strong4-atom-k"),
     pytest.param(_WIDE, CostaAssignment(a_target=1.0),
-                 (0.004118544659172184, 0.012747531191949444), id="rcsi-wide"),
+                 (0.004118544659172165, 0.012747531191949444), id="rcsi-wide"),
     pytest.param(_WIDE, CostaAssignment(rcsi=False),
                  (0.46934164820210295, 0.010450899298616275), id="norcsi-wide"),
 ]
@@ -494,10 +497,11 @@ def test_two_stage_rate_with_rcsi_matches_exact(law, a_target, delta):
     assert abs(est - costa_rate_exact(params, law, asg)) < 5 * se
 
 
-@pytest.mark.parametrize("c", [1e8, 1e9])
+@pytest.mark.parametrize("c", [1e8, 1e9, 1e16, 1e20, 1e100])
 def test_rate_with_rcsi_at_large_gain_matches_exact(c):
     # var(Y - X2 | U) formed as a difference of squares read 29 sd low at
-    # c = 1e8 and overflowed at c = 1e9
+    # c = 1e8 and overflowed at c = 1e9; y1 - coef u, both terms about c a s,
+    # read 45 sd low at c = 1e16 and -3e7 bits at c = 1e20
     params, asg = ChannelParams(P=10, c=c), CostaAssignment(a_target=1.0)
     est, se = mi_monte_carlo(params, TWO_POINT, asg, 10 ** 5, 0)
     assert abs(est - costa_rate_exact(params, TWO_POINT, asg)) < 5 * se

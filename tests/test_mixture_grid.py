@@ -15,13 +15,12 @@ from fadingdirt.fading import (
     Gaussian,
     LogNormal,
     Rayleigh,
-    TabulatedDensity,
     Uniform,
     parse_distribution,
 )
 from fadingdirt.gauss_mi import CostaAssignment, mi_monte_carlo
 
-from laws import TABULATED_0, UNIT_LOGNORMAL
+from laws import TABULATED_0, UNIT_LOGNORMAL, tabulated_laws
 
 CATALOG = {
     "gaussian": parse_distribution("gaussian"),
@@ -39,18 +38,6 @@ def kernel_variances(params, law):
     P1, _, k = gauss_mi._resolve(params, law, CostaAssignment(rcsi=False))
     c, var_u = params.c, P1 + k * k
     return lambda a: (gauss_mi._residual_var(P1, k, c * a, var_u), params.P + c * c * a * a + 1.0)
-
-
-@st.composite
-def tabulated_laws(draw):
-    """Tabulated densities on 3 to 12 nodes, some of them 0."""
-    gaps = draw(st.lists(st.floats(0.01, 3.0), min_size=2, max_size=11))
-    xs = draw(st.floats(-5.0, 5.0)) + np.concatenate(([0.0], np.cumsum(gaps)))
-    ds = np.array(draw(st.lists(st.floats(0.0, 1.0), min_size=len(xs), max_size=len(xs))))
-    mass = np.trapezoid(ds, xs)
-    if not mass > 1e-3:
-        ds, mass = np.ones(len(xs)), xs[-1] - xs[0]
-    return TabulatedDensity(tuple(zip(xs.tolist(), (ds / mass).tolist())))
 
 
 def _scale():

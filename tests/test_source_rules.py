@@ -120,14 +120,18 @@ def integrate(dist, f, lo, hi):
     assert _found(_pdf_read, _pdf_allowed, owners) == []
 
 
+def _called_name(node):
+    """The name a call calls, by bare name or as an attribute; "" for any
+    other node."""
+    func = node.func if isinstance(node, ast.Call) else None
+    return (func.attr if isinstance(func, ast.Attribute)
+            else func.id if isinstance(func, ast.Name) else "")
+
+
 def _bound_call(node):
     """A call of a bound evaluator (`inner_*`, `outer_*`) or a builder of a
-    law's constants (`*_params`), by bare name or as an attribute."""
-    if not isinstance(node, ast.Call):
-        return False
-    func = node.func
-    name = (func.attr if isinstance(func, ast.Attribute)
-            else func.id if isinstance(func, ast.Name) else "")
+    law's constants (`*_params`)."""
+    name = _called_name(node)
     return name.startswith(("inner_", "outer_")) or name.endswith("_params")
 
 
@@ -136,6 +140,15 @@ def test_cli_evaluates_no_bound():
     `bounds` and `sweep` run; a bound evaluated in the CLI would be a second
     dispatch that can drift from the sweep's."""
     assert _found(_bound_call, lambda name, owner: name != "cli.py") == []
+
+
+def test_quadrature_only_in_the_continuous_theorem():
+    """QUADPACK serves the continuous theorem alone, whose constants and
+    inner bound have no closed form; a quadrature on any other path would
+    bring scipy's extension, QuadratureWarning and QuadratureFailure back to
+    a command that has none of them."""
+    assert _found(lambda node: _called_name(node) == "integrate",
+                  lambda name, owner: name == "bounds_rcsi.py") == []
 
 
 def _theorem_or_private_harness_name(node):
